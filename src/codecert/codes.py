@@ -19,8 +19,10 @@ decipherability and tree layers reject it in any other position.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -30,7 +32,7 @@ from .errors import (
     MissingSymbol,
 )
 from .rng import SplitMix64, derived_seed
-from .source import Source, StreamSeed, _as_fraction, sample_stream
+from .source import Source, StreamSeed, _as_fraction, _check_radix, sample_stream
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -102,15 +104,19 @@ class Code:
                     if not 0 <= d < self.radix:
                         raise DigitOutOfRange(f"digit {d} out of range for radix {self.radix}")
 
+    @cached_property
+    def _index(self) -> dict:
+        return dict(self.mapping)
+
     @property
     def symbols(self) -> tuple:
         return tuple(s for s, _ in self.mapping)
 
     def codewords(self, symbol) -> tuple[Codeword, ...]:
-        for s, words in self.mapping:
-            if s == symbol:
-                return words
-        raise MissingSymbol(f"code does not cover symbol {symbol!r}")
+        try:
+            return self._index[symbol]
+        except KeyError:
+            raise MissingSymbol(f"code does not cover symbol {symbol!r}") from None
 
     def covers(self, src: Source) -> bool:
         have = set(self.symbols)
@@ -158,11 +164,13 @@ class EncodingPolicy:
             if sum(qs, Fraction(0)) != 1:
                 raise ValueError(f"weights for {symbol!r} must sum to exactly 1")
 
+    @cached_property
+    def _index(self) -> dict:
+        # reversed, so a symbol listed twice keeps its first weights
+        return dict(reversed(self.weights))
+
     def weights_for(self, symbol) -> tuple[Fraction, ...] | None:
-        for s, qs in self.weights:
-            if s == symbol:
-                return qs
-        return None
+        return self._index.get(symbol)
 
 
 def make_policy(weights: Mapping | Iterable) -> EncodingPolicy:
@@ -182,14 +190,15 @@ def is_non_singular(code: Code) -> bool:
 
 def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
     """The exact rational sum of r^(-l) over the length multiset."""
-    if not isinstance(r, int) or r < 2:
-        raise InvalidRadix(f"radix must be an integer >= 2, got {r!r}")
-    total = Fraction(0)
-    for l in lengths:
-        if l < 0:
-            raise ValueError("codeword lengths are non-negative")
-        total += Fraction(1, r**l)
-    return total
+    _check_radix(r)
+    counts = Counter(lengths)
+    if any(l < 0 for l in counts):
+        raise ValueError("codeword lengths are non-negative")
+    if not counts:
+        return Fraction(0)
+    # one integer sum over the common denominator r^top
+    top = max(counts)
+    return Fraction(sum(k * r ** (top - l) for l, k in counts.items()), r**top)
 
 
 def _policy_weights(code: Code, policy: EncodingPolicy | None, symbol) -> tuple[Fraction, ...]:

@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .codes import Code, Codeword, kraft_sum
-from .errors import InvalidRadix, KraftViolated, UnsupportedMultiCodeword
-from .source import Source
+from .errors import KraftViolated, UnsupportedMultiCodeword
+from .source import Source, _check_radix
 
 DEFAULT_UD_BUDGET = 12
 
@@ -37,13 +37,12 @@ def is_prefix_free(code: Code) -> bool:
     Duplicated codewords count as mutual prefixes, and the empty word is
     a prefix of everything, so either of those makes the code not
     prefix-free (unless the empty word is the only codeword).
+
+    In sorted order every word between u and a word that u prefixes also
+    starts with u, so checking each word against its successor suffices.
     """
-    pooled = code.pooled()
-    for i, u in enumerate(pooled):
-        for j, v in enumerate(pooled):
-            if i != j and u.is_prefix_of(v):
-                return False
-    return True
+    words = sorted(w.digits for w in code.pooled())
+    return not any(v[: len(u)] == u for u, v in zip(words, words[1:]))
 
 
 def _sardinas_patterson(codewords: set[tuple[int, ...]]) -> tuple[bool, set[tuple[int, ...]]]:
@@ -164,14 +163,6 @@ def brute_force_ud(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> bool:
     return ud_counterexample(code, max_len) is None
 
 
-def _int_to_digits(value: int, width: int, r: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(width):
-        value, d = divmod(value, r)
-        digits.append(d)
-    return tuple(reversed(digits))
-
-
 def construct_instantaneous(lengths: Sequence[int], r: int, symbols: Sequence | None = None) -> Code:
     """Kraft's constructive direction: a canonical prefix-free code with
     exactly the requested lengths.
@@ -181,8 +172,7 @@ def construct_instantaneous(lengths: Sequence[int], r: int, symbols: Sequence | 
     descendants of already-assigned words. The i-th output codeword has
     exactly the i-th input length.
     """
-    if not isinstance(r, int) or r < 2:
-        raise InvalidRadix(f"radix must be an integer >= 2, got {r!r}")
+    _check_radix(r)
     lengths = list(lengths)
     total = kraft_sum(lengths, r)
     if total > 1:
@@ -194,16 +184,18 @@ def construct_instantaneous(lengths: Sequence[int], r: int, symbols: Sequence | 
 
     order = sorted(range(len(lengths)), key=lambda i: lengths[i])
     words: dict[int, Codeword] = {}
-    value = 0
-    prev_len = None
-    for i in order:
-        l = lengths[i]
-        if prev_len is None:
-            value = 0
-        else:
-            value = (value + 1) * r ** (l - prev_len)
-        words[i] = Codeword(_int_to_digits(value, l, r))
-        prev_len = l
+    digits: list[int] = []  # the previous word; the first word is all zeros
+    for k, i in enumerate(order):
+        if k:
+            # successor of the previous word: the Kraft bound keeps the
+            # carry inside it
+            j = len(digits) - 1
+            while digits[j] == r - 1:
+                digits[j] = 0
+                j -= 1
+            digits[j] += 1
+        digits.extend([0] * (lengths[i] - len(digits)))
+        words[i] = Codeword(tuple(digits))
     return Code(r, tuple((symbols[i], (words[i],)) for i in range(len(lengths))))
 
 
@@ -229,8 +221,7 @@ def huffman(src: Source, r: int) -> Code:
     created in symbol order), and the merged group takes digits 0..r-1
     in that same order, so the output is deterministic.
     """
-    if not isinstance(r, int) or r < 2:
-        raise InvalidRadix(f"radix must be an integer >= 2, got {r!r}")
+    _check_radix(r)
     n = len(src)
     heap: list[_HuffNode] = [
         _HuffNode(p, i, symbol=s) for i, (s, p) in enumerate(zip(src.symbols, src.probs))
@@ -252,16 +243,12 @@ def huffman(src: Source, r: int) -> Code:
         order += 1
         heapq.heappush(heap, merged)
 
-    root = heap[0]
     assignments: dict[Any, Codeword] = {}
-
-    def walk(node: _HuffNode, path: tuple[int, ...]):
-        if not node.children:
-            if node.symbol is not None:
-                assignments[node.symbol] = Codeword(path)
-            return
-        for digit, child in enumerate(node.children):
-            walk(child, path + (digit,))
-
-    walk(root, ())
+    stack = [(heap[0], ())]
+    while stack:
+        node, path = stack.pop()
+        if node.children:
+            stack.extend((child, path + (digit,)) for digit, child in enumerate(node.children))
+        elif node.symbol is not None:
+            assignments[node.symbol] = Codeword(path)
     return Code(r, tuple((s, (assignments[s],)) for s in src.symbols))

@@ -86,6 +86,10 @@ class GroupLargerThanRadix(CodecertError):
     pass
 
 
+class ExactnessCheckFailed(CodecertError):
+    """Two exact computations of the same fact disagreed: an internal fault."""
+
+
 # --- input files ---
 
 class ParseError(CodecertError):

@@ -12,6 +12,16 @@ full chain of merges down to the one-leaf tree they equal H - ACL.
 Every defect is <= 0, which proves the bound, and a step's defect is 0
 exactly when the group has r members of equal probability.
 
+The chain merges, deepest level first, every internal node of the
+compacted tree, and within a level the nodes in lexicographic path
+order; this is the order the reference operations find_sibling_group
+and reduce_group pick one merge at a time, rebuilding the tree and the
+source after each. certify runs it in one bottom-up pass instead: each
+merge passes its children's probabilities to reduction_step, which
+records the step, and its p_red becomes the merged node's probability.
+The pass never rebuilds the tree or a Source, so a chain costs about
+one tree walk plus the arithmetic of its steps.
+
 Defects are reported as floats but verdicts are decided exactly: a step
 is tight iff s = r and the probabilities match as rationals, and the
 whole chain is tight iff p_i = r**(-l_i) for every symbol. Floats never
@@ -30,9 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .codes import Code, acl_exact, minimal_reduction
+from .codes import Code, Codeword, acl_exact, minimal_reduction
 from .decipher import construct_instantaneous, is_prefix_free, is_uniquely_decipherable
 from .errors import (
+    ExactnessCheckFailed,
     GroupLargerThanRadix,
     InvalidGroup,
     MissingSymbol,
@@ -40,19 +51,18 @@ from .errors import (
     RadixOneUnsupported,
     ZeroOrNegativeProbability,
 )
-from .source import Source, _check_radix, entropy
+from .source import Source, _check_radix, _log, entropy
 from .tree import (
     CodeTree,
     SiblingGroup,
+    TreeNode,
     compact_standalone,
-    find_sibling_group,
     from_tree,
     replace_group_with_leaf,
     to_tree,
     tree_source,
 )
 
-TIGHT_TOL = 1e-9
 LOG_SLACK = 1e-12
 
 
@@ -143,11 +153,6 @@ class RationalWeights:
     def F(self) -> int:
         return sum(self.frequencies)
 
-    @property
-    def f_red(self) -> int:
-        # the merged weight is the whole group's mass
-        return self.F
-
 
 @dataclass(frozen=True)
 class GhmResult:
@@ -165,21 +170,45 @@ class PpResult:
 def _delta(probs: tuple[Fraction, ...], p_red: Fraction, r: int) -> float:
     log_r = math.log(r)
     red = float(p_red)
-    group = math.fsum(float(p) * math.log(p) / log_r for p in probs)
-    return red * math.log(red) / log_r - group - red
+    group = math.fsum(float(p) * _log(p) / log_r for p in probs)
+    return red * _log(p_red) / log_r - group - red
 
 
-def reduction_step(
+def reduction_step(group: SiblingGroup, probs: tuple[Fraction, ...], r: int) -> ReductionStep:
+    """The record of one merge: a sibling-leaf group with these probabilities.
+
+    certify calls this once per merge of its chain; each call costs the
+    group's size, never the tree's.
+    """
+    _check_radix(r)
+    if group.s < 2 or group.s > r:
+        raise InvalidGroup(f"group size {group.s} outside 2..{r}")
+    if len(probs) != group.s:
+        raise InvalidGroup(f"group of {group.s} members given {len(probs)} probabilities")
+    if any(p is None for p in probs):
+        raise InvalidGroup("group leaf carries no probability")
+    p_red = sum(probs, Fraction(0))
+    return ReductionStep(
+        group=group,
+        probs=probs,
+        p_red=p_red,
+        l_red=len(group.parent),
+        delta=_delta(probs, p_red, r),
+        is_tight=(group.s == r and len(set(probs)) == 1),
+    )
+
+
+def reduce_group(
     src: Source, tree: CodeTree, group: SiblingGroup
 ) -> tuple[Source, CodeTree, ReductionStep]:
     """Merge a sibling-leaf group into its parent.
 
-    Returns the reduced source, the reduced tree, and the step record.
+    The reference form of one merge, which rebuilds the tree and the
+    source; certify's one-pass chain never calls it. Returns the reduced
+    source, the reduced tree, and the step record.
     The reduced source lists the reduced tree's leaves in digit order,
     so repeated steps keep source and tree aligned.
     """
-    r = tree.radix
-    _check_radix(r)
     try:
         parent = tree.node_at(group.parent)
     except KeyError:
@@ -189,28 +218,10 @@ def reduction_step(
         raise InvalidGroup("group members are not exactly the parent's children")
     if any(not c.is_leaf for _, c in parent.children):
         raise InvalidGroup("group contains an internal node")
-    if group.s < 2 or group.s > r:
-        raise InvalidGroup(f"group size {group.s} outside 2..{r}")
-    probs = []
-    for _, child in parent.children:
-        if child.prob is None:
-            raise InvalidGroup("group leaf carries no probability")
-        probs.append(child.prob)
-    probs = tuple(probs)
-
-    p_red = sum(probs, Fraction(0))
+    step = reduction_step(group, tuple(c.prob for _, c in parent.children), tree.radix)
     merged = MergedSymbol(tuple(c.symbol for _, c in parent.children))
-    reduced_tree = replace_group_with_leaf(tree, group, merged, p_red)
-    reduced_src = tree_source(reduced_tree)
-    step = ReductionStep(
-        group=group,
-        probs=probs,
-        p_red=p_red,
-        l_red=len(group.parent),
-        delta=_delta(probs, p_red, r),
-        is_tight=(group.s == r and len(set(probs)) == 1),
-    )
-    return reduced_src, reduced_tree, step
+    reduced_tree = replace_group_with_leaf(tree, group, merged, step.p_red)
+    return tree_source(reduced_tree), reduced_tree, step
 
 
 def _check_alignment(src: Source, code: Code) -> None:
@@ -271,16 +282,11 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     acl_fraction = acl_exact(src, certified)
     drop = acl_exact(src, canonical) - acl_fraction
 
-    cur = tree_source(tree)
-    steps: list[ReductionStep] = []
-    while len(tree.leaves()) > 1:
-        group = find_sibling_group(tree)
-        cur, tree, step = reduction_step(cur, tree, group)
-        steps.append(step)
-
+    steps = _merge_chain(tree)
     all_tight = all(s.is_tight for s in steps)
     equal, witness = equality_condition(src, certified)
-    assert equal == all_tight, "exact tightness disagrees with the length condition"
+    if equal != all_tight:
+        raise ExactnessCheckFailed("exact tightness disagrees with the length condition")
 
     return ReductionCertificate(
         source=src,
@@ -296,6 +302,32 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
         verdict="Equality" if all_tight else "StrictInequality",
         witness=witness,
     )
+
+
+def _merge_chain(tree: CodeTree) -> list[ReductionStep]:
+    """Every merge of a compact tree's chain, in one bottom-up pass.
+
+    Each internal node is merged once, deepest level first and each
+    level in lexicographic path order, so by its turn all of its
+    children are leaves.
+    """
+    levels: list[list[tuple[tuple[int, ...], TreeNode]]] = []
+    for path, node in tree.walk():
+        if not node.is_leaf:
+            if len(path) == len(levels):
+                levels.append([])
+            levels[len(path)].append((path, node))
+
+    p_merged: dict[int, Fraction] = {}  # id(node) -> p_red of every node merged so far
+    steps = []
+    for level in reversed(levels):
+        for path, node in level:
+            group = SiblingGroup(path, tuple(path + (d,) for d, _ in node.children))
+            probs = tuple(c.prob if c.is_leaf else p_merged[id(c)] for _, c in node.children)
+            step = reduction_step(group, probs, tree.radix)
+            p_merged[id(node)] = step.p_red
+            steps.append(step)
+    return steps
 
 
 def equality_condition(src: Source, code: Code) -> tuple[bool, EqualityWitness | None]:
@@ -318,7 +350,8 @@ def equality_condition(src: Source, code: Code) -> tuple[bool, EqualityWitness |
         if p != Fraction(1, r**length):
             return False, None
     n = len(src)
-    assert (n - 1) % (r - 1) == 0, "power-of-r probabilities force a full tree"
+    if (n - 1) % (r - 1) != 0:
+        raise ExactnessCheckFailed("power-of-r probabilities must force a full tree")
     return True, EqualityWitness((n - 1) // (r - 1), tuple(lengths))
 
 
@@ -395,20 +428,12 @@ def check_pp_inequalities(probs, r: int) -> PpResult:
     return PpResult(ineq_a=ineq_a, ineq_b=ineq_b)
 
 
-def _fmt_path(path: tuple[int, ...]) -> str:
-    if not path:
-        return "-"
-    if any(d > 9 for d in path):
-        return ".".join(str(d) for d in path)
-    return "".join(str(d) for d in path)
-
-
 def format_certificate(cert: ReductionCertificate) -> str:
     """Serialize a certificate, one line per step plus a summary line."""
     lines = []
     for k, step in enumerate(cert.steps, start=1):
         lines.append(
-            f"step {k}: merge parent={_fmt_path(step.group.parent)}"
+            f"step {k}: merge parent={Codeword(step.group.parent)}"
             f" s={step.s}"
             f" p_red={step.p_red.numerator}/{step.p_red.denominator}"
             f" delta={step.delta!r}"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .codes import Code, Codeword
 from .rng import SplitMix64, derived_seed
 from .source import Source, _check_radix
-from .tree import CodeTree, TreeNode
+from .tree import CodeTree, TreeNode, _replace_at
 
 
 def trial_rng(master_seed: int, k: int) -> SplitMix64:
@@ -41,23 +41,6 @@ def random_source(rng: SplitMix64, n: int, max_den: int = 64) -> Source:
     return Source(symbols, probs)
 
 
-def _expand_leaf(tree: CodeTree, path: tuple[int, ...]) -> CodeTree:
-    """Replace the leaf at path with an internal node bearing r fresh leaves."""
-    r = tree.radix
-    grown = TreeNode(tuple((d, TreeNode()) for d in range(r)))
-
-    def rebuild(node: TreeNode, depth: int) -> TreeNode:
-        if depth == len(path):
-            return grown
-        children = tuple(
-            (d, rebuild(c, depth + 1) if d == path[depth] else c)
-            for d, c in node.children
-        )
-        return TreeNode(children)
-
-    return CodeTree(r, rebuild(tree.root, 0))
-
-
 def random_full_tree(rng: SplitMix64, r: int, max_leaves: int = 12) -> CodeTree:
     """A uniform-ish full r-ary tree grown by expanding random leaves.
 
@@ -78,7 +61,8 @@ def grow_full_tree(rng: SplitMix64, r: int, z: int) -> CodeTree:
     for _ in range(z):
         leaves = tree.leaves()
         path, _ = leaves[rng.randbelow(len(leaves))]
-        tree = _expand_leaf(tree, path)
+        # the leaf at path becomes an internal node bearing r fresh leaves
+        tree = _replace_at(tree, path, TreeNode(tuple((d, TreeNode()) for d in range(r))))
     return tree
 
 

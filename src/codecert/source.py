@@ -127,6 +127,14 @@ def _check_radix(r) -> int:
     return r
 
 
+def _log(p: Fraction) -> float:
+    """math.log(p), also for a positive p too small to be a float."""
+    try:
+        return math.log(p)
+    except ValueError:
+        return math.log(p.numerator) - math.log(p.denominator)
+
+
 def entropy(src: Source, r: int) -> float:
     """The base-r entropy -sum p_i log_r p_i, as a 64-bit float.
 
@@ -135,7 +143,7 @@ def entropy(src: Source, r: int) -> float:
     _check_radix(r)
     log_r = math.log(r)
     # + 0.0 normalizes the -0.0 of a singleton source
-    return -math.fsum(float(p) * math.log(p) for p in src.probs) / log_r + 0.0
+    return -math.fsum(float(p) * _log(p) for p in src.probs) / log_r + 0.0
 
 
 def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP) -> Source:

@@ -21,7 +21,7 @@ from typing import Any
 
 from .codes import Code, Codeword
 from .decipher import is_prefix_free
-from .errors import NotCompact, NotPrefixFree, TreeTooSmall
+from .errors import InvalidGroup, NotCompact, NotPrefixFree, TreeTooSmall
 from .source import Source
 
 
@@ -45,16 +45,19 @@ class CodeTree:
 
     def leaves(self) -> list[tuple[tuple[int, ...], TreeNode]]:
         """(path, leaf) pairs in depth-first digit order."""
+        return [(path, node) for path, node in self.walk() if node.is_leaf]
+
+    def walk(self) -> list[tuple[tuple[int, ...], TreeNode]]:
+        """(path, node) pairs of every node in preorder, children in digit order.
+
+        Preorder lists the nodes of each depth in lexicographic path order.
+        """
         out = []
-
-        def walk(node: TreeNode, path: tuple[int, ...]):
-            if node.is_leaf:
-                out.append((path, node))
-                return
-            for digit, child in node.children:
-                walk(child, path + (digit,))
-
-        walk(self.root, ())
+        stack = [((), self.root)]
+        while stack:
+            path, node = stack.pop()
+            out.append((path, node))
+            stack.extend((path + (d,), c) for d, c in reversed(node.children))
         return out
 
     def node_at(self, path: tuple[int, ...]) -> TreeNode:
@@ -98,24 +101,31 @@ def to_tree(code: Code, src: Source | None = None) -> CodeTree:
     if not is_prefix_free(code):
         raise NotPrefixFree("code is not prefix-free")
 
-    # nested mutable shape first, frozen on the way out
-    entries = [(symbol, words[0]) for symbol, words in code.mapping]
+    # a trie of digit -> subtrie dicts first, frozen on the way out; a
+    # prefix-free code ends each word at its own empty dict
+    trie: dict = {}
+    leaves: dict[int, TreeNode] = {}
+    for symbol, words in code.mapping:
+        node = trie
+        for digit in words[0].digits:
+            node = node.setdefault(digit, {})
+        prob = src.prob_of(symbol) if src is not None else None
+        leaves[id(node)] = TreeNode((), symbol, prob)
 
-    def build(items: list, depth: int) -> TreeNode:
-        here = [(s, w) for s, w in items if w.length == depth]
-        if here:
-            symbol = here[0][0]
-            prob = src.prob_of(symbol) if src is not None else None
-            return TreeNode((), symbol, prob)
-        buckets: dict[int, list] = {}
-        for s, w in items:
-            buckets.setdefault(w.digits[depth], []).append((s, w))
-        children = tuple(
-            (digit, build(bucket, depth + 1)) for digit, bucket in sorted(buckets.items())
-        )
-        return TreeNode(children)
-
-    return CodeTree(code.radix, build(entries, 0))
+    # every trie node is frozen after its children: reversed preorder
+    order, stack = [], [trie]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.values())
+    frozen: dict[int, TreeNode] = {}
+    for node in reversed(order):
+        if id(node) in leaves:
+            frozen[id(node)] = leaves[id(node)]
+        else:
+            children = tuple((d, frozen[id(c)]) for d, c in sorted(node.items()))
+            frozen[id(node)] = TreeNode(children)
+    return CodeTree(code.radix, frozen[id(trie)])
 
 
 def from_tree(tree: CodeTree) -> Code:
@@ -149,34 +159,25 @@ def compact_standalone(tree: CodeTree) -> CodeTree:
     strictly decreases when a spliced edge sits above a leaf with
     positive probability.
     """
+    compacted: dict[int, TreeNode] = {}
+    for _, node in reversed(tree.walk()):  # every node after its descendants
+        compacted[id(node)] = node if node.is_leaf else _compact_node(node, compacted)
+    return CodeTree(tree.radix, compacted[id(tree.root)])
 
-    def compact(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return node
-        children = tuple((d, compact(c)) for d, c in node.children)
-        while len(children) == 1:
-            only = children[0][1]
-            if only.is_leaf:
-                return TreeNode((), only.symbol, only.prob)
-            children = only.children
-        return TreeNode(children)
 
-    return CodeTree(tree.radix, compact(tree.root))
+def _compact_node(node: TreeNode, compacted: dict[int, TreeNode]) -> TreeNode:
+    """node with its compacted children, spliced while it has only one."""
+    children = tuple((d, compacted[id(c)]) for d, c in node.children)
+    while len(children) == 1:
+        only = children[0][1]
+        if only.is_leaf:
+            return TreeNode((), only.symbol, only.prob)
+        children = only.children
+    return TreeNode(children)
 
 
 def is_compact(tree: CodeTree) -> bool:
-    def ok(node: TreeNode) -> bool:
-        if node.is_leaf:
-            return True
-        if len(node.children) == 1:
-            return False
-        return all(ok(c) for _, c in node.children)
-
-    if tree.root.is_leaf:
-        return True
-    if len(tree.root.children) == 1:
-        return False
-    return all(ok(c) for _, c in tree.root.children)
+    return all(len(node.children) != 1 for _, node in tree.walk())
 
 
 def find_sibling_group(tree: CodeTree) -> SiblingGroup:
@@ -202,55 +203,41 @@ def find_sibling_group(tree: CodeTree) -> SiblingGroup:
 
 
 def tree_stats(tree: CodeTree) -> TreeStats:
-    n = z = 0
-    full = True
-
-    def walk(node: TreeNode):
-        nonlocal n, z, full
-        if node.is_leaf:
-            n += 1
-            return
-        z += 1
-        if len(node.children) != tree.radix:
-            full = False
-        for _, child in node.children:
-            walk(child)
-
-    walk(tree.root)
-    return TreeStats(n, z, full)
+    nodes = [node for _, node in tree.walk()]
+    internal = [node for node in nodes if not node.is_leaf]
+    full = all(len(node.children) == tree.radix for node in internal)
+    return TreeStats(len(nodes) - len(internal), len(internal), full)
 
 
 def replace_group_with_leaf(
     tree: CodeTree, group: SiblingGroup, symbol, prob: Fraction | None
 ) -> CodeTree:
     """The tree with the group's parent turned into a leaf (used by reductions)."""
+    return _replace_at(tree, group.parent, TreeNode((), symbol, prob))
 
-    def rebuild(node: TreeNode, path: tuple[int, ...]) -> TreeNode:
-        if path == group.parent:
-            return TreeNode((), symbol, prob)
-        depth = len(path)
-        children = tuple(
-            (d, rebuild(c, path + (d,)) if group.parent[:depth] == path and d == group.parent[depth] else c)
-            for d, c in node.children
-        )
-        return TreeNode(children, node.symbol, node.prob)
 
-    return CodeTree(tree.radix, rebuild(tree.root, ()))
+def _replace_at(tree: CodeTree, path: tuple[int, ...], node: TreeNode) -> CodeTree:
+    """The tree with node in place of the node at path; only the path's ancestors are rebuilt."""
+    above = [tree.root]  # the nodes on the path, root first
+    for depth, digit in enumerate(path):
+        children = dict(above[-1].children)
+        if digit not in children:
+            raise InvalidGroup(f"no node at path {path[: depth + 1]}")
+        above.append(children[digit])
+    for digit, old in zip(reversed(path), reversed(above[:-1])):
+        children = tuple((d, node if d == digit else c) for d, c in old.children)
+        node = TreeNode(children, old.symbol, old.prob)
+    return CodeTree(tree.radix, node)
 
 
 def dump_tree(tree: CodeTree) -> str:
     """Indented text dump, one node per line: '<digit-path> [symbol p=a/b]'."""
     lines = []
-
-    def walk(node: TreeNode, path: tuple[int, ...], depth: int):
+    for path, node in tree.walk():
         label = str(Codeword(path))
         if node.is_leaf and node.symbol is not None:
             label += f" {node.symbol}"
             if node.prob is not None:
                 label += f" p={node.prob}"
-        lines.append("  " * depth + label)
-        for digit, child in node.children:
-            walk(child, path + (digit,), depth + 1)
-
-    walk(tree.root, (), 0)
+        lines.append("  " * len(path) + label)
     return "\n".join(lines)

@@ -63,3 +63,12 @@ def optimal_acl_oracle(probs, r, max_len=None) -> Fraction:
             best = cost
     assert best is not None
     return best
+
+
+def prefix_free_oracle(words) -> bool:
+    """No word is a prefix of the word at any other position (digit tuples)."""
+    return not any(
+        i != j and v[: len(u)] == u
+        for i, u in enumerate(words)
+        for j, v in enumerate(words)
+    )

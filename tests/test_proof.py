@@ -33,6 +33,7 @@ from codecert import (
     make_source,
     random_prefix_code,
     random_source,
+    reduce_group,
     reduction_step,
     reversed_code,
     to_tree,
@@ -47,13 +48,13 @@ SKEWED = make_source("abcd", [F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
 SKEWED_CODE = make_code(2, [("a", "0"), ("b", "10"), ("c", "110"), ("d", "111")])
 
 
-# --- reduction_step ---
+# --- reduce_group and reduction_step ---
 
 
 def test_step_tight_pair():
     tree = to_tree(DYADIC_CODE, DYADIC)
     group = find_sibling_group(tree)
-    reduced_src, reduced_tree, step = reduction_step(DYADIC, tree, group)
+    reduced_src, reduced_tree, step = reduce_group(DYADIC, tree, group)
     assert step.p_red == F(1, 2)
     assert step.delta == 0.0
     assert step.is_tight
@@ -67,7 +68,7 @@ def test_step_tight_pair():
 def test_step_uneven_pair_defect():
     src = make_source("abc", [F(3, 5), F(3, 10), F(1, 10)])
     tree = to_tree(make_code(2, {"a": "0", "b": "10", "c": "11"}), src)
-    _, _, step = reduction_step(src, tree, find_sibling_group(tree))
+    _, _, step = reduce_group(src, tree, find_sibling_group(tree))
     assert step.p_red == F(2, 5)
     assert step.delta == pytest.approx(-0.0754887, abs=1e-6)
     assert abs(step.delta - float(delta_oracle((F(3, 10), F(1, 10)), 2))) <= 1e-12
@@ -78,7 +79,7 @@ def test_step_uneven_pair_defect():
 def test_step_small_group_in_larger_radix():
     src = make_source("abc", [F(1, 2), F(1, 4), F(1, 4)])
     tree = to_tree(make_code(3, {"a": "0", "b": "10", "c": "11"}), src)
-    _, _, step = reduction_step(src, tree, find_sibling_group(tree))
+    _, _, step = reduce_group(src, tree, find_sibling_group(tree))
     assert step.p_red == F(1, 2)
     assert step.delta == pytest.approx(-0.1845351, abs=1e-6)
     assert abs(step.delta - float(delta_oracle((F(1, 4), F(1, 4)), 3))) <= 1e-12
@@ -89,7 +90,7 @@ def test_step_increment_identities():
     src = make_source("abcd", [F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
     tree = to_tree(SKEWED_CODE, src)
     code = from_tree(tree)
-    reduced_src, reduced_tree, step = reduction_step(src, tree, find_sibling_group(tree))
+    reduced_src, reduced_tree, step = reduce_group(src, tree, find_sibling_group(tree))
     reduced_code = from_tree(reduced_tree)
 
     h_before = entropy(tree_source(tree), 2)
@@ -104,17 +105,32 @@ def test_step_increment_identities():
 def test_step_rejects_invalid_groups():
     tree = to_tree(DYADIC_CODE, DYADIC)
     with pytest.raises(InvalidGroup):
-        reduction_step(DYADIC, tree, SiblingGroup((5,), ((5, 0),)))
+        reduce_group(DYADIC, tree, SiblingGroup((5,), ((5, 0),)))
     with pytest.raises(InvalidGroup):
-        reduction_step(DYADIC, tree, SiblingGroup((1,), ((1, 0),)))
+        reduce_group(DYADIC, tree, SiblingGroup((1,), ((1, 0),)))
     with pytest.raises(InvalidGroup):
-        reduction_step(DYADIC, tree, SiblingGroup((), ((0,), (1,))))  # (1,) internal
+        reduce_group(DYADIC, tree, SiblingGroup((), ((0,), (1,))))  # (1,) internal
     bare = to_tree(make_code(2, {"a": "0"}))
     with pytest.raises(InvalidGroup):
-        reduction_step(DYADIC, bare, SiblingGroup((), ((0,),)))  # group of one
+        reduce_group(DYADIC, bare, SiblingGroup((), ((0,),)))  # group of one
     no_probs = to_tree(DYADIC_CODE)
     with pytest.raises(InvalidGroup):
-        reduction_step(DYADIC, no_probs, find_sibling_group(no_probs))
+        reduce_group(DYADIC, no_probs, find_sibling_group(no_probs))
+
+
+def test_reduction_step_record_and_errors():
+    group = SiblingGroup((1,), ((1, 0), (1, 1)))
+    step = reduction_step(group, (F(3, 10), F(1, 10)), 2)
+    assert (step.p_red, step.l_red, step.s, step.is_tight) == (F(2, 5), 1, 2, False)
+    assert abs(step.delta - float(delta_oracle((F(3, 10), F(1, 10)), 2))) <= 1e-12
+    with pytest.raises(InvalidGroup):
+        reduction_step(group, (F(1, 2),), 2)  # fewer probabilities than members
+    with pytest.raises(InvalidGroup):
+        reduction_step(group, (F(1, 2), None), 2)
+    with pytest.raises(InvalidGroup):
+        reduction_step(SiblingGroup((), ((0,),)), (F(1),), 2)  # group of one
+    with pytest.raises(InvalidGroup):
+        reduction_step(SiblingGroup((), ((0,), (1,), (2,))), (F(1, 3),) * 3, 2)  # larger than r
 
 
 # --- certify: worked instances ---
@@ -362,7 +378,7 @@ def test_ghm_worked_instances():
 
 def test_ghm_weights_validation():
     w = RationalWeights((3, 5), 4)
-    assert (w.s, w.F, w.f_red) == (2, 8, 8)
+    assert (w.s, w.F) == (2, 8)
     with pytest.raises(GroupLargerThanRadix):
         RationalWeights((1, 1, 1), 2)
     with pytest.raises(ValueError):

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from codecert import (
+    InvalidGroup,
     NotCompact,
     NotPrefixFree,
+    SiblingGroup,
     TreeTooSmall,
     compact_standalone,
     dump_tree,
@@ -191,6 +193,13 @@ def test_replace_group_at_root():
     merged = replace_group_with_leaf(tree, group, "(a+b)", F(1))
     assert merged.root.is_leaf
     assert merged.root.symbol == "(a+b)"
+
+
+def test_replace_group_at_absent_path_raises():
+    tree = abc_tree()
+    for parent in [(2,), (0, 1), (1, 0, 0)]:  # no digit 2; below a leaf; below a deepest leaf
+        with pytest.raises(InvalidGroup):
+            replace_group_with_leaf(tree, SiblingGroup(parent, (parent + (0,),)), "x", F(1, 2))
 
 
 # --- dump ---
