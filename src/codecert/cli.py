@@ -30,6 +30,7 @@ comment line. Code files start with `radix <r>`, then per line
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -284,24 +285,21 @@ def _cmd_kraft(cfg: RunConfig) -> tuple[int, str]:
 
 def _cmd_check_ud(cfg: RunConfig) -> tuple[int, str]:
     code, _ = parse_code_file(cfg.code_path)
-    if code.is_singleton():
-        if is_uniquely_decipherable(code):
-            return 0, _kv([("ud", True)]) if cfg.machine else "uniquely decipherable"
-        witness = ud_counterexample(code, cfg.max_len)
-        if cfg.machine:
-            return 1, _kv([("ud", False), ("witness", witness if witness is not None else "None")])
-        if witness is None:
-            return 1, f"not uniquely decipherable (no witness within {cfg.max_len} digits)"
-        return 1, f"not uniquely decipherable; ambiguous digit string: {witness}"
-    # Several codewords per symbol: only the brute-force search applies,
-    # so a clean verdict is bounded by the digit budget.
+    singleton = code.is_singleton()
+    if singleton and is_uniquely_decipherable(code):
+        return 0, _kv([("ud", True)]) if cfg.machine else "uniquely decipherable"
+    # A singleton code that gets here is ambiguous and the search only looks
+    # for a witness. With several codewords per symbol the search is the
+    # whole decision, so a clean verdict is bounded by the digit budget.
     witness = ud_counterexample(code, cfg.max_len)
-    if witness is None:
+    if witness is None and not singleton:
         if cfg.machine:
             return 0, _kv([("ud", True), ("budget", cfg.max_len)])
         return 0, f"no ambiguous digit string within {cfg.max_len} digits"
     if cfg.machine:
         return 1, _kv([("ud", False), ("witness", witness)])
+    if witness is None:
+        return 1, f"not uniquely decipherable (no witness within {cfg.max_len} digits)"
     return 1, f"not uniquely decipherable; ambiguous digit string: {witness}"
 
 
@@ -345,7 +343,7 @@ def _cmd_certify(cfg: RunConfig) -> tuple[int, str]:
     except NotUniquelyDecipherable:
         witness = ud_counterexample(minimal_reduction(code), cfg.max_len)
         if cfg.machine:
-            return 1, _kv([("ud", False), ("witness", witness if witness is not None else "None")])
+            return 1, _kv([("ud", False), ("witness", witness)])
         tail = f"; ambiguous digit string: {witness}" if witness is not None else ""
         return 1, f"not uniquely decipherable, no certificate{tail}"
     if cfg.machine:
@@ -513,11 +511,7 @@ def dispatch(cfg: RunConfig) -> tuple[int, str]:
     """Run one configured subcommand, mapping typed errors to exit 2."""
     try:
         return _HANDLERS[cfg.subcommand](cfg)
-    except ParseError as e:
-        return 2, f"error: {e}"
-    except CodecertError as e:
-        return 2, f"error: {e}"
-    except ValueError as e:
+    except (CodecertError, ValueError) as e:
         return 2, f"error: {e}"
 
 
@@ -591,11 +585,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         fields["source_path"] = args.source
     if getattr(args, "code", None) is not None:
         fields["code_path"] = args.code
-    for name in ("radix", "seed", "trials", "t", "tol"):
+    for name in ("radix", "seed", "trials", "t", "tol", "max_len"):
         if hasattr(args, name):
             fields[name] = getattr(args, name)
-    if hasattr(args, "max_len"):
-        fields["max_len"] = args.max_len
     if getattr(args, "lengths", None) is not None:
         fields["lengths"] = tuple(_parse_lengths(args.lengths))
     if getattr(args, "probs", None) is not None:
@@ -603,8 +595,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
+#: The parser is stateless across parse_args calls, so one serves every main call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
     except (ParseError, ValueError) as e:

@@ -18,7 +18,7 @@ decipherability and tree layers reject it in any other position.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +32,7 @@ from .errors import (
     MissingSymbol,
 )
 from .rng import SplitMix64, derived_seed
-from .source import Source, StreamSeed, _as_fraction, _check_radix, sample_stream
+from .source import Source, StreamSeed, _as_fraction, _check_radix, _cumulative_thresholds, sample_stream
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -255,9 +255,6 @@ class SimulationTrace:
     def t(self) -> int:
         return len(self.symbol_indices)
 
-    def symbols(self) -> list:
-        return [self.source.symbols[i] for i in self.symbol_indices]
-
     def step_lengths(self) -> list[int]:
         """Digits emitted at each step."""
         out = []
@@ -305,6 +302,7 @@ def empirical_acl(
 
     stream = sample_stream(src, t, seed)
     choice_rng = SplitMix64(derived_seed(seed.seed, _CHOICE_SALT))
+    thresholds: dict[Any, tuple[int, list[int]]] = {}  # policy symbol -> (D, bounds)
 
     sym_idx: list[int] = []
     cw_idx: list[int] = []
@@ -315,16 +313,10 @@ def empirical_acl(
         if len(words) == 1:
             u = 0
         elif isinstance(chooser, EncodingPolicy):
-            qs = _policy_weights(code, chooser, symbol)
-            denom = math.lcm(*(q.denominator for q in qs))
-            draw = choice_rng.randbelow(denom)
-            acc = 0
-            u = len(qs) - 1
-            for k, q in enumerate(qs):
-                acc += q.numerator * (denom // q.denominator)
-                if draw < acc:
-                    u = k
-                    break
+            if symbol not in thresholds:
+                thresholds[symbol] = _cumulative_thresholds(_policy_weights(code, chooser, symbol))
+            denom, bounds = thresholds[symbol]
+            u = bisect_right(bounds, choice_rng.randbelow(denom))
         elif callable(chooser):
             u = chooser(symbol, z, words)
             if not 0 <= u < len(words):

@@ -6,9 +6,9 @@ Unique decipherability is decided two independent ways:
 
   * is_uniquely_decipherable: the Sardinas-Patterson dangling-suffix
     iteration over the pooled codeword set (one codeword per symbol);
-  * brute_force_ud: direct counting of decodings of every digit string
-    up to a length budget, which also handles several codewords per
-    symbol by counting distinct decoded *symbol* sequences.
+  * ud_counterexample / brute_force_ud: one search over every digit
+    string up to a length budget for two distinct decoded *symbol*
+    sequences, which also handles several codewords per symbol.
 
 Convention for the empty codeword: a code whose only codeword is the
 empty word is treated as uniquely decipherable (it is the degenerate
@@ -45,8 +45,8 @@ def is_prefix_free(code: Code) -> bool:
     return not any(v[: len(u)] == u for u, v in zip(words, words[1:]))
 
 
-def _sardinas_patterson(codewords: set[tuple[int, ...]]) -> tuple[bool, set[tuple[int, ...]]]:
-    """Run the dangling-suffix iteration; returns (is_ud, suffixes seen)."""
+def _sardinas_patterson(codewords: set[tuple[int, ...]]) -> bool:
+    """Run the dangling-suffix iteration; True iff no suffix is a codeword."""
     dangling: set[tuple[int, ...]] = set()
     for u in codewords:
         for v in codewords:
@@ -56,7 +56,7 @@ def _sardinas_patterson(codewords: set[tuple[int, ...]]) -> tuple[bool, set[tupl
     frontier = dangling
     while frontier:
         if frontier & codewords:
-            return False, visited | frontier
+            return False
         visited |= frontier
         nxt: set[tuple[int, ...]] = set()
         for d in frontier:
@@ -66,7 +66,7 @@ def _sardinas_patterson(codewords: set[tuple[int, ...]]) -> tuple[bool, set[tupl
                 elif len(d) > len(c) and d[: len(c)] == c:
                     nxt.add(d[len(c):])
         frontier = nxt - visited
-    return True, visited
+    return True
 
 
 def is_uniquely_decipherable(code: Code) -> bool:
@@ -81,80 +81,54 @@ def is_uniquely_decipherable(code: Code) -> bool:
         return False  # shared codeword: two symbols decode identically
     if () in pooled:
         return len(pooled) == 1
-    ok, _ = _sardinas_patterson(set(pooled))
-    return ok
+    return _sardinas_patterson(set(pooled))
 
 
 def ud_counterexample(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> str | None:
     """Shortest digit string with two distinct decodings, or None.
 
-    Counts distinct decoded symbol sequences for every digit string of
-    length <= max_len by dynamic programming over string prefixes; ties
-    at the witness length break to the least digit string. Works for
-    codes with several codewords per symbol: two parses that pick
-    different codewords of the same symbols are one decoding, not two.
+    Dynamic programming over digit strings of length <= max_len, one level
+    per length: each string maps to the id of its one decoded symbol
+    sequence, or to an ambiguous mark once a second, different sequence
+    reaches it. Ids are interned from (parent id, symbol), so two parses
+    that pick different codewords of the same symbols are one decoding.
+    Ties at the witness length break to the least digit string.
     """
     pooled = code.pooled()
-    empties = sum(1 for w in pooled if w.length == 0)
-    if empties:
+    if any(w.length == 0 for w in pooled):
         if len(pooled) == 1:
             return None
         # The empty string already decodes as "" and as the empty-word symbol.
         return "-"
 
-    transitions = []
-    for symbol, words in code.mapping:
-        for w in words:
-            transitions.append((w.digits, symbol))
-
-    # One codeword per symbol: parses and decoded symbol sequences are in
-    # bijection, so integer counts per exact length suffice. Counts cap at
-    # 2; a level is final once all shorter levels were extended, since
-    # every transition is nonempty.
-    if code.is_singleton():
-        levels: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_len + 1)]
-        levels[0][()] = 1
-        for length in range(max_len + 1):
-            current = levels[length]
-            if not current:
-                continue
-            ambiguous = [s for s, c in current.items() if c >= 2]
-            if ambiguous:
-                return str(Codeword(min(ambiguous)))
-            for prefix, count in current.items():
-                for w, _ in transitions:
-                    k = length + len(w)
-                    if k <= max_len:
-                        bucket = levels[k]
-                        s = prefix + w
-                        bucket[s] = min(2, bucket.get(s, 0) + count)
-        return None
-
-    # Several codewords per symbol: store up to 2 distinct decoded symbol
-    # sequences per string. Levels are checked before they are extended,
-    # so every extended prefix carries exactly one sequence and the cap
-    # never hides an ambiguity.
-    seq_levels: list[dict[tuple[int, ...], list[tuple]]] = [{} for _ in range(max_len + 1)]
-    seq_levels[0][()] = [()]
+    # A string is keyed by chr() of its digits: same-length keys then
+    # compare in digit order, so min() picks the least digit string.
+    transitions = [
+        ("".join(map(chr, w.digits)), w.length, symbol)
+        for symbol, words in code.mapping
+        for w in words
+    ]
+    AMBIGUOUS = -1  # a string reached by two different symbol sequences
+    seq_ids: dict[tuple[int, Any], int] = {}
+    levels: list[dict[str, int] | None] = [{} for _ in range(max_len + 1)]
+    levels[0][""] = 0  # the empty symbol sequence
     for length in range(max_len + 1):
-        current = seq_levels[length]
-        if not current:
-            continue
-        ambiguous = [s for s, seqs in current.items() if len(seqs) >= 2]
+        # Every transition is nonempty, so a level is final once all
+        # shorter levels were extended; it is dropped as it is extended.
+        current, levels[length] = levels[length], None
+        ambiguous = [s for s, q in current.items() if q == AMBIGUOUS]
         if ambiguous:
-            return str(Codeword(min(ambiguous)))
-        for prefix, seqs in current.items():
-            for w, symbol in transitions:
-                k = length + len(w)
+            return str(Codeword(tuple(map(ord, min(ambiguous)))))
+        for prefix, q in current.items():
+            for w, size, symbol in transitions:
+                k = length + size
                 if k > max_len:
                     continue
-                bucket = seq_levels[k].setdefault(prefix + w, [])
-                for q in seqs:
-                    if len(bucket) >= 2:
-                        break
-                    cand = q + (symbol,)
-                    if cand not in bucket:
-                        bucket.append(cand)
+                seq = seq_ids.setdefault((q, symbol), len(seq_ids) + 1)
+                bucket = levels[k]
+                s = prefix + w
+                if bucket.setdefault(s, seq) != seq:
+                    bucket[s] = AMBIGUOUS
     return None
 
 

@@ -372,10 +372,8 @@ def check_group_inequality(probs, r: int) -> GroupInequalityResult:
     if s > r:
         raise GroupLargerThanRadix(f"group of {s} exceeds radix {r}")
 
-    total = float(sum(probs))
-    log_value = math.fsum(
-        float(p) * (math.log(r) + math.log(p) - math.log(total)) for p in probs
-    )
+    log_r, log_total = math.log(r), _log(sum(probs, Fraction(0)))
+    log_value = math.fsum(float(p) * (log_r + _log(p) - log_total) for p in probs)
     value = math.exp(log_value)
     return GroupInequalityResult(
         value=value,
@@ -419,10 +417,10 @@ def check_pp_inequalities(probs, r: int) -> PpResult:
         if p <= 0:
             raise ZeroOrNegativeProbability(f"probabilities must be positive, got {p}")
     s = len(probs)
-    total = sum(probs)
+    total = sum(probs, Fraction(0))
 
-    power_sum = math.fsum(float(p) * math.log(p) for p in probs)
-    lhs_a = float(total) * (math.log(total) - math.log(r))
+    power_sum = math.fsum(float(p) * _log(p) for p in probs)
+    lhs_a = float(total) * (_log(total) - math.log(r))
     ineq_a = lhs_a <= power_sum + LOG_SLACK
     ineq_b = power_sum >= -math.log(s) - LOG_SLACK if total == 1 else None
     return PpResult(ineq_a=ineq_a, ineq_b=ineq_b)

@@ -78,9 +78,6 @@ class SplitMix64:
         """Uniform integer in [lo, hi)."""
         return lo + self.randbelow(hi - lo)
 
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]
-
     def sample_distinct(self, population: int, k: int) -> list[int]:
         """k distinct integers from range(population), in ascending order."""
         if k > population:

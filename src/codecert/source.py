@@ -164,14 +164,13 @@ def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP)
     return Source(tuple(symbols), tuple(probs))
 
 
-def _cumulative_thresholds(src: Source) -> tuple[int, list[int]]:
-    """Common denominator D and cumulative integer thresholds for exact sampling."""
-    denom = 1
-    for p in src.probs:
-        denom = denom * p.denominator // math.gcd(denom, p.denominator)
+def _cumulative_thresholds(probs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Common denominator D and cumulative integer thresholds: bisect_right(bounds, u)
+    for u uniform below D picks index i with probability exactly probs[i]."""
+    denom = math.lcm(*(p.denominator for p in probs))
     bounds = []
     acc = 0
-    for p in src.probs:
+    for p in probs:
         acc += p.numerator * (denom // p.denominator)
         bounds.append(acc)
     return denom, bounds
@@ -190,7 +189,7 @@ def sample_stream(src: Source, t: int, seed: StreamSeed | int) -> list:
         seed = StreamSeed(seed)
     if len(src) == 1:
         return [src.symbols[0]] * t
-    denom, bounds = _cumulative_thresholds(src)
+    denom, bounds = _cumulative_thresholds(src.probs)
     rng = SplitMix64(seed.seed)
     out = []
     for _ in range(t):

@@ -6,7 +6,7 @@ with the package under test.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import mpmath
 
@@ -72,3 +72,29 @@ def prefix_free_oracle(words) -> bool:
         for i, u in enumerate(words)
         for j, v in enumerate(words)
     )
+
+
+def ud_witness_oracle(mapping, r, max_len):
+    """Shortest, then least, digit string of length <= max_len with two
+    distinct decoded symbol sequences, as a digit tuple, or None.
+
+    `mapping` lists (symbol, [digit tuple, ...]) with nonempty words.
+    Strings are tried by length and then lexicographically; each one's
+    decodings are counted by recursion over its first codeword.
+    """
+    words = [(w, s) for s, ws in mapping for w in ws]
+
+    def decodings(string):
+        if not string:
+            return {()}
+        out = set()
+        for w, s in words:
+            if string[: len(w)] == w:
+                out |= {(s,) + rest for rest in decodings(string[len(w):])}
+        return out
+
+    for length in range(max_len + 1):
+        for string in product(range(r), repeat=length):
+            if len(decodings(string)) >= 2:
+                return string
+    return None

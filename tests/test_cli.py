@@ -1,10 +1,14 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
+import argparse
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import codecert
 from codecert.cli import main
 
 DYADIC_SRC = "a 1/2\nb 1/4\nc 1/4\n"
@@ -322,6 +326,13 @@ def test_check_ineq_sum_free(capsys):
     assert lines["pp_b"] == "None"
 
 
+def test_check_ineq_probability_below_the_smallest_float(capsys):
+    status, out, _ = run(capsys, "check-ineq", "--probs", f"1/{2**1100},1/2", "--machine")
+    assert status == 0
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    assert (lines["group_holds"], lines["ghm_holds"], lines["pp_a"]) == ("True", "None", "True")
+
+
 # --- parse and input errors ---
 
 
@@ -419,3 +430,24 @@ def test_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.rstrip() == "radix=2\nH=1.5"
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    run(capsys, "kraft", "--lengths", "1,1")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "kraft", "--lengths", "1,1", "--machine") == (0, "kraft=1/1\nholds=True", "")
+    assert run(capsys, "entropy", "missing.txt")[0] == 2
+    assert built == []
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    version = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+    assert version is not None and codecert.__version__ == version.group(1)

@@ -241,6 +241,17 @@ def test_empirical_pathwise_floor():
     assert all(a >= b for a, b in zip(trace.acl_values, floor.acl_values))
 
 
+def test_empirical_acl_policy_stream_pinned():
+    # recorded values: the seeded symbol and codeword-choice streams are
+    # part of the output contract
+    src = make_source("abc", ["1/2", "1/3", "1/6"])
+    code = make_code(3, {"a": ["0", "10", "11"], "b": ["2", "12"], "c": ["20", "21", "220", "221"]})
+    policy = make_policy({"a": ["1/7", "2/7", "4/7"], "b": ["5/11", "6/11"], "c": ["1/10", "1/5", "3/10", "2/5"]})
+    trace = empirical_acl(src, code, policy, 24, 2026)
+    assert trace.symbol_indices == (1, 1, 1, 0, 0, 2, 1, 0, 0, 0, 1, 0, 1, 2, 0, 1, 1, 2, 2, 1, 0, 2, 0, 2)
+    assert trace.codeword_indices == (0, 1, 1, 2, 2, 0, 1, 2, 1, 2, 1, 2, 0, 3, 2, 1, 0, 0, 3, 1, 2, 2, 2, 1)
+
+
 def test_empirical_acl_seed_reproducibility():
     src = dyadic_abc()
     a = empirical_acl(src, code_abc(), None, 300, 42)

@@ -2,6 +2,7 @@
 construction, and Huffman coding."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,7 @@ from codecert import (
     make_source,
     ud_counterexample,
 )
+from oracles import ud_witness_oracle
 
 
 def singleton(words, r=2):
@@ -117,6 +119,36 @@ def test_multi_codeword_cross_symbol_ambiguity():
     code = make_code(2, {"a": ["0", "10"], "b": ["01"]})
     # 010 = a(0).b? no; a(0).a(10) = "aa" vs b(01).a(0)? 01+0 = "ba"
     assert ud_counterexample(code, 12) == "010"
+
+
+@pytest.mark.parametrize("r,max_len", [(2, 8), (3, 5), (4, 4), (12, 3)])
+def test_witness_matches_naive_oracle_multi_codeword(r, max_len):
+    rng = random.Random(f"ud-oracle:{r}")
+    for k in range(60):
+        # Odd cases draw words with exactly one 0 digit: every decoding of a
+        # string then has as many symbols as the string has 0s, so two parses
+        # often give one decoded sequence. Even cases share codewords
+        # across symbols.
+        one_zero = k % 2
+        mapping, pool = [], []
+        for i in range(rng.randint(1, 2 if one_zero else 3)):
+            words = []
+            for _ in range(rng.randint(1 + one_zero, 4)):
+                if pool and not one_zero and rng.random() < 0.2:
+                    w = rng.choice(pool)
+                else:
+                    w = [rng.randrange(one_zero, r) for _ in range(rng.randint(1, 3))]
+                    if one_zero:
+                        w[rng.randrange(len(w))] = 0
+                    w = tuple(w)
+                if w not in words:
+                    words.append(w)
+                    pool.append(w)
+            mapping.append((f"s{i}", words))
+        expected = ud_witness_oracle(mapping, r, max_len)
+        if expected is not None:
+            expected = ("." if max(expected) > 9 else "").join(map(str, expected))
+        assert ud_counterexample(make_code(r, mapping), max_len) == expected, mapping
 
 
 def _all_binary_codes(max_words, max_len):

@@ -358,6 +358,22 @@ def test_group_inequality_errors():
         check_group_inequality([], 2)
 
 
+def test_inequality_checks_below_the_smallest_float():
+    # 2^-1100 is below the smallest positive float, so its logarithm and
+    # that of a sum of such terms must be taken from the exact rational
+    tiny = F(1, 2**1100)
+    result = check_group_inequality([tiny, F(1, 2)], 2)
+    assert result.value == pytest.approx(group_value_oracle((tiny, F(1, 2)), 2), rel=1e-12)
+    assert result.holds and not result.tight
+    result = check_group_inequality([tiny, tiny], 2)
+    assert (result.value, result.holds, result.tight) == (1.0, True, True)
+    pp = check_pp_inequalities([tiny, F(1, 2)], 2)
+    assert (pp.ineq_a, pp.ineq_b) == (True, None)
+    pp = check_pp_inequalities([tiny, 1 - tiny], 2)
+    assert (pp.ineq_a, pp.ineq_b) == (True, True)
+    assert check_pp_inequalities([tiny, tiny], 2).ineq_a
+
+
 # --- check_rational_ghm ---
 
 
