@@ -9,14 +9,19 @@ Subcommands map one-to-one onto library operations:
   check-prefix CODE                   prefix-freeness
   build-code --lengths L --radix R    instantaneous code with given lengths
   huffman SOURCE [--radix R]          optimal instantaneous code
-  certify SOURCE CODE                 merge-chain certificate for H <= ACL
+  certify SOURCE CODE [--max-len N]   merge-chain certificate for H <= ACL
   simulate SOURCE CODE [--t N --seed S]  empirical ACL_t along a stream
   fuzz [--trials N --seed S --tol E]  randomized certificate checking
   check-ineq --probs P [--radix R]    the three closing inequality checks
 
+--max-len is the digit budget of the search for an ambiguous digit
+string (the witness); it must be at least 0 when the search runs.
+
 Exit codes: 0 when the computation succeeds and every checked property
 holds; 1 when a verified property fails (ambiguous code, Kraft excess,
-fuzz counterexample, pathwise bound breach); 2 on malformed input.
+fuzz counterexample, pathwise bound breach); 2 on malformed input; 3 when
+the run exhausts memory or the recursion limit. Reports of status 2 and
+3 go to stderr as one `error: ...` line, all others to stdout.
 --machine switches the report to one key=value pair per line, stable
 across runs for fixed inputs and seed.
 
@@ -24,7 +29,12 @@ Source files hold one `<symbol> <probability>` pair per line, where the
 probability is a rational like 3/10 or a finite decimal; `#` starts a
 comment line. Code files start with `radix <r>`, then per line
 `<symbol> <codeword>[,<codeword>...]`, optionally followed by
-`@ q1,q2,...` choice weights; `-` denotes the empty codeword.
+`@ q1,q2,...` choice weights; `-` denotes the empty codeword. A codeword
+is written one digit per character (`0110`) when every digit is at most
+9, and otherwise as dot-separated digits (`3.11`, and `10.` for the
+one-digit word 10). The parsers check this syntax; what the entries mean
+is checked by the Source, Code and EncodingPolicy types, each error
+located at the file and, for an error within one line, the line.
 """
 
 from __future__ import annotations
@@ -33,13 +43,15 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import (
     Code,
     Codeword,
     EncodingPolicy,
+    _check_code_radix,
+    _check_codewords,
+    _check_weights,
     acl_exact,
     empirical_acl,
     kraft_sum,
@@ -53,13 +65,7 @@ from .decipher import (
     is_uniquely_decipherable,
     ud_counterexample,
 )
-from .errors import (
-    CodecertError,
-    KraftViolated,
-    NotUniquelyDecipherable,
-    ParseError,
-    ProbabilitySumNotOne,
-)
+from .errors import CodecertError, KraftViolated, NotUniquelyDecipherable, ParseError
 from .proof import (
     RationalWeights,
     certify,
@@ -69,33 +75,9 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, entropy, make_source, parse_rational
+from .source import REFERENCE_SEED, Source, _check_probability, entropy, parse_rational
 
 DELTA_CAP = 1e-12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; `dispatch` turns it into an exit status."""
-
-    subcommand: str
-    source_path: str | None = None
-    code_path: str | None = None
-    radix: int = 2
-    seed: int = REFERENCE_SEED
-    trials: int = 1000
-    t: int = 10000
-    tol: float = 1e-9
-    machine: bool = False
-    max_len: int = DEFAULT_UD_BUDGET
-    lengths: tuple[int, ...] | None = None
-    probs: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.trials < 1:
-            raise ValueError(f"need at least one trial, got {self.trials}")
 
 
 # --- file parsing ---
@@ -115,117 +97,75 @@ def _significant_lines(path: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_source_file(path: str) -> Source:
-    symbols, probs = [], []
-    for lineno, text in _significant_lines(path):
-        tokens = text.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"expected '<symbol> <probability>', got {text!r}", path=path, line=lineno
-            )
-        symbol, prob_text = tokens
-        try:
-            p = parse_rational(prob_text)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(str(e), path=path, line=lineno) from None
-        if symbol in symbols:
-            raise ParseError(f"symbol {symbol!r} listed twice", path=path, line=lineno)
-        if p <= 0:
-            raise ParseError(f"probability must be positive, got {p}", path=path, line=lineno)
-        symbols.append(symbol)
-        probs.append(p)
-    if not symbols:
-        raise ParseError("no source entries found", path=path)
+def _at(path: str, line: int | None, parse, *args):
+    """parse(*args), reporting a CodecertError or ValueError as a ParseError at path[:line]."""
     try:
-        return make_source(symbols, probs)
-    except ProbabilitySumNotOne as e:
-        raise ProbabilitySumNotOne(f"{path}: {e}") from None
+        return parse(*args)
+    except (CodecertError, ValueError) as e:
+        raise ParseError(str(e), path=path, line=line) from None
+
+
+def _source_entry(text: str) -> tuple[str, Fraction]:
+    tokens = text.split()
+    if len(tokens) != 2:
+        raise ValueError(f"expected '<symbol> <probability>', got {text!r}")
+    symbol, p = tokens[0], parse_rational(tokens[1])
+    _check_probability(symbol, p)
+    return symbol, p
+
+
+def parse_source_file(path: str) -> Source:
+    entries = [_at(path, lineno, _source_entry, text) for lineno, text in _significant_lines(path)]
+    if not entries:
+        raise ParseError("no source entries found", path=path)
+    symbols, probs = zip(*entries)
+    return _at(path, None, Source, symbols, probs)
+
+
+def _code_header(text: str) -> int:
+    tokens = text.split()
+    if len(tokens) != 2 or tokens[0] != "radix" or not tokens[1].isdigit():
+        raise ValueError(f"expected header 'radix <r>', got {text!r}")
+    r = int(tokens[1])
+    _check_code_radix(r)
+    return r
+
+
+def _code_entry(r: int, text: str) -> tuple[str, tuple[Codeword, ...], tuple[Fraction, ...]]:
+    body, _, weight_text = text.partition("@")
+    tokens = body.split()
+    if len(tokens) != 2:
+        raise ValueError(f"expected '<symbol> <codewords> [@ weights]', got {text!r}")
+    symbol, words_text = tokens
+    words = tuple(Codeword.parse(w) for w in words_text.split(","))
+    _check_codewords(r, symbol, words)
+    if not weight_text.strip():
+        return symbol, words, ()
+    qs = tuple(parse_rational(q) for q in weight_text.split(","))
+    if len(qs) != len(words):
+        raise ValueError(f"{len(qs)} weights for {len(words)} codewords")
+    _check_weights(symbol, qs)
+    return symbol, words, qs
 
 
 def parse_code_file(path: str) -> tuple[Code, EncodingPolicy | None]:
     lines = _significant_lines(path)
     if not lines:
         raise ParseError("no code entries found", path=path)
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != "radix" or not tokens[1].isdigit():
-        raise ParseError(f"expected header 'radix <r>', got {header!r}", path=path, line=lineno)
-    r = int(tokens[1])
-    if r < 1:
-        raise ParseError(f"radix must be at least 1, got {r}", path=path, line=lineno)
-
-    mapping: list[tuple[str, tuple[Codeword, ...]]] = []
-    weights: list[tuple[str, tuple[Fraction, ...]]] = []
-    seen = set()
-    for lineno, text in lines[1:]:
-        body, _, weight_text = text.partition("@")
-        tokens = body.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"expected '<symbol> <codewords> [@ weights]', got {text!r}",
-                path=path,
-                line=lineno,
-            )
-        symbol, words_text = tokens
-        if symbol in seen:
-            raise ParseError(f"symbol {symbol!r} listed twice", path=path, line=lineno)
-        seen.add(symbol)
-        words = []
-        for word_text in words_text.split(","):
-            try:
-                w = Codeword.parse(word_text)
-            except ValueError as e:
-                raise ParseError(str(e), path=path, line=lineno) from None
-            for d in w.digits:
-                if d >= r:
-                    raise ParseError(f"digit {d} >= radix {r}", path=path, line=lineno)
-            words.append(w)
-        if len(set(words)) != len(words):
-            raise ParseError(f"symbol {symbol!r} repeats a codeword", path=path, line=lineno)
-        mapping.append((symbol, tuple(words)))
-        if weight_text.strip():
-            try:
-                qs = tuple(parse_rational(q.strip()) for q in weight_text.split(","))
-            except (ValueError, ZeroDivisionError) as e:
-                raise ParseError(str(e), path=path, line=lineno) from None
-            if len(qs) != len(words):
-                raise ParseError(
-                    f"{len(qs)} weights for {len(words)} codewords", path=path, line=lineno
-                )
-            if any(q <= 0 for q in qs) or sum(qs, Fraction(0)) != 1:
-                raise ParseError(
-                    "weights must be positive and sum to exactly 1", path=path, line=lineno
-                )
-            weights.append((symbol, qs))
-    if not mapping:
+    r = _at(path, lines[0][0], _code_header, lines[0][1])
+    entries = [_at(path, lineno, _code_entry, r, text) for lineno, text in lines[1:]]
+    if not entries:
         raise ParseError("code file has a header but no codewords", path=path)
-    code = Code(r, tuple(mapping))
-    policy = EncodingPolicy(tuple(weights)) if weights else None
-    return code, policy
-
-
-def parse_inputs(source_path: str, code_path: str) -> tuple[Source, Code, EncodingPolicy | None]:
-    src = parse_source_file(source_path)
-    code, policy = parse_code_file(code_path)
-    return src, code, policy
+    code = _at(path, None, Code, r, tuple((symbol, words) for symbol, words, _ in entries))
+    weights = tuple((symbol, qs) for symbol, _, qs in entries if qs)
+    return code, EncodingPolicy(weights) if weights else None
 
 
 def _parse_lengths(text: str) -> list[int]:
     try:
-        lengths = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ParseError(f"lengths must be comma-separated integers, got {text!r}") from None
-    if any(l < 0 for l in lengths):
-        raise ParseError("codeword lengths are non-negative")
-    return lengths
-
-
-def _parse_probs(text: str) -> list[Fraction]:
-    try:
-        probs = [parse_rational(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad probability list: {e}") from None
-    return probs
 
 
 # --- report helpers ---
@@ -249,33 +189,34 @@ def _frac(q: Fraction) -> str:
 # --- subcommand handlers ---
 
 
-def _cmd_entropy(cfg: RunConfig) -> tuple[int, str]:
-    src = parse_source_file(cfg.source_path)
-    h = entropy(src, cfg.radix)
-    if cfg.machine:
-        return 0, _kv([("radix", cfg.radix), ("H", repr(h))])
-    return 0, f"H = {h!r} (radix {cfg.radix}, {len(src)} symbols)"
+def _cmd_entropy(args: argparse.Namespace) -> tuple[int, str]:
+    src = parse_source_file(args.source)
+    h = entropy(src, args.radix)
+    if args.machine:
+        return 0, _kv([("radix", args.radix), ("H", repr(h))])
+    return 0, f"H = {h!r} (radix {args.radix}, {len(src)} symbols)"
 
 
-def _cmd_acl(cfg: RunConfig) -> tuple[int, str]:
-    src, code, policy = parse_inputs(cfg.source_path, cfg.code_path)
+def _cmd_acl(args: argparse.Namespace) -> tuple[int, str]:
+    src = parse_source_file(args.source)
+    code, policy = parse_code_file(args.code)
     exact = acl_exact(src, code, policy)
-    if cfg.machine:
+    if args.machine:
         return 0, _kv([("ACL", repr(float(exact))), ("ACL_exact", _frac(exact))])
     return 0, f"ACL = {_frac(exact)} = {float(exact)!r}"
 
 
-def _cmd_kraft(cfg: RunConfig) -> tuple[int, str]:
-    if (cfg.code_path is None) == (cfg.lengths is None):
+def _cmd_kraft(args: argparse.Namespace) -> tuple[int, str]:
+    if (args.code is None) == (args.lengths is None):
         raise ParseError("pass a code file or --lengths (not both)")
-    if cfg.code_path is not None:
-        code, _ = parse_code_file(cfg.code_path)
+    if args.code is not None:
+        code, _ = parse_code_file(args.code)
         lengths, r = code.lengths(), code.radix
     else:
-        lengths, r = list(cfg.lengths), cfg.radix
+        lengths, r = _parse_lengths(args.lengths), args.radix
     total = kraft_sum(lengths, r)
     holds = total <= 1
-    if cfg.machine:
+    if args.machine:
         report = _kv([("kraft", _frac(total)), ("holds", holds)])
     else:
         bound = "within the bound" if holds else "exceeds 1: no decipherable code has these lengths"
@@ -283,52 +224,51 @@ def _cmd_kraft(cfg: RunConfig) -> tuple[int, str]:
     return (0 if holds else 1), report
 
 
-def _cmd_check_ud(cfg: RunConfig) -> tuple[int, str]:
-    code, _ = parse_code_file(cfg.code_path)
+def _cmd_check_ud(args: argparse.Namespace) -> tuple[int, str]:
+    code, _ = parse_code_file(args.code)
     singleton = code.is_singleton()
     if singleton and is_uniquely_decipherable(code):
-        return 0, _kv([("ud", True)]) if cfg.machine else "uniquely decipherable"
+        return 0, _kv([("ud", True)]) if args.machine else "uniquely decipherable"
     # A singleton code that gets here is ambiguous and the search only looks
     # for a witness. With several codewords per symbol the search is the
     # whole decision, so a clean verdict is bounded by the digit budget.
-    witness = ud_counterexample(code, cfg.max_len)
+    witness = ud_counterexample(code, args.max_len)
     if witness is None and not singleton:
-        if cfg.machine:
-            return 0, _kv([("ud", True), ("budget", cfg.max_len)])
-        return 0, f"no ambiguous digit string within {cfg.max_len} digits"
-    if cfg.machine:
+        if args.machine:
+            return 0, _kv([("ud", True), ("budget", args.max_len)])
+        return 0, f"no ambiguous digit string within {args.max_len} digits"
+    if args.machine:
         return 1, _kv([("ud", False), ("witness", witness)])
     if witness is None:
-        return 1, f"not uniquely decipherable (no witness within {cfg.max_len} digits)"
+        return 1, f"not uniquely decipherable (no witness within {args.max_len} digits)"
     return 1, f"not uniquely decipherable; ambiguous digit string: {witness}"
 
 
-def _cmd_check_prefix(cfg: RunConfig) -> tuple[int, str]:
-    code, _ = parse_code_file(cfg.code_path)
+def _cmd_check_prefix(args: argparse.Namespace) -> tuple[int, str]:
+    code, _ = parse_code_file(args.code)
     ok = is_prefix_free(code)
-    if cfg.machine:
+    if args.machine:
         return (0 if ok else 1), _kv([("prefix_free", ok)])
     return (0 if ok else 1), "prefix-free" if ok else "not prefix-free"
 
 
-def _cmd_build_code(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.lengths is None:
-        raise ParseError("build-code requires --lengths")
+def _cmd_build_code(args: argparse.Namespace) -> tuple[int, str]:
+    lengths = _parse_lengths(args.lengths)
     try:
-        code = construct_instantaneous(list(cfg.lengths), cfg.radix)
+        code = construct_instantaneous(lengths, args.radix)
     except KraftViolated as e:
-        if cfg.machine:
-            return 1, _kv([("kraft_ok", False), ("kraft", _frac(kraft_sum(cfg.lengths, cfg.radix)))])
+        if args.machine:
+            return 1, _kv([("kraft_ok", False), ("kraft", _frac(kraft_sum(lengths, args.radix)))])
         return 1, f"{e}"
     return 0, _code_text(code)
 
 
-def _cmd_huffman(cfg: RunConfig) -> tuple[int, str]:
-    src = parse_source_file(cfg.source_path)
-    code = huffman(src, cfg.radix)
+def _cmd_huffman(args: argparse.Namespace) -> tuple[int, str]:
+    src = parse_source_file(args.source)
+    code = huffman(src, args.radix)
     exact = acl_exact(src, code)
-    h = entropy(src, cfg.radix)
-    if cfg.machine:
+    h = entropy(src, args.radix)
+    if args.machine:
         pairs = [("radix", code.radix)]
         pairs += [(f"code.{s}", str(words[0])) for s, words in code.mapping]
         pairs += [("ACL", repr(float(exact))), ("ACL_exact", _frac(exact)), ("H", repr(h))]
@@ -336,17 +276,18 @@ def _cmd_huffman(cfg: RunConfig) -> tuple[int, str]:
     return 0, _code_text(code) + f"\n# ACL = {_frac(exact)} = {float(exact)!r}\n# H = {h!r}"
 
 
-def _cmd_certify(cfg: RunConfig) -> tuple[int, str]:
-    src, code, _ = parse_inputs(cfg.source_path, cfg.code_path)
+def _cmd_certify(args: argparse.Namespace) -> tuple[int, str]:
+    src = parse_source_file(args.source)
+    code, _ = parse_code_file(args.code)
     try:
         cert = certify(src, code)
     except NotUniquelyDecipherable:
-        witness = ud_counterexample(minimal_reduction(code), cfg.max_len)
-        if cfg.machine:
+        witness = ud_counterexample(minimal_reduction(code), args.max_len)
+        if args.machine:
             return 1, _kv([("ud", False), ("witness", witness)])
         tail = f"; ambiguous digit string: {witness}" if witness is not None else ""
         return 1, f"not uniquely decipherable, no certificate{tail}"
-    if cfg.machine:
+    if args.machine:
         return 0, _kv(
             [
                 ("verdict", cert.verdict),
@@ -367,19 +308,20 @@ def _cmd_certify(cfg: RunConfig) -> tuple[int, str]:
     return 0, "\n".join(notes + [format_certificate(cert)])
 
 
-def _cmd_simulate(cfg: RunConfig) -> tuple[int, str]:
-    src, code, policy = parse_inputs(cfg.source_path, cfg.code_path)
-    trace = empirical_acl(src, code, policy, cfg.t, cfg.seed)
-    floor = empirical_acl(src, minimal_reduction(code), None, cfg.t, cfg.seed)
+def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
+    src = parse_source_file(args.source)
+    code, policy = parse_code_file(args.code)
+    trace = empirical_acl(src, code, policy, args.t, args.seed)
+    floor = empirical_acl(src, minimal_reduction(code), None, args.t, args.seed)
     violations = sum(1 for a, b in zip(trace.acl_values, floor.acl_values) if a < b)
     exact = acl_exact(src, code, policy)
     final = trace.acl_values[-1]
     status = 0 if violations == 0 else 1
-    if cfg.machine:
+    if args.machine:
         return status, _kv(
             [
-                ("t", cfg.t),
-                ("seed", cfg.seed),
+                ("t", args.t),
+                ("seed", args.seed),
                 ("acl_t", repr(final)),
                 ("ACL", repr(float(exact))),
                 ("gap", repr(final - float(exact))),
@@ -387,7 +329,7 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[int, str]:
             ]
         )
     lines = [
-        f"t = {cfg.t}, seed = {cfg.seed}",
+        f"t = {args.t}, seed = {args.seed}",
         f"ACL_t = {final!r}",
         f"ACL = {_frac(exact)} = {float(exact)!r} (gap {final - float(exact)!r})",
         f"pathwise floor violations: {violations}",
@@ -434,40 +376,45 @@ def run_fuzz_trial(master_seed: int, k: int, tol: float) -> list[str]:
     return [f"trial {k} (r={r} n={n}): {msg}" for msg in bad]
 
 
-def _cmd_fuzz(cfg: RunConfig) -> tuple[int, str]:
+def _cmd_fuzz(args: argparse.Namespace) -> tuple[int, str]:
+    if not args.tol > 0:
+        raise ValueError(f"tolerance must be positive, got {args.tol}")
+    if args.trials < 1:
+        raise ValueError(f"need at least one trial, got {args.trials}")
     failures = []
-    for k in range(cfg.trials):
-        failures.extend(run_fuzz_trial(cfg.seed, k, cfg.tol))
-    if cfg.machine:
-        report = _kv([("trials", cfg.trials), ("seed", cfg.seed), ("violations", len(failures))])
+    for k in range(args.trials):
+        failures.extend(run_fuzz_trial(args.seed, k, args.tol))
+    if args.machine:
+        report = _kv([("trials", args.trials), ("seed", args.seed), ("violations", len(failures))])
         if failures:
             report += "\n" + "\n".join(f"violation={line}" for line in failures[:20])
     else:
-        report = f"trials = {cfg.trials}, seed = {cfg.seed}, violations = {len(failures)}"
+        report = f"trials = {args.trials}, seed = {args.seed}, violations = {len(failures)}"
         if failures:
             report += "\n" + "\n".join(failures[:20])
     return (0 if not failures else 1), report
 
 
-def _cmd_check_ineq(cfg: RunConfig) -> tuple[int, str]:
-    if not cfg.probs:
-        raise ParseError("check-ineq requires --probs")
-    probs = list(cfg.probs)
-    group = check_group_inequality(probs, cfg.radix)
-    pp = check_pp_inequalities(probs, cfg.radix)
+def _cmd_check_ineq(args: argparse.Namespace) -> tuple[int, str]:
+    try:
+        probs = [parse_rational(part) for part in args.probs.split(",")]
+    except ValueError as e:
+        raise ParseError(f"bad probability list: {e}") from None
+    group = check_group_inequality(probs, args.radix)
+    pp = check_pp_inequalities(probs, args.radix)
 
     # integer oracle on the same group, scaled by the common denominator;
     # skipped when the scaled mass is too large to exponentiate
     denom = math.lcm(*(p.denominator for p in probs))
     freqs = [int(p * denom) for p in probs]
-    ghm = check_rational_ghm(RationalWeights(tuple(freqs), cfg.radix)) if sum(freqs) <= 4096 else None
+    ghm = check_rational_ghm(RationalWeights(tuple(freqs), args.radix)) if sum(freqs) <= 4096 else None
 
     all_hold = group.holds and pp.ineq_a and pp.ineq_b is not False
     if ghm is not None:
         all_hold = all_hold and ghm.holds
     status = 0 if all_hold else 1
 
-    if cfg.machine:
+    if args.machine:
         pairs = [
             ("value", repr(group.value)),
             ("group_holds", group.holds),
@@ -492,35 +439,20 @@ def _cmd_check_ineq(cfg: RunConfig) -> tuple[int, str]:
     return status, "\n".join(lines)
 
 
-_HANDLERS = {
-    "entropy": _cmd_entropy,
-    "acl": _cmd_acl,
-    "kraft": _cmd_kraft,
-    "check-ud": _cmd_check_ud,
-    "check-prefix": _cmd_check_prefix,
-    "build-code": _cmd_build_code,
-    "huffman": _cmd_huffman,
-    "certify": _cmd_certify,
-    "simulate": _cmd_simulate,
-    "fuzz": _cmd_fuzz,
-    "check-ineq": _cmd_check_ineq,
-}
-
-
-def dispatch(cfg: RunConfig) -> tuple[int, str]:
-    """Run one configured subcommand, mapping typed errors to exit 2."""
-    try:
-        return _HANDLERS[cfg.subcommand](cfg)
-    except (CodecertError, ValueError) as e:
-        return 2, f"error: {e}"
-
-
 # --- argument parsing ---
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--machine", action="store_true", help="key=value output")
+    # options shared by several subcommands, each with its one default
+    def flag(name, **kwargs) -> argparse.ArgumentParser:
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument(name, **kwargs)
+        return shared
+
+    common = flag("--machine", action="store_true", help="key=value output")
+    radix = flag("--radix", type=int, default=2)
+    budget = flag("--max-len", type=int, default=DEFAULT_UD_BUDGET, help="digit budget of the witness search")
+    seeded = flag("--seed", type=int, default=REFERENCE_SEED)
 
     parser = argparse.ArgumentParser(
         prog="codecert",
@@ -528,71 +460,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("entropy", parents=[common], help="base-r entropy of a source file")
-    p.add_argument("source")
-    p.add_argument("--radix", type=int, default=2)
+    def command(name, handler, summary, *shared):
+        p = sub.add_parser(name, parents=[common, *shared], help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("acl", parents=[common], help="average codeword length")
+    p = command("entropy", _cmd_entropy, "base-r entropy of a source file", radix)
+    p.add_argument("source")
+
+    p = command("acl", _cmd_acl, "average codeword length")
     p.add_argument("source")
     p.add_argument("code")
 
-    p = sub.add_parser("kraft", parents=[common], help="Kraft sum and bound check")
+    p = command("kraft", _cmd_kraft, "Kraft sum and bound check", radix)
     p.add_argument("code", nargs="?")
     p.add_argument("--lengths")
-    p.add_argument("--radix", type=int, default=2)
 
-    p = sub.add_parser("check-ud", parents=[common], help="unique decipherability")
-    p.add_argument("code")
-    p.add_argument("--max-len", type=int, default=DEFAULT_UD_BUDGET)
-
-    p = sub.add_parser("check-prefix", parents=[common], help="prefix-freeness")
+    p = command("check-ud", _cmd_check_ud, "unique decipherability", budget)
     p.add_argument("code")
 
-    p = sub.add_parser("build-code", parents=[common], help="instantaneous code from lengths")
+    p = command("check-prefix", _cmd_check_prefix, "prefix-freeness")
+    p.add_argument("code")
+
+    p = command("build-code", _cmd_build_code, "instantaneous code from lengths", radix)
     p.add_argument("--lengths", required=True)
-    p.add_argument("--radix", type=int, default=2)
 
-    p = sub.add_parser("huffman", parents=[common], help="optimal instantaneous code")
+    p = command("huffman", _cmd_huffman, "optimal instantaneous code", radix)
     p.add_argument("source")
-    p.add_argument("--radix", type=int, default=2)
 
-    p = sub.add_parser("certify", parents=[common], help="merge-chain certificate")
+    p = command("certify", _cmd_certify, "merge-chain certificate", budget)
     p.add_argument("source")
     p.add_argument("code")
-    p.add_argument("--max-len", type=int, default=DEFAULT_UD_BUDGET)
 
-    p = sub.add_parser("simulate", parents=[common], help="empirical ACL along a stream")
+    p = command("simulate", _cmd_simulate, "empirical ACL along a stream", seeded)
     p.add_argument("source")
     p.add_argument("code")
     p.add_argument("--t", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=REFERENCE_SEED)
 
-    p = sub.add_parser("fuzz", parents=[common], help="randomized certificate checking")
+    p = command("fuzz", _cmd_fuzz, "randomized certificate checking", seeded)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=REFERENCE_SEED)
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("check-ineq", parents=[common], help="closing inequality checks")
+    p = command("check-ineq", _cmd_check_ineq, "closing inequality checks", radix)
     p.add_argument("--probs", required=True)
-    p.add_argument("--radix", type=int, default=2)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {"subcommand": args.subcommand, "machine": args.machine}
-    if hasattr(args, "source"):
-        fields["source_path"] = args.source
-    if getattr(args, "code", None) is not None:
-        fields["code_path"] = args.code
-    for name in ("radix", "seed", "trials", "t", "tol", "max_len"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if getattr(args, "lengths", None) is not None:
-        fields["lengths"] = tuple(_parse_lengths(args.lengths))
-    if getattr(args, "probs", None) is not None:
-        fields["probs"] = tuple(_parse_probs(args.probs))
-    return RunConfig(**fields)
 
 
 #: The parser is stateless across parse_args calls, so one serves every main call.
@@ -602,12 +514,12 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except (ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    status, report = dispatch(cfg)
-    print(report, file=sys.stderr if status == 2 else sys.stdout)
+        status, report = args.handler(args)
+    except (CodecertError, ValueError) as e:
+        status, report = 2, f"error: {e}"
+    except (MemoryError, RecursionError) as e:
+        status, report = 3, f"error: out of memory or recursion depth: {e!r}"
+    print(report, file=sys.stderr if status >= 2 else sys.stdout)
     return status
 
 

@@ -47,12 +47,15 @@ class Codeword:
 
     @staticmethod
     def parse(text: str) -> "Codeword":
-        """Parse a digit string; '-' denotes the empty word."""
+        """Parse the text `str` writes: '-' is the empty word, '0110' one
+        digit per character, and '3.11' or '10.' dot-separated digits."""
         if text == "-":
             return Codeword(())
-        if not text or not text.isdigit():
+        # without a dot, each character is one digit
+        parts = text.removesuffix(".").split(".") if "." in text else text
+        if not parts or not all(map(str.isdigit, parts)):
             raise ValueError(f"not a codeword: {text!r}")
-        return Codeword(tuple(int(ch) for ch in text))
+        return Codeword(tuple(map(int, parts)))
 
     @property
     def length(self) -> int:
@@ -67,9 +70,11 @@ class Codeword:
     def __str__(self) -> str:
         if not self.digits:
             return "-"
-        if max(self.digits) > 9:
-            return ".".join(str(d) for d in self.digits)
-        return "".join(str(d) for d in self.digits)
+        if max(self.digits) <= 9:
+            return "".join(str(d) for d in self.digits)
+        # a trailing dot keeps the one-digit word (10,) apart from '10' = (1, 0)
+        text = ".".join(str(d) for d in self.digits)
+        return text + "." if len(self.digits) == 1 else text
 
 
 def _as_codeword(value) -> Codeword:
@@ -80,6 +85,23 @@ def _as_codeword(value) -> Codeword:
     return Codeword(tuple(value))
 
 
+def _check_code_radix(radix) -> None:
+    if not isinstance(radix, int) or radix < 1:
+        raise InvalidRadix(f"radix must be an integer >= 1, got {radix!r}")
+
+
+def _check_codewords(radix: int, symbol, words: tuple[Codeword, ...]) -> None:
+    """The invariants of one symbol's codeword set in a radix-`radix` code."""
+    if not words:
+        raise ValueError(f"symbol {symbol!r} has an empty codeword set")
+    for w in words:
+        for d in w.digits:
+            if not 0 <= d < radix:
+                raise DigitOutOfRange(f"digit {d} >= radix {radix}" if d >= 0 else f"negative digit {d}")
+    if len(set(words)) != len(words):
+        raise ValueError(f"symbol {symbol!r} repeats a codeword")
+
+
 @dataclass(frozen=True)
 class Code:
     """Radix plus an ordered map from each symbol to its codeword set."""
@@ -88,21 +110,13 @@ class Code:
     mapping: tuple[tuple[Any, tuple[Codeword, ...]], ...]
 
     def __post_init__(self):
-        if not isinstance(self.radix, int) or self.radix < 1:
-            raise InvalidRadix(f"radix must be an integer >= 1, got {self.radix!r}")
+        _check_code_radix(self.radix)
         seen = set()
         for symbol, words in self.mapping:
             if symbol in seen:
                 raise ValueError(f"symbol {symbol!r} listed twice")
             seen.add(symbol)
-            if not words:
-                raise ValueError(f"symbol {symbol!r} has an empty codeword set")
-            if len(set(words)) != len(words):
-                raise ValueError(f"symbol {symbol!r} repeats a codeword")
-            for w in words:
-                for d in w.digits:
-                    if not 0 <= d < self.radix:
-                        raise DigitOutOfRange(f"digit {d} out of range for radix {self.radix}")
+            _check_codewords(self.radix, symbol, words)
 
     @cached_property
     def _index(self) -> dict:
@@ -149,6 +163,16 @@ def make_code(radix: int, mapping: Mapping | Iterable) -> Code:
     return Code(radix, tuple(out))
 
 
+def _check_weights(symbol, qs: tuple[Fraction, ...]) -> None:
+    """The invariants of one symbol's choice weights in an EncodingPolicy."""
+    if not qs:
+        raise ValueError(f"empty weight list for {symbol!r}")
+    if any(q <= 0 for q in qs):
+        raise ValueError(f"weights for {symbol!r} must be strictly positive")
+    if sum(qs, Fraction(0)) != 1:
+        raise ValueError(f"weights for {symbol!r} must sum to exactly 1")
+
+
 @dataclass(frozen=True)
 class EncodingPolicy:
     """Exact rational choice weights q over each symbol's codeword set."""
@@ -157,12 +181,7 @@ class EncodingPolicy:
 
     def __post_init__(self):
         for symbol, qs in self.weights:
-            if not qs:
-                raise ValueError(f"empty weight list for {symbol!r}")
-            if any(q <= 0 for q in qs):
-                raise ValueError(f"weights for {symbol!r} must be strictly positive")
-            if sum(qs, Fraction(0)) != 1:
-                raise ValueError(f"weights for {symbol!r} must sum to exactly 1")
+            _check_weights(symbol, qs)
 
     @cached_property
     def _index(self) -> dict:

@@ -94,6 +94,8 @@ def ud_counterexample(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> str | Non
     that pick different codewords of the same symbols are one decoding.
     Ties at the witness length break to the least digit string.
     """
+    if max_len < 0:
+        raise ValueError(f"the witness search needs max_len >= 0, got {max_len}")
     pooled = code.pooled()
     if any(w.length == 0 for w in pooled):
         if len(pooled) == 1:
@@ -173,19 +175,6 @@ def construct_instantaneous(lengths: Sequence[int], r: int, symbols: Sequence | 
     return Code(r, tuple((symbols[i], (words[i],)) for i in range(len(lengths))))
 
 
-class _HuffNode:
-    __slots__ = ("weight", "order", "symbol", "children")
-
-    def __init__(self, weight: Fraction, order: int, symbol=None, children=()):
-        self.weight = weight
-        self.order = order
-        self.symbol = symbol
-        self.children = children
-
-    def __lt__(self, other: "_HuffNode") -> bool:
-        return (self.weight, self.order) < (other.weight, other.order)
-
-
 def huffman(src: Source, r: int) -> Code:
     """Huffman's minimum-redundancy instantaneous code for the source.
 
@@ -197,32 +186,28 @@ def huffman(src: Source, r: int) -> Code:
     """
     _check_radix(r)
     n = len(src)
-    heap: list[_HuffNode] = [
-        _HuffNode(p, i, symbol=s) for i, (s, p) in enumerate(zip(src.symbols, src.probs))
-    ]
+    # heap entries are (weight, order, children); order is unique, so ties
+    # never compare further, and a childless entry with order < n is a symbol
+    heap: list[tuple[Fraction, int, tuple]] = [(p, i, ()) for i, p in enumerate(src.probs)]
     pad = 0
     if r > 2:
         while (n + pad) % (r - 1) != 1:
             pad += 1
-    for k in range(pad):
-        heap.append(_HuffNode(Fraction(0), n + k))
+    heap.extend((Fraction(0), n + k, ()) for k in range(pad))
     heapq.heapify(heap)
 
     order = n + pad
     while len(heap) > 1:
-        group = [heapq.heappop(heap) for _ in range(min(r, len(heap)))]
-        merged = _HuffNode(
-            sum((g.weight for g in group), Fraction(0)), order, children=tuple(group)
-        )
+        group = tuple(heapq.heappop(heap) for _ in range(min(r, len(heap))))
+        heapq.heappush(heap, (sum((g[0] for g in group), Fraction(0)), order, group))
         order += 1
-        heapq.heappush(heap, merged)
 
-    assignments: dict[Any, Codeword] = {}
+    words: list[Codeword | None] = [None] * n
     stack = [(heap[0], ())]
     while stack:
-        node, path = stack.pop()
-        if node.children:
-            stack.extend((child, path + (digit,)) for digit, child in enumerate(node.children))
-        elif node.symbol is not None:
-            assignments[node.symbol] = Codeword(path)
-    return Code(r, tuple((s, (assignments[s],)) for s in src.symbols))
+        (_, i, children), path = stack.pop()
+        if children:
+            stack.extend((child, path + (digit,)) for digit, child in enumerate(children))
+        elif i < n:
+            words[i] = Codeword(path)
+    return Code(r, tuple((s, (w,)) for s, w in zip(src.symbols, words)))

@@ -355,12 +355,9 @@ def equality_condition(src: Source, code: Code) -> tuple[bool, EqualityWitness |
     return True, EqualityWitness((n - 1) // (r - 1), tuple(lengths))
 
 
-def check_group_inequality(probs, r: int) -> GroupInequalityResult:
-    """The per-merge inequality prod_k (r*p_k / sum_p)**p_k >= 1 for s <= r.
-
-    Evaluated in log space; `tight` is the exact rational test s = r
-    with all p_k equal, which the value check cross-validates.
-    """
+def _group_probs(probs, r: int) -> tuple[Fraction, ...]:
+    """Check the radix and the probabilities of a closing-inequality check;
+    returns the probabilities as Fractions."""
     _check_radix(r)
     probs = tuple(Fraction(p) for p in probs)
     if not probs:
@@ -368,6 +365,16 @@ def check_group_inequality(probs, r: int) -> GroupInequalityResult:
     for p in probs:
         if p <= 0:
             raise ZeroOrNegativeProbability(f"group probabilities must be positive, got {p}")
+    return probs
+
+
+def check_group_inequality(probs, r: int) -> GroupInequalityResult:
+    """The per-merge inequality prod_k (r*p_k / sum_p)**p_k >= 1 for s <= r.
+
+    Evaluated in log space; `tight` is the exact rational test s = r
+    with all p_k equal, which the value check cross-validates.
+    """
+    probs = _group_probs(probs, r)
     s = len(probs)
     if s > r:
         raise GroupLargerThanRadix(f"group of {s} exceeds radix {r}")
@@ -409,13 +416,7 @@ def check_pp_inequalities(probs, r: int) -> PpResult:
     (reported honestly either way). ineq_b: prod_k p_k**p_k >= 1/s,
     evaluated only when the probabilities sum to exactly 1.
     """
-    _check_radix(r)
-    probs = tuple(Fraction(p) for p in probs)
-    if not probs:
-        raise ValueError("need at least one probability")
-    for p in probs:
-        if p <= 0:
-            raise ZeroOrNegativeProbability(f"probabilities must be positive, got {p}")
+    probs = _group_probs(probs, r)
     s = len(probs)
     total = sum(probs, Fraction(0))
 

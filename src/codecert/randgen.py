@@ -41,19 +41,6 @@ def random_source(rng: SplitMix64, n: int, max_den: int = 64) -> Source:
     return Source(symbols, probs)
 
 
-def random_full_tree(rng: SplitMix64, r: int, max_leaves: int = 12) -> CodeTree:
-    """A uniform-ish full r-ary tree grown by expanding random leaves.
-
-    Leaf count is 1 + z*(r-1) for a random z >= 1 fitting max_leaves.
-    """
-    _check_radix(r)
-    z_max = (max_leaves - 1) // (r - 1)
-    if z_max < 1:
-        raise ValueError(f"max_leaves {max_leaves} admits no expansion for radix {r}")
-    z = 1 + rng.randbelow(z_max)
-    return grow_full_tree(rng, r, z)
-
-
 def grow_full_tree(rng: SplitMix64, r: int, z: int) -> CodeTree:
     """A full r-ary tree with exactly z internal nodes (z >= 0)."""
     _check_radix(r)

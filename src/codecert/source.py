@@ -74,6 +74,12 @@ class StreamSeed:
             raise ValueError(f"unknown generator {self.generator!r}; this build provides {GENERATOR_ID!r}")
 
 
+def _check_probability(symbol, p: Fraction) -> None:
+    """The invariant of one symbol's probability in a Source."""
+    if p <= 0:
+        raise ZeroOrNegativeProbability(f"p({symbol!r}) = {p} is not strictly positive")
+
+
 @dataclass(frozen=True)
 class Source:
     """An ordered alphabet with exact, strictly positive probabilities summing to 1."""
@@ -86,11 +92,12 @@ class Source:
             raise ValueError("a source needs at least one symbol")
         if len(self.symbols) != len(self.probs):
             raise ValueError("symbols and probs must have equal length")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise DuplicateSymbol("symbol identifiers must be pairwise distinct")
+        seen = set()
         for sym, p in zip(self.symbols, self.probs):
-            if p <= 0:
-                raise ZeroOrNegativeProbability(f"p({sym!r}) = {p} is not strictly positive")
+            if sym in seen:
+                raise DuplicateSymbol(f"symbol {sym!r} listed twice")
+            seen.add(sym)
+            _check_probability(sym, p)
         total = sum(self.probs, Fraction(0))
         if total != 1:
             raise ProbabilitySumNotOne(f"probabilities sum to {total}, not 1")
@@ -114,10 +121,6 @@ class Source:
 
 def make_source(symbols: Sequence, probs: Sequence) -> Source:
     """Validate and build a Source; probabilities are stored exactly."""
-    if len(symbols) == 0 or len(probs) == 0:
-        raise ValueError("symbols and probs must be nonempty")
-    if len(symbols) != len(probs):
-        raise ValueError("symbols and probs must have equal length")
     return Source(tuple(symbols), tuple(_as_fraction(p) for p in probs))
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import codecert
-from codecert.cli import main
+import codecert.cli as cli
+from codecert.cli import main, parse_code_file
 
 DYADIC_SRC = "a 1/2\nb 1/4\nc 1/4\n"
 DYADIC_CODE = "radix 2\na 0\nb 10\nc 11\n"
@@ -415,6 +416,145 @@ def test_empty_codeword_in_files(tmp_path, capsys):
     assert (status, out) == (0, "prefix_free=True")
     status, out, _ = run(capsys, "kraft", code, "--machine")
     assert (status, out) == (0, "kraft=1/1\nholds=True")
+
+
+# --- exit statuses and output streams ---
+
+
+def _inputs(tmp_path):
+    return {
+        "src": write(tmp_path, "s.txt", DYADIC_SRC),
+        "code": write(tmp_path, "c.txt", DYADIC_CODE),
+        "ambiguous": write(tmp_path, "amb.txt", "radix 2\na 0\nb 01\nc 10\n"),
+        "not_prefix": write(tmp_path, "np.txt", "radix 2\na 0\nb 01\n"),
+        "bad_src": write(tmp_path, "bad_s.txt", "a 1/2\nb 1/3\n"),
+        "bad_code": write(tmp_path, "bad_c.txt", "radix 2\na 0\nb 012\n"),
+    }
+
+
+# Every status each subcommand can reach on real input. entropy, acl,
+# huffman, simulate and check-ineq have no input that violates what they
+# check, and fuzz finds no counterexample; those 1s are pinned below.
+EXIT_STATUS_CASES = [
+    ("entropy {src}", 0),
+    ("entropy {bad_src}", 2),
+    ("entropy {src} --radix 1", 2),
+    ("acl {src} {code}", 0),
+    ("acl {src} {bad_code}", 2),
+    ("kraft {code}", 0),
+    ("kraft --lengths 1,1,1", 1),
+    ("kraft", 2),
+    ("kraft --lengths 1,x", 2),
+    ("check-ud {code}", 0),
+    ("check-ud {ambiguous}", 1),
+    ("check-ud {ambiguous} --max-len -1", 2),
+    ("check-ud {bad_code}", 2),
+    ("check-prefix {code}", 0),
+    ("check-prefix {not_prefix}", 1),
+    ("check-prefix {bad_code}", 2),
+    ("build-code --lengths 1,2,2", 0),
+    ("build-code --lengths 1,1,1", 1),
+    ("build-code --lengths -1", 2),
+    ("huffman {src}", 0),
+    ("huffman {bad_src}", 2),
+    ("certify {src} {code}", 0),
+    ("certify {src} {ambiguous}", 1),
+    ("certify {src} {ambiguous} --max-len -1", 2),
+    ("certify {bad_src} {code}", 2),
+    ("simulate {src} {code} --t 50", 0),
+    ("simulate {src} {code} --t 0", 2),
+    ("fuzz --trials 5", 0),
+    ("fuzz --trials 0", 2),
+    ("check-ineq --probs 1/2,1/2", 0),
+    ("check-ineq --probs 1/2,x", 2),
+]
+
+
+@pytest.mark.parametrize("command,expected", EXIT_STATUS_CASES)
+def test_exit_status_and_stream(command, expected, tmp_path, capsys):
+    status, out, err = run(capsys, *command.format(**_inputs(tmp_path)).split())
+    assert status == expected
+    if status == 2:
+        assert out == "" and err.startswith("error: ") and "\n" not in err
+    else:
+        assert out and err == ""
+
+
+def test_fuzz_counterexample_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "DELTA_CAP", float("-inf"))  # every merge step now "fails"
+    status, out, err = run(capsys, "fuzz", "--trials", "5", "--machine")
+    assert (status, err) == (1, "")
+    assert "violation=trial" in out and "positive per-step defect" in out
+
+
+# one library name each handler calls, patched to fail
+RESOURCE_CASES = [
+    ("entropy {src}", "entropy"),
+    ("acl {src} {code}", "acl_exact"),
+    ("kraft --lengths 1,2", "kraft_sum"),
+    ("check-ud {code}", "is_uniquely_decipherable"),
+    ("check-prefix {code}", "is_prefix_free"),
+    ("build-code --lengths 1,2,2", "construct_instantaneous"),
+    ("huffman {src}", "huffman"),
+    ("certify {src} {code}", "certify"),
+    ("simulate {src} {code} --t 10", "empirical_acl"),
+    ("fuzz --trials 1", "run_fuzz_trial"),
+    ("check-ineq --probs 1/2,1/2", "check_group_inequality"),
+]
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+@pytest.mark.parametrize("command,name", RESOURCE_CASES)
+def test_resource_exhaustion_exits_3(command, name, error, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise error("exhausted")
+
+    monkeypatch.setattr(cli, name, exhausted)
+    status, out, err = run(capsys, *command.format(**_inputs(tmp_path)).split())
+    assert (status, out) == (3, "")
+    assert err.startswith("error: ") and error.__name__ in err and "\n" not in err
+
+
+# --- file errors: one-line checks give path:line, cross-line checks path ---
+
+
+def test_file_errors_are_located(tmp_path, capsys):
+    dup = write(tmp_path, "dup.txt", "a 1/4\nb 1/4\na 1/2\n")
+    assert run(capsys, "entropy", dup) == (2, "", f"error: {dup}: symbol 'a' listed twice")
+    zero = write(tmp_path, "zero.txt", "a 1\nb 0\n")
+    assert run(capsys, "entropy", zero) == (2, "", f"error: {zero}:2: p('b') = 0 is not strictly positive")
+    code = write(tmp_path, "c.txt", "radix 2\na 0\nb 10\na 11\n")
+    assert run(capsys, "check-prefix", code) == (2, "", f"error: {code}: symbol 'a' listed twice")
+    radix = write(tmp_path, "r.txt", "# radix zero\nradix 0\na -\n")
+    status, _, err = run(capsys, "check-prefix", radix)
+    assert (status, err) == (2, f"error: {radix}:2: radix must be an integer >= 1, got 0")
+
+
+# --- codewords with digits above 9 ---
+
+
+def test_build_code_above_radix_10_rereads(tmp_path, capsys):
+    lengths = "1,1,1,1,1,1,1,1,1,1,1,2,2"  # one-digit words 0..10, then 11.0 and 11.1
+    status, out, _ = run(capsys, "build-code", "--lengths", lengths, "--radix", "12")
+    assert status == 0
+    assert out.splitlines()[-3:] == ["s11 10.", "s12 11.0", "s13 11.1"]
+    built = write(tmp_path, "built.txt", out)
+    assert parse_code_file(built)[0].lengths() == [int(l) for l in lengths.split(",")]
+    assert run(capsys, "kraft", built) == run(capsys, "kraft", "--lengths", lengths, "--radix", "12")
+
+
+def test_huffman_above_radix_10_rereads(tmp_path, capsys):
+    src = write(tmp_path, "s.txt", "".join(f"x{i} 1/20\n" for i in range(20)))
+    status, out, _ = run(capsys, "huffman", src, "--radix", "16")
+    assert status == 0
+    emitted = write(tmp_path, "h.txt", out)  # the '# ACL' lines are comments
+    lengths = parse_code_file(emitted)[0].lengths()
+    assert lengths == codecert.huffman(cli.parse_source_file(src), 16).lengths()
+    assert any(text.endswith(".") for text in out.splitlines())
+    as_lengths = ("--lengths", ",".join(map(str, lengths)), "--radix", "16")
+    assert run(capsys, "kraft", emitted) == run(capsys, "kraft", *as_lengths)
+    status, acl, _ = run(capsys, "acl", src, emitted)
+    assert status == 0 and f"\n# {acl}\n" in out
 
 
 # --- module entry point ---

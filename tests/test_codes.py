@@ -1,5 +1,6 @@
 """Codes, codewords, Kraft sums, ACL in its three flavors."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -45,6 +46,16 @@ def test_codeword_parse_and_str():
     for bad in ("", "12a", "1 0", "0,1"):
         with pytest.raises(ValueError):
             Codeword.parse(bad)
+
+
+def test_codeword_text_round_trips_digits_up_to_35():
+    rng = random.Random(35)
+    words = [Codeword((d,)) for d in range(36)]
+    words += [Codeword(tuple(rng.randrange(36) for _ in range(rng.randint(0, 5)))) for _ in range(500)]
+    for w in words:
+        assert Codeword.parse(str(w)) == w
+    assert (str(Codeword((10,))), str(Codeword((1, 0)))) == ("10.", "10")
+    assert Codeword.parse("10.") != Codeword.parse("10")
 
 
 def test_codeword_prefix_relation():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codecert import (
+    Codeword,
     InvalidRadix,
     KraftViolated,
     UnsupportedMultiCodeword,
@@ -99,6 +100,16 @@ def test_witness_conventions():
     assert ud_counterexample(singleton(["0", "10", "11"])) is None
 
 
+def test_witness_search_rejects_a_negative_budget():
+    code = singleton(["0", "01", "10"])
+    assert ud_counterexample(code, 0) is None
+    for budget in (-1, -5):
+        with pytest.raises(ValueError, match="max_len >= 0"):
+            ud_counterexample(code, budget)
+        with pytest.raises(ValueError, match="max_len >= 0"):
+            brute_force_ud(code, budget)
+
+
 def test_witness_is_shortest_then_least():
     # 01 and 10 are both ambiguous at length 2; the witness is the least
     code = singleton(["0", "01", "10", "1"])
@@ -147,7 +158,7 @@ def test_witness_matches_naive_oracle_multi_codeword(r, max_len):
             mapping.append((f"s{i}", words))
         expected = ud_witness_oracle(mapping, r, max_len)
         if expected is not None:
-            expected = ("." if max(expected) > 9 else "").join(map(str, expected))
+            expected = str(Codeword(expected))
         assert ud_counterexample(make_code(r, mapping), max_len) == expected, mapping
 
 

@@ -78,6 +78,11 @@ def test_source_invariants():
         make_source("ab", ["1"])
 
 
+def test_duplicate_symbol_is_named():
+    with pytest.raises(DuplicateSymbol, match="symbol 'b' listed twice"):
+        make_source("abcb", ["1/4"] * 4)
+
+
 def test_source_lookup():
     src = dyadic_abc()
     assert len(src) == 3
