@@ -16,6 +16,10 @@ Subcommands map one-to-one onto library operations:
 
 --max-len is the digit budget of the search for an ambiguous digit
 string (the witness); it must be at least 0 when the search runs.
+--seed is an integer in 0..2^64-1 for every subcommand. simulate encodes
+the stream once and reads its pathwise floor off that trace: a step where
+fewer digits were emitted than the same symbols' shortest codewords take
+is a violation, counted on integers.
 
 Exit codes: 0 when the computation succeeds and every checked property
 holds; 1 when a verified property fails (ambiguous code, Kraft excess,
@@ -27,7 +31,8 @@ across runs for fixed inputs and seed.
 
 Source files hold one `<symbol> <probability>` pair per line, where the
 probability is a rational like 3/10 or a finite decimal; `#` starts a
-comment line. Code files start with `radix <r>`, then per line
+comment line. Numerals in files, --lengths and --probs are ASCII, no `_`.
+Code files start with `radix <r>`, then per line
 `<symbol> <codeword>[,<codeword>...]`, optionally followed by
 `@ q1,q2,...` choice weights; `-` denotes the empty codeword. A codeword
 is written one digit per character (`0110`) when every digit is at most
@@ -44,6 +49,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from .codes import (
     Code,
@@ -124,7 +130,7 @@ def parse_source_file(path: str) -> Source:
 
 def _code_header(text: str) -> int:
     tokens = text.split()
-    if len(tokens) != 2 or tokens[0] != "radix" or not tokens[1].isdigit():
+    if len(tokens) != 2 or tokens[0] != "radix" or not (tokens[1].isascii() and tokens[1].isdigit()):
         raise ValueError(f"expected header 'radix <r>', got {text!r}")
     r = int(tokens[1])
     _check_code_radix(r)
@@ -162,10 +168,12 @@ def parse_code_file(path: str) -> tuple[Code, EncodingPolicy | None]:
 
 
 def _parse_lengths(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ParseError(f"lengths must be comma-separated integers, got {text!r}") from None
+    if text.isascii() and "_" not in text:
+        try:
+            return [int(part) for part in text.split(",")]
+        except ValueError:
+            pass
+    raise ParseError(f"lengths must be comma-separated integers, got {text!r}")
 
 
 # --- report helpers ---
@@ -312,8 +320,10 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     src = parse_source_file(args.source)
     code, policy = parse_code_file(args.code)
     trace = empirical_acl(src, code, policy, args.t, args.seed)
-    floor = empirical_acl(src, minimal_reduction(code), None, args.t, args.seed)
-    violations = sum(1 for a, b in zip(trace.acl_values, floor.acl_values) if a < b)
+    # the floor is each symbol's shortest codeword, on the same stream
+    shortest = [words[0].length for words in map(minimal_reduction(code).codewords, src.symbols)]
+    steps = zip(trace.symbol_indices, trace.step_lengths())
+    violations = sum(1 for excess in accumulate(n - shortest[i] for i, n in steps) if excess < 0)
     exact = acl_exact(src, code, policy)
     final = trace.acl_values[-1]
     status = 0 if violations == 0 else 1

@@ -31,8 +31,8 @@ from .errors import (
     MissingPolicy,
     MissingSymbol,
 )
-from .rng import SplitMix64, derived_seed
-from .source import Source, StreamSeed, _as_fraction, _check_radix, _cumulative_thresholds, sample_stream
+from .rng import SplitMix64, _check_seed, derived_seed
+from .source import Source, _as_fraction, _check_radix, _cumulative_thresholds, sample_stream
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -53,7 +53,7 @@ class Codeword:
             return Codeword(())
         # without a dot, each character is one digit
         parts = text.removesuffix(".").split(".") if "." in text else text
-        if not parts or not all(map(str.isdigit, parts)):
+        if not parts or not text.isascii() or not all(map(str.isdigit, parts)):
             raise ValueError(f"not a codeword: {text!r}")
         return Codeword(tuple(map(int, parts)))
 
@@ -86,7 +86,7 @@ def _as_codeword(value) -> Codeword:
 
 
 def _check_code_radix(radix) -> None:
-    if not isinstance(radix, int) or radix < 1:
+    if not isinstance(radix, int) or isinstance(radix, bool) or radix < 1:
         raise InvalidRadix(f"radix must be an integer >= 1, got {radix!r}")
 
 
@@ -298,7 +298,7 @@ def empirical_acl(
     code: Code,
     chooser: EncodingPolicy | Chooser | None,
     t: int,
-    seed: StreamSeed | int,
+    seed: int,
 ) -> SimulationTrace:
     """Encode t sampled symbols, recording the running ACL_t = digits/t.
 
@@ -313,14 +313,13 @@ def empirical_acl(
     """
     if t < 1:
         raise ValueError("simulation needs t >= 1")
-    if isinstance(seed, int):
-        seed = StreamSeed(seed)
+    _check_seed(seed)
     if not code.covers(src):
         missing = [s for s in src.symbols if s not in set(code.symbols)]
         raise MissingSymbol(f"code does not cover symbols {missing!r}")
 
     stream = sample_stream(src, t, seed)
-    choice_rng = SplitMix64(derived_seed(seed.seed, _CHOICE_SALT))
+    choice_rng = SplitMix64(derived_seed(seed, _CHOICE_SALT))
     thresholds: dict[Any, tuple[int, list[int]]] = {}  # policy symbol -> (D, bounds)
 
     sym_idx: list[int] = []

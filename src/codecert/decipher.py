@@ -112,22 +112,23 @@ def ud_counterexample(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> str | Non
     ]
     AMBIGUOUS = -1  # a string reached by two different symbol sequences
     seq_ids: dict[tuple[int, Any], int] = {}
-    levels: list[dict[str, int] | None] = [{} for _ in range(max_len + 1)]
-    levels[0][""] = 0  # the empty symbol sequence
+    # Every transition is nonempty, so a level is final once all shorter
+    # levels were extended. A level is made when first a target and dropped
+    # once extended: at most the longest codeword's length of them live.
+    levels: dict[int, dict[str, int]] = {0: {"": 0}}  # "" decodes as the empty sequence
     for length in range(max_len + 1):
-        # Every transition is nonempty, so a level is final once all
-        # shorter levels were extended; it is dropped as it is extended.
-        current, levels[length] = levels[length], None
+        current = levels.pop(length, {})
         ambiguous = [s for s, q in current.items() if q == AMBIGUOUS]
         if ambiguous:
             return str(Codeword(tuple(map(ord, min(ambiguous)))))
+        moves = [
+            (w, symbol, levels.setdefault(length + size, {}))
+            for w, size, symbol in transitions
+            if length + size <= max_len
+        ]
         for prefix, q in current.items():
-            for w, size, symbol in transitions:
-                k = length + size
-                if k > max_len:
-                    continue
+            for w, symbol, bucket in moves:
                 seq = seq_ids.setdefault((q, symbol), len(seq_ids) + 1)
-                bucket = levels[k]
                 s = prefix + w
                 if bucket.setdefault(s, seq) != seq:
                     bucket[s] = AMBIGUOUS

@@ -11,14 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .codes import Code, Codeword
-from .rng import SplitMix64, derived_seed
+from .rng import SplitMix64, _check_seed, derived_seed
 from .source import Source, _check_radix
 from .tree import CodeTree, TreeNode, _replace_at
 
 
 def trial_rng(master_seed: int, k: int) -> SplitMix64:
     """Independent generator for trial k of a batch keyed by master_seed."""
-    return SplitMix64(derived_seed(master_seed, k))
+    return SplitMix64(derived_seed(_check_seed(master_seed), k))
 
 
 def random_source(rng: SplitMix64, n: int, max_den: int = 64) -> Source:

@@ -16,10 +16,15 @@ outputs: randbelow(n) reads bit_length(n-1) bits and rejection-samples
 until the value is below n, which is exact for arbitrary-precision n.
 """
 
-GENERATOR_ID = "splitmix64"
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _check_seed(seed) -> int:
+    """A user seed is an integer in [0, 2^64); every seeded stream checks it here."""
+    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return seed
 
 
 def mix64(z: int) -> int:

@@ -6,9 +6,9 @@ fractions.Fraction throughout; only entropy is a floating-point
 surface. Exactness is what lets the proof engine decide the equality
 case p_i = r^(-l_i) with no tolerance at all.
 
-Sampling is deterministic: a StreamSeed names both the 64-bit seed and
-the generator algorithm (splitmix64, see codecert.rng), so a stream is
-reproducible from the seed alone.
+Sampling is deterministic: a seed is an integer in [0, 2^64) that keys
+a splitmix64 stream (see codecert.rng), so a stream is reproducible from
+the seed alone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     ProbabilitySumNotOne,
     ZeroOrNegativeProbability,
 )
-from .rng import GENERATOR_ID, SplitMix64
+from .rng import SplitMix64, _check_seed
 
 #: Seed used by reproducibility-sensitive tests and documentation.
 REFERENCE_SEED = 1
@@ -41,12 +41,14 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'a/b', an integer, or a finite decimal into an exact Fraction.
 
     Decimal text is converted exactly ('0.25' -> 1/4), never through a
-    binary float.
+    binary float. Digits are ASCII, without '_' (Fraction accepts both).
     """
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    if text.isascii() and "_" not in text:
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def _as_fraction(value) -> Fraction:
@@ -58,20 +60,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     return Fraction(value)
-
-
-@dataclass(frozen=True)
-class StreamSeed:
-    """Seed for deterministic sampling: same seed, same source => same stream."""
-
-    seed: int
-    generator: str = GENERATOR_ID
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.generator != GENERATOR_ID:
-            raise ValueError(f"unknown generator {self.generator!r}; this build provides {GENERATOR_ID!r}")
 
 
 def _check_probability(symbol, p: Fraction) -> None:
@@ -179,7 +167,7 @@ def _cumulative_thresholds(probs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return denom, bounds
 
 
-def sample_stream(src: Source, t: int, seed: StreamSeed | int) -> list:
+def sample_stream(src: Source, t: int, seed: int) -> list:
     """t i.i.d. draws from the source, deterministic given the seed.
 
     Each draw picks a uniform integer below the common denominator of
@@ -188,12 +176,11 @@ def sample_stream(src: Source, t: int, seed: StreamSeed | int) -> list:
     """
     if t < 0:
         raise ValueError("stream length must be >= 0")
-    if isinstance(seed, int):
-        seed = StreamSeed(seed)
+    _check_seed(seed)
     if len(src) == 1:
         return [src.symbols[0]] * t
     denom, bounds = _cumulative_thresholds(src.probs)
-    rng = SplitMix64(seed.seed)
+    rng = SplitMix64(seed)
     out = []
     for _ in range(t):
         u = rng.randbelow(denom)

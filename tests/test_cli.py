@@ -4,18 +4,22 @@ import argparse
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import codecert
 import codecert.cli as cli
+import codecert.codes as codes
 from codecert.cli import main, parse_code_file
 
 DYADIC_SRC = "a 1/2\nb 1/4\nc 1/4\n"
 DYADIC_CODE = "radix 2\na 0\nb 10\nc 11\n"
 SKEWED_SRC = "a 2/5\nb 3/10\nc 1/5\nd 1/10\n"
 SKEWED_CODE = "radix 2\na 0\nb 10\nc 110\nd 111\n"
+POLICY_SRC = "a 1/2\nb 1/2\n"
+POLICY_CODE = "radix 2\na 0,11 @ 1/2,1/2\nb 10\n"
 
 
 def write(tmp_path, name, text):
@@ -247,13 +251,97 @@ def test_simulate_deterministic(tmp_path, capsys):
 
 
 def test_simulate_with_policy(tmp_path, capsys):
-    src = write(tmp_path, "s.txt", "a 1/2\nb 1/2\n")
-    code = write(tmp_path, "c.txt", "radix 2\na 0,11 @ 1/2,1/2\nb 10\n")
+    src = write(tmp_path, "s.txt", POLICY_SRC)
+    code = write(tmp_path, "c.txt", POLICY_CODE)
     status, out, _ = run(capsys, "simulate", src, code, "--t", "4000", "--machine")
     assert status == 0
     lines = dict(line.split("=", 1) for line in out.splitlines())
     assert lines["bound_violations"] == "0"
     assert abs(float(lines["acl_t"]) - 1.75) < 0.1
+
+
+# Reports recorded when simulate still encoded the stream a second time,
+# with the reduced code, to compare against.
+SIMULATE_PINNED = [
+    (
+        POLICY_SRC,
+        POLICY_CODE,
+        "--t 4000 --seed 5",
+        "t = 4000, seed = 5\nACL_t = 1.7545\nACL = 7/4 = 1.75 (gap 0.0044999999999999485)\n"
+        "pathwise floor violations: 0",
+    ),
+    (
+        POLICY_SRC,
+        POLICY_CODE,
+        "--t 4000 --seed 5 --machine",
+        "t=4000\nseed=5\nacl_t=1.7545\nACL=1.75\ngap=0.0044999999999999485\nbound_violations=0",
+    ),
+    (
+        SKEWED_SRC,
+        SKEWED_CODE,
+        "--t 300 --seed 9",
+        "t = 300, seed = 9\nACL_t = 1.99\nACL = 19/10 = 1.9 (gap 0.09000000000000008)\n"
+        "pathwise floor violations: 0",
+    ),
+    (
+        SKEWED_SRC,
+        SKEWED_CODE,
+        "--t 300 --seed 9 --machine",
+        "t=300\nseed=9\nacl_t=1.99\nACL=1.9\ngap=0.09000000000000008\nbound_violations=0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "src_text,code_text,flags,expected",
+    SIMULATE_PINNED,
+    ids=["policy", "policy-machine", "singleton", "singleton-machine"],
+)
+def test_simulate_report_pinned(src_text, code_text, flags, expected, tmp_path, capsys):
+    src = write(tmp_path, "s.txt", src_text)
+    code = write(tmp_path, "c.txt", code_text)
+    assert run(capsys, "simulate", src, code, *flags.split()) == (0, expected, "")
+
+
+def test_simulate_encodes_one_stream(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli, "empirical_acl")
+    count(codes, "sample_stream")
+    src = write(tmp_path, "s.txt", POLICY_SRC)
+    code = write(tmp_path, "c.txt", POLICY_CODE)
+    assert run(capsys, "simulate", src, code, "--t", "100", "--machine")[0] == 0
+    assert calls == {"empirical_acl": 1, "sample_stream": 1}
+
+
+def test_simulate_floor_breach_matches_two_run_count(tmp_path, capsys, monkeypatch):
+    # A stand-in floor that is longer than the code for 'a' and shorter for
+    # 'b' is breached on some steps; the one-pass count must equal the count
+    # from encoding the stream a second time with it.
+    src = write(tmp_path, "s.txt", POLICY_SRC)
+    code = write(tmp_path, "c.txt", POLICY_CODE)
+    floor = codecert.make_code(2, {"a": "000", "b": "1"})
+    monkeypatch.setattr(cli, "minimal_reduction", lambda _: floor)
+    source, (full, policy) = cli.parse_source_file(src), parse_code_file(code)
+    trace = codecert.empirical_acl(source, full, policy, 200, 3)
+    floor_trace = codecert.empirical_acl(source, floor, None, 200, 3)
+    expected = sum(1 for a, b in zip(trace.acl_values, floor_trace.acl_values) if a < b)
+    assert 0 < expected < 200
+
+    status, out, err = run(capsys, "simulate", src, code, "--t", "200", "--seed", "3", "--machine")
+    assert (status, err) == (1, "")
+    assert f"bound_violations={expected}" in out.splitlines()
+    status, out, _ = run(capsys, "simulate", src, code, "--t", "200", "--seed", "3")
+    assert status == 1 and out.endswith(f"pathwise floor violations: {expected}")
 
 
 # --- fuzz ---
@@ -463,8 +551,13 @@ EXIT_STATUS_CASES = [
     ("certify {bad_src} {code}", 2),
     ("simulate {src} {code} --t 50", 0),
     ("simulate {src} {code} --t 0", 2),
+    ("simulate {src} {code} --seed -1", 2),
+    ("simulate {src} {code} --seed 18446744073709551616", 2),
     ("fuzz --trials 5", 0),
     ("fuzz --trials 0", 2),
+    ("fuzz --trials 2 --seed -1", 2),
+    ("fuzz --trials 2 --seed 18446744073709551616", 2),
+    ("fuzz --trials 2 --seed 18446744073709551621", 2),
     ("check-ineq --probs 1/2,1/2", 0),
     ("check-ineq --probs 1/2,x", 2),
 ]
@@ -528,6 +621,29 @@ def test_file_errors_are_located(tmp_path, capsys):
     radix = write(tmp_path, "r.txt", "# radix zero\nradix 0\na -\n")
     status, _, err = run(capsys, "check-prefix", radix)
     assert (status, err) == (2, f"error: {radix}:2: radix must be an integer >= 1, got 0")
+
+
+def test_numerals_are_ascii_only(tmp_path, capsys):
+    # int() and Fraction() read '_' separators and other scripts' digits
+    for name, text, line, message in (
+        ("s1.txt", "a ١/٢\nb 1/2\n", 1, "not a rational number: '١/٢'"),
+        ("s2.txt", "a 1/2\nb 1_0/20\n", 2, "not a rational number: '1_0/20'"),
+    ):
+        path = write(tmp_path, name, text)
+        assert run(capsys, "entropy", path) == (2, "", f"error: {path}:{line}: {message}")
+    for name, text, line, message in (
+        ("c1.txt", "radix ٢\na 0\n", 1, "expected header 'radix <r>', got 'radix ٢'"),
+        ("c2.txt", "radix 2\na ١٠\n", 2, "not a codeword: '١٠'"),
+        ("c3.txt", "radix 2\na 0,1 @ 1/2,5_0/100\n", 2, "not a rational number: '5_0/100'"),
+    ):
+        path = write(tmp_path, name, text)
+        assert run(capsys, "check-prefix", path) == (2, "", f"error: {path}:{line}: {message}")
+    for lengths in ("1_0", "١,٢"):
+        expected = (2, "", f"error: lengths must be comma-separated integers, got {lengths!r}")
+        assert run(capsys, "kraft", "--lengths", lengths) == expected
+        assert run(capsys, "build-code", "--lengths", lengths) == expected
+    status, _, err = run(capsys, "check-ineq", "--probs", "1_0/20,1/2")
+    assert (status, err) == (2, "error: bad probability list: not a rational number: '1_0/20'")
 
 
 # --- codewords with digits above 9 ---

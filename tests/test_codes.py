@@ -43,7 +43,7 @@ def test_codeword_parse_and_str():
     assert str(Codeword((1, 0))) == "10"
     assert str(Codeword(())) == "-"
     assert str(Codeword((3, 11))) == "3.11"
-    for bad in ("", "12a", "1 0", "0,1"):
+    for bad in ("", "12a", "1 0", "0,1", "١٠", "٣.١١", "１", "1_0.2"):
         with pytest.raises(ValueError):
             Codeword.parse(bad)
 
@@ -82,6 +82,8 @@ def test_code_validation():
         make_code(2, {"a": "02"})
     with pytest.raises(InvalidRadix):
         make_code(0, {"a": "0"})
+    with pytest.raises(InvalidRadix, match="got True"):
+        make_code(True, {"a": "0"})
     with pytest.raises(ValueError):
         Code(2, (("a", ()),))
     with pytest.raises(ValueError):

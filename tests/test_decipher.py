@@ -3,6 +3,7 @@ construction, and Huffman coding."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -108,6 +109,19 @@ def test_witness_search_rejects_a_negative_budget():
             ud_counterexample(code, budget)
         with pytest.raises(ValueError, match="max_len >= 0"):
             brute_force_ud(code, budget)
+
+
+def test_witness_search_memory_does_not_grow_with_the_budget():
+    # only the levels the search can still write to are live; one dict per
+    # budget digit, allocated up front, peaked at about 70 MB on this call
+    code = singleton(["0", "01", "10"])
+    tracemalloc.start()
+    try:
+        assert ud_counterexample(code, 10**6) == "010"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_witness_is_shortest_then_least():

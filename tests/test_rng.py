@@ -3,6 +3,7 @@ exactly, or recorded seeds stop reproducing old runs."""
 
 import pytest
 
+from codecert.randgen import trial_rng
 from codecert.rng import SplitMix64, derived_seed, mix64
 
 # first outputs of the reference implementation for seed 0
@@ -88,6 +89,14 @@ def test_derived_seed_splits_streams():
     assert len({a, b, c}) == 3
     assert all(0 <= x < 2**64 for x in (a, b, c))
     assert derived_seed(1, 0xAAAA) == a
+
+
+def test_trial_rng_checks_the_seed_range():
+    # derived_seed masks to 64 bits, so 2^64 + 5 would otherwise replay seed 5
+    assert trial_rng(2**64 - 1, 3).next_u64() == SplitMix64(derived_seed(2**64 - 1, 3)).next_u64()
+    for bad in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            trial_rng(bad, 0)
 
 
 def test_mix64_is_a_bijection_sample():

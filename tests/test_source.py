@@ -13,7 +13,6 @@ from codecert import (
     InvalidRadix,
     ProbabilitySumNotOne,
     Source,
-    StreamSeed,
     ZeroOrNegativeProbability,
     entropy,
     extend_source,
@@ -46,7 +45,8 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "abc", "1/0", "1/2/3", "0x10", "nan", "inf"])
+# Fraction reads '_' separators and any script's decimal digits; the formats do not
+@pytest.mark.parametrize("text", ["", "abc", "1/0", "1/2/3", "0x10", "nan", "inf", "1_0/3", "0.2_5", "١/٢", "１/２"])
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
@@ -166,19 +166,16 @@ def test_extension_entropy_additivity_dyadic_oracle():
 
 
 def test_stream_seed_validation():
-    StreamSeed(0)
-    StreamSeed(2**64 - 1)
-    with pytest.raises(ValueError):
-        StreamSeed(-1)
-    with pytest.raises(ValueError):
-        StreamSeed(2**64)
-    with pytest.raises(ValueError):
-        StreamSeed(1, generator="mersenne")
+    for src in (dyadic_abc(), make_source("a", [1])):
+        assert len(sample_stream(src, 3, 0)) == len(sample_stream(src, 3, 2**64 - 1)) == 3
+        for bad in (-1, 2**64, 2**64 + 5, "7"):
+            with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+                sample_stream(src, 3, bad)
 
 
 def test_sample_stream_deterministic():
     src = dyadic_abc()
-    assert sample_stream(src, 50, 7) == sample_stream(src, 50, StreamSeed(7))
+    assert sample_stream(src, 50, 7) == sample_stream(src, 50, 7)
     assert sample_stream(src, 50, 7) != sample_stream(src, 50, 8)
     assert sample_stream(src, 0, 7) == []
 
