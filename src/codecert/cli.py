@@ -31,7 +31,8 @@ across runs for fixed inputs and seed.
 
 Source files hold one `<symbol> <probability>` pair per line, where the
 probability is a rational like 3/10 or a finite decimal; `#` starts a
-comment line. Numerals in files, --lengths and --probs are ASCII, no `_`.
+comment line. Numerals in files, --lengths, --probs and the integer options
+(--radix, --max-len, --seed, --t, --trials) are ASCII, no `_`.
 Code files start with `radix <r>`, then per line
 `<symbol> <codeword>[,<codeword>...]`, optionally followed by
 `@ q1,q2,...` choice weights; `-` denotes the empty codeword. A codeword
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -81,7 +81,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _check_probability, entropy, parse_rational
+from .source import REFERENCE_SEED, Source, _check_probability, _integer_masses, entropy, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -167,13 +167,21 @@ def parse_code_file(path: str) -> tuple[Code, EncodingPolicy | None]:
     return code, EncodingPolicy(weights) if weights else None
 
 
-def _parse_lengths(text: str) -> list[int]:
+def _integer(text: str) -> int:
+    """An integer in ASCII digits; int() also reads '_' and other scripts' digits."""
     if text.isascii() and "_" not in text:
         try:
-            return [int(part) for part in text.split(",")]
+            return int(text)
         except ValueError:
             pass
-    raise ParseError(f"lengths must be comma-separated integers, got {text!r}")
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _parse_lengths(text: str) -> list[int]:
+    try:
+        return [_integer(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise ParseError(f"lengths must be comma-separated integers, got {text!r}") from None
 
 
 # --- report helpers ---
@@ -415,8 +423,7 @@ def _cmd_check_ineq(args: argparse.Namespace) -> tuple[int, str]:
 
     # integer oracle on the same group, scaled by the common denominator;
     # skipped when the scaled mass is too large to exponentiate
-    denom = math.lcm(*(p.denominator for p in probs))
-    freqs = [int(p * denom) for p in probs]
+    _, freqs = _integer_masses(probs)
     ghm = check_rational_ghm(RationalWeights(tuple(freqs), args.radix)) if sum(freqs) <= 4096 else None
 
     all_hold = group.holds and pp.ineq_a and pp.ineq_b is not False
@@ -460,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
         return shared
 
     common = flag("--machine", action="store_true", help="key=value output")
-    radix = flag("--radix", type=int, default=2)
-    budget = flag("--max-len", type=int, default=DEFAULT_UD_BUDGET, help="digit budget of the witness search")
-    seeded = flag("--seed", type=int, default=REFERENCE_SEED)
+    radix = flag("--radix", type=_integer, default=2)
+    budget = flag("--max-len", type=_integer, default=DEFAULT_UD_BUDGET, help="digit budget of the witness search")
+    seeded = flag("--seed", type=_integer, default=REFERENCE_SEED)
 
     parser = argparse.ArgumentParser(
         prog="codecert",
@@ -505,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("simulate", _cmd_simulate, "empirical ACL along a stream", seeded)
     p.add_argument("source")
     p.add_argument("code")
-    p.add_argument("--t", type=int, default=10000)
+    p.add_argument("--t", type=_integer, default=10000)
 
     p = command("fuzz", _cmd_fuzz, "randomized certificate checking", seeded)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_integer, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = command("check-ineq", _cmd_check_ineq, "closing inequality checks", radix)

@@ -11,6 +11,9 @@ flavors:
   * acl(src, code, policy)    - expectation over policy choices too
   * empirical_acl(...)        - the pathwise sequence ACL_t after t symbols
 
+Exact ACL is computed on the source's integer masses m_i over its
+denominator D and returned as a Fraction, the API view.
+
 The empty codeword (written '-') is representable; it is only ever
 useful as the sole codeword of a one-symbol code, and the
 decipherability and tree layers reject it in any other position.
@@ -18,6 +21,7 @@ decipherability and tree layers reject it in any other position.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +36,7 @@ from .errors import (
     MissingSymbol,
 )
 from .rng import SplitMix64, _check_seed, derived_seed
-from .source import Source, _as_fraction, _check_radix, _cumulative_thresholds, sample_stream
+from .source import Source, _as_fraction, _integer_masses, sample_stream
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -198,18 +202,21 @@ def make_policy(weights: Mapping | Iterable) -> EncodingPolicy:
 
 
 def is_non_singular(code: Code) -> bool:
-    """True iff the image sets f(s_i) are pairwise disjoint."""
-    sets = [set(words) for _, words in code.mapping]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                return False
-    return True
+    """True iff the image sets f(s_i) are pairwise disjoint.
+
+    A symbol never repeats a codeword, so the sets are disjoint exactly
+    when no codeword occurs twice in the pooled list.
+    """
+    pooled = code.pooled()
+    return len(set(pooled)) == len(pooled)
 
 
 def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
-    """The exact rational sum of r^(-l) over the length multiset."""
-    _check_radix(r)
+    """The exact rational sum of r^(-l) over the length multiset.
+
+    Radix 1 is admitted: every term is 1, so the sum counts the lengths.
+    """
+    _check_code_radix(r)
     counts = Counter(lengths)
     if any(l < 0 for l in counts):
         raise ValueError("codeword lengths are non-negative")
@@ -220,10 +227,8 @@ def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
     return Fraction(sum(k * r ** (top - l) for l, k in counts.items()), r**top)
 
 
-def _policy_weights(code: Code, policy: EncodingPolicy | None, symbol) -> tuple[Fraction, ...]:
-    words = code.codewords(symbol)
-    if len(words) == 1:
-        return (Fraction(1),)
+def _policy_weights(policy: EncodingPolicy | None, symbol, words: tuple[Codeword, ...]) -> tuple[Fraction, ...]:
+    """The policy's weights over a symbol with several codewords."""
     if policy is None:
         raise MissingPolicy(f"symbol {symbol!r} has {len(words)} codewords but no policy was given")
     qs = policy.weights_for(symbol)
@@ -233,13 +238,16 @@ def _policy_weights(code: Code, policy: EncodingPolicy | None, symbol) -> tuple[
 
 
 def acl_exact(src: Source, code: Code, policy: EncodingPolicy | None = None) -> Fraction:
-    """Average codeword length as an exact rational."""
-    total = Fraction(0)
-    for symbol, p in zip(src.symbols, src.probs):
+    """Average codeword length as an exact rational: sum m_i * l_i / D."""
+    total = 0  # an int until a symbol with several codewords adds a Fraction
+    for symbol, m in zip(src.symbols, src.masses):
         words = code.codewords(symbol)
-        qs = _policy_weights(code, policy, symbol)
-        total += p * sum((q * w.length for q, w in zip(qs, words)), Fraction(0))
-    return total
+        if len(words) == 1:
+            total += m * words[0].length
+        else:
+            qs = _policy_weights(policy, symbol, words)
+            total += m * sum(q * w.length for q, w in zip(qs, words))
+    return Fraction(total, src.denominator)
 
 
 def acl(src: Source, code: Code, policy: EncodingPolicy | None = None) -> float:
@@ -314,8 +322,9 @@ def empirical_acl(
     if t < 1:
         raise ValueError("simulation needs t >= 1")
     _check_seed(seed)
-    if not code.covers(src):
-        missing = [s for s in src.symbols if s not in set(code.symbols)]
+    have = set(code.symbols)
+    missing = [s for s in src.symbols if s not in have]
+    if missing:
         raise MissingSymbol(f"code does not cover symbols {missing!r}")
 
     stream = sample_stream(src, t, seed)
@@ -332,7 +341,8 @@ def empirical_acl(
             u = 0
         elif isinstance(chooser, EncodingPolicy):
             if symbol not in thresholds:
-                thresholds[symbol] = _cumulative_thresholds(_policy_weights(code, chooser, symbol))
+                denom, masses = _integer_masses(_policy_weights(chooser, symbol, words))
+                thresholds[symbol] = denom, list(itertools.accumulate(masses))
             denom, bounds = thresholds[symbol]
             u = bisect_right(bounds, choice_rng.randbelow(denom))
         elif callable(chooser):

@@ -20,8 +20,6 @@ same convention.
 
 from __future__ import annotations
 
-import heapq
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .codes import Code, Codeword, kraft_sum
@@ -184,31 +182,41 @@ def huffman(src: Source, r: int) -> Code:
     output. Ties merge the earliest-created nodes first (leaves are
     created in symbol order), and the merged group takes digits 0..r-1
     in that same order, so the output is deterministic.
+
+    Integer masses are merged with the two queues of van Leeuwen (1976):
+    leaves sorted once by (mass, order), and merged nodes in creation
+    order, whose masses never decrease. Taking the lower (mass, order)
+    head is the order a heap would pop, in linear time after the sort.
     """
     _check_radix(r)
     n = len(src)
-    # heap entries are (weight, order, children); order is unique, so ties
-    # never compare further, and a childless entry with order < n is a symbol
-    heap: list[tuple[Fraction, int, tuple]] = [(p, i, ()) for i, p in enumerate(src.probs)]
-    pad = 0
-    if r > 2:
-        while (n + pad) % (r - 1) != 1:
-            pad += 1
-    heap.extend((Fraction(0), n + k, ()) for k in range(pad))
-    heapq.heapify(heap)
-
-    order = n + pad
-    while len(heap) > 1:
-        group = tuple(heapq.heappop(heap) for _ in range(min(r, len(heap))))
-        heapq.heappush(heap, (sum((g[0] for g in group), Fraction(0)), order, group))
-        order += 1
+    pad = (1 - n) % (r - 1)  # n + pad = 1 mod (r-1)
+    # node k is symbol k for k < n, a placeholder for k < n + pad, and
+    # merged node k - n - pad after that; orders are creation orders
+    mass = list(src.masses) + [0] * pad
+    leaves = list(range(n, n + pad)) + sorted(range(n), key=mass.__getitem__)
+    groups: list[list[int]] = []
+    i = j = 0  # heads of the leaf queue and of the merged queue
+    first_merged = n + pad
+    for _ in range((n + pad - 1) // (r - 1)):
+        group = []
+        for _ in range(r):
+            # on equal masses the leaf is older, so the leaf queue wins ties
+            if j < len(groups) and (i == len(leaves) or mass[first_merged + j] < mass[leaves[i]]):
+                group.append(first_merged + j)
+                j += 1
+            else:
+                group.append(leaves[i])
+                i += 1
+        mass.append(sum(mass[k] for k in group))
+        groups.append(group)
 
     words: list[Codeword | None] = [None] * n
-    stack = [(heap[0], ())]
+    stack = [(len(mass) - 1, ())]
     while stack:
-        (_, i, children), path = stack.pop()
-        if children:
-            stack.extend((child, path + (digit,)) for digit, child in enumerate(children))
-        elif i < n:
-            words[i] = Codeword(path)
+        k, path = stack.pop()
+        if k >= first_merged:
+            stack.extend((child, path + (digit,)) for digit, child in enumerate(groups[k - first_merged]))
+        elif k < n:
+            words[k] = Codeword(path)
     return Code(r, tuple((s, (w,)) for s, w in zip(src.symbols, words)))

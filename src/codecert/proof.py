@@ -17,10 +17,12 @@ compacted tree, and within a level the nodes in lexicographic path
 order; this is the order the reference operations find_sibling_group
 and reduce_group pick one merge at a time, rebuilding the tree and the
 source after each. certify runs it in one bottom-up pass instead: each
-merge passes its children's probabilities to reduction_step, which
-records the step, and its p_red becomes the merged node's probability.
-The pass never rebuilds the tree or a Source, so a chain costs about
-one tree walk plus the arithmetic of its steps.
+merge passes its children's integer masses over the source's
+denominator D to reduction_step, which records the step, and their sum
+becomes the merged node's mass. The pass never rebuilds the tree or a
+Source, so a chain costs about one tree walk plus the integer
+arithmetic of its steps; a step's probs and p_red are Fraction views of
+its masses over D.
 
 Defects are reported as floats but verdicts are decided exactly: a step
 is tight iff s = r and the probabilities match as rationals, and the
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 from .codes import Code, Codeword, acl_exact, minimal_reduction
@@ -51,7 +54,7 @@ from .errors import (
     RadixOneUnsupported,
     ZeroOrNegativeProbability,
 )
-from .source import Source, _check_radix, _log, entropy
+from .source import Source, _check_radix, _integer_masses, _log, entropy
 from .tree import (
     CodeTree,
     SiblingGroup,
@@ -78,11 +81,12 @@ class MergedSymbol:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One sibling merge: the group, its probabilities, and the defect."""
+    """One sibling merge: the group, its integer masses over a denominator,
+    and the defect."""
 
     group: SiblingGroup
-    probs: tuple[Fraction, ...]
-    p_red: Fraction
+    masses: tuple[int, ...]
+    denominator: int
     l_red: int
     delta: float
     is_tight: bool
@@ -90,6 +94,16 @@ class ReductionStep:
     @property
     def s(self) -> int:
         return self.group.s
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The members' probabilities, masses[k] / denominator."""
+        return tuple(Fraction(m, self.denominator) for m in self.masses)
+
+    @cached_property
+    def p_red(self) -> Fraction:
+        """The group's total probability."""
+        return Fraction(sum(self.masses), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -167,15 +181,18 @@ class PpResult:
     ineq_b: bool | None
 
 
-def _delta(probs: tuple[Fraction, ...], p_red: Fraction, r: int) -> float:
+def _delta(masses: tuple[int, ...], d: int, r: int) -> float:
+    # m / d rounds as float(Fraction(m, d)) does: the bits of the rationals
     log_r = math.log(r)
-    red = float(p_red)
-    group = math.fsum(float(p) * _log(p) / log_r for p in probs)
-    return red * _log(p_red) / log_r - group - red
+    m_red = sum(masses)
+    red = m_red / d
+    group = math.fsum(m / d * _log(m, d) / log_r for m in masses)
+    return red * _log(m_red, d) / log_r - group - red
 
 
-def reduction_step(group: SiblingGroup, probs: tuple[Fraction, ...], r: int) -> ReductionStep:
-    """The record of one merge: a sibling-leaf group with these probabilities.
+def reduction_step(group: SiblingGroup, masses: tuple[int, ...], denominator: int, r: int) -> ReductionStep:
+    """The record of one merge: a sibling-leaf group whose members have
+    probabilities masses[k] / denominator.
 
     certify calls this once per merge of its chain; each call costs the
     group's size, never the tree's.
@@ -183,18 +200,15 @@ def reduction_step(group: SiblingGroup, probs: tuple[Fraction, ...], r: int) -> 
     _check_radix(r)
     if group.s < 2 or group.s > r:
         raise InvalidGroup(f"group size {group.s} outside 2..{r}")
-    if len(probs) != group.s:
-        raise InvalidGroup(f"group of {group.s} members given {len(probs)} probabilities")
-    if any(p is None for p in probs):
-        raise InvalidGroup("group leaf carries no probability")
-    p_red = sum(probs, Fraction(0))
+    if len(masses) != group.s:
+        raise InvalidGroup(f"group of {group.s} members given {len(masses)} masses")
     return ReductionStep(
         group=group,
-        probs=probs,
-        p_red=p_red,
+        masses=masses,
+        denominator=denominator,
         l_red=len(group.parent),
-        delta=_delta(probs, p_red, r),
-        is_tight=(group.s == r and len(set(probs)) == 1),
+        delta=_delta(masses, denominator, r),
+        is_tight=(group.s == r and len(set(masses)) == 1),
     )
 
 
@@ -218,7 +232,11 @@ def reduce_group(
         raise InvalidGroup("group members are not exactly the parent's children")
     if any(not c.is_leaf for _, c in parent.children):
         raise InvalidGroup("group contains an internal node")
-    step = reduction_step(group, tuple(c.prob for _, c in parent.children), tree.radix)
+    probs = tuple(c.prob for _, c in parent.children)
+    if None in probs:
+        raise InvalidGroup("group leaf carries no probability")
+    denominator, masses = _integer_masses(probs)
+    step = reduction_step(group, masses, denominator, tree.radix)
     merged = MergedSymbol(tuple(c.symbol for _, c in parent.children))
     reduced_tree = replace_group_with_leaf(tree, group, merged, step.p_red)
     return tree_source(reduced_tree), reduced_tree, step
@@ -282,7 +300,7 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     acl_fraction = acl_exact(src, certified)
     drop = acl_exact(src, canonical) - acl_fraction
 
-    steps = _merge_chain(tree)
+    steps = _merge_chain(tree, src)
     all_tight = all(s.is_tight for s in steps)
     equal, witness = equality_condition(src, certified)
     if equal != all_tight:
@@ -304,12 +322,13 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     )
 
 
-def _merge_chain(tree: CodeTree) -> list[ReductionStep]:
+def _merge_chain(tree: CodeTree, src: Source) -> list[ReductionStep]:
     """Every merge of a compact tree's chain, in one bottom-up pass.
 
     Each internal node is merged once, deepest level first and each
     level in lexicographic path order, so by its turn all of its
-    children are leaves.
+    children are leaves. The tree's leaves carry src's symbols, whose
+    integer masses over src.denominator the steps sum.
     """
     levels: list[list[tuple[tuple[int, ...], TreeNode]]] = []
     for path, node in tree.walk():
@@ -318,24 +337,25 @@ def _merge_chain(tree: CodeTree) -> list[ReductionStep]:
                 levels.append([])
             levels[len(path)].append((path, node))
 
-    p_merged: dict[int, Fraction] = {}  # id(node) -> p_red of every node merged so far
+    mass_of = dict(zip(src.symbols, src.masses))
+    merged: dict[int, int] = {}  # id(node) -> mass of every node merged so far
     steps = []
     for level in reversed(levels):
         for path, node in level:
             group = SiblingGroup(path, tuple(path + (d,) for d, _ in node.children))
-            probs = tuple(c.prob if c.is_leaf else p_merged[id(c)] for _, c in node.children)
-            step = reduction_step(group, probs, tree.radix)
-            p_merged[id(node)] = step.p_red
-            steps.append(step)
+            masses = tuple(mass_of[c.symbol] if c.is_leaf else merged[id(c)] for _, c in node.children)
+            steps.append(reduction_step(group, masses, src.denominator, tree.radix))
+            merged[id(node)] = sum(masses)
     return steps
 
 
 def equality_condition(src: Source, code: Code) -> tuple[bool, EqualityWitness | None]:
     """Exact test for H = ACL: p_i = r**(-l_i) for every symbol.
 
-    Uses each symbol's shortest codeword. When the condition holds the
-    leaf count satisfies n = z*(r-1) + 1 and the witness carries z and
-    the exponents in source order. No floating point is involved.
+    Uses each symbol's shortest codeword, and tests m_i * r**l_i == D on
+    the source's integer masses. When the condition holds the leaf count
+    satisfies n = z*(r-1) + 1 and the witness carries z and the
+    exponents in source order. No floating point is involved.
     """
     reduced = minimal_reduction(code)
     r = code.radix
@@ -346,18 +366,18 @@ def equality_condition(src: Source, code: Code) -> tuple[bool, EqualityWitness |
             return True, EqualityWitness(0, (0,))
         return False, None
 
-    for p, length in zip(src.probs, lengths):
-        if p != Fraction(1, r**length):
-            return False, None
+    d = src.denominator
+    if any(m * r**length != d for m, length in zip(src.masses, lengths)):
+        return False, None
     n = len(src)
     if (n - 1) % (r - 1) != 0:
         raise ExactnessCheckFailed("power-of-r probabilities must force a full tree")
     return True, EqualityWitness((n - 1) // (r - 1), tuple(lengths))
 
 
-def _group_probs(probs, r: int) -> tuple[Fraction, ...]:
+def _group_masses(probs, r: int) -> tuple[int, tuple[int, ...]]:
     """Check the radix and the probabilities of a closing-inequality check;
-    returns the probabilities as Fractions."""
+    returns them as integer masses over their common denominator."""
     _check_radix(r)
     probs = tuple(Fraction(p) for p in probs)
     if not probs:
@@ -365,7 +385,7 @@ def _group_probs(probs, r: int) -> tuple[Fraction, ...]:
     for p in probs:
         if p <= 0:
             raise ZeroOrNegativeProbability(f"group probabilities must be positive, got {p}")
-    return probs
+    return _integer_masses(probs)
 
 
 def check_group_inequality(probs, r: int) -> GroupInequalityResult:
@@ -374,18 +394,18 @@ def check_group_inequality(probs, r: int) -> GroupInequalityResult:
     Evaluated in log space; `tight` is the exact rational test s = r
     with all p_k equal, which the value check cross-validates.
     """
-    probs = _group_probs(probs, r)
-    s = len(probs)
+    d, masses = _group_masses(probs, r)
+    s = len(masses)
     if s > r:
         raise GroupLargerThanRadix(f"group of {s} exceeds radix {r}")
 
-    log_r, log_total = math.log(r), _log(sum(probs, Fraction(0)))
-    log_value = math.fsum(float(p) * (log_r + _log(p) - log_total) for p in probs)
+    log_r, log_total = math.log(r), _log(sum(masses), d)
+    log_value = math.fsum(m / d * (log_r + _log(m, d) - log_total) for m in masses)
     value = math.exp(log_value)
     return GroupInequalityResult(
         value=value,
         holds=value >= 1.0 - LOG_SLACK,
-        tight=(s == r and len(set(probs)) == 1),
+        tight=(s == r and len(set(masses)) == 1),
     )
 
 
@@ -416,14 +436,14 @@ def check_pp_inequalities(probs, r: int) -> PpResult:
     (reported honestly either way). ineq_b: prod_k p_k**p_k >= 1/s,
     evaluated only when the probabilities sum to exactly 1.
     """
-    probs = _group_probs(probs, r)
-    s = len(probs)
-    total = sum(probs, Fraction(0))
+    d, masses = _group_masses(probs, r)
+    s = len(masses)
+    total = sum(masses)
 
-    power_sum = math.fsum(float(p) * _log(p) for p in probs)
-    lhs_a = float(total) * (_log(total) - math.log(r))
+    power_sum = math.fsum(m / d * _log(m, d) for m in masses)
+    lhs_a = total / d * (_log(total, d) - math.log(r))
     ineq_a = lhs_a <= power_sum + LOG_SLACK
-    ineq_b = power_sum >= -math.log(s) - LOG_SLACK if total == 1 else None
+    ineq_b = power_sum >= -math.log(s) - LOG_SLACK if total == d else None
     return PpResult(ineq_a=ineq_a, ineq_b=ineq_b)
 
 

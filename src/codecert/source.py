@@ -1,10 +1,15 @@
 """Finite stationary memoryless sources.
 
 A source is an ordered alphabet together with an exact rational
-probability for each symbol. Probabilities are kept as
-fractions.Fraction throughout; only entropy is a floating-point
-surface. Exactness is what lets the proof engine decide the equality
-case p_i = r^(-l_i) with no tolerance at all.
+probability for each symbol. Validation derives the one internal form
+of probability mass: a common denominator D = lcm of the denominators
+and integer masses m_i = p_i*D, which sum to exactly D. Every exact
+computation (ACL, Huffman merges, merge-chain masses, the equality
+test, sampling) runs on these integers; `probs` is the Fraction view of
+the same values for the API. Only entropy and the per-merge defects are
+floating-point surfaces, and they read m/D, which rounds exactly as
+float(Fraction) does. Exactness is what lets the proof engine decide
+the equality case p_i = r^(-l_i) with no tolerance at all.
 
 Sampling is deterministic: a seed is an integer in [0, 2^64) that keys
 a splitmix64 stream (see codecert.rng), so a stream is reproducible from
@@ -16,9 +21,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 from typing import Any, Sequence
 
 from .errors import (
@@ -64,16 +70,30 @@ def _as_fraction(value) -> Fraction:
 
 def _check_probability(symbol, p: Fraction) -> None:
     """The invariant of one symbol's probability in a Source."""
-    if p <= 0:
+    if not isinstance(p, Rational):
+        raise ZeroOrNegativeProbability(f"p({symbol!r}) = {p!r} is not an exact rational")
+    if p.numerator <= 0:  # the denominator of a Rational is positive
         raise ZeroOrNegativeProbability(f"p({symbol!r}) = {p} is not strictly positive")
+
+
+def _integer_masses(probs: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
+    """The common denominator D = lcm of the denominators and the integer
+    masses m_i = probs[i]*D, so probs[i] == Fraction(m_i, D) exactly."""
+    denom = math.lcm(*(p.denominator for p in probs))
+    return denom, tuple(p.numerator * (denom // p.denominator) for p in probs)
 
 
 @dataclass(frozen=True)
 class Source:
-    """An ordered alphabet with exact, strictly positive probabilities summing to 1."""
+    """An ordered alphabet with exact, strictly positive probabilities summing to 1.
+
+    Validation derives the integer masses[i] = probs[i] * denominator.
+    """
 
     symbols: tuple[Any, ...]
     probs: tuple[Fraction, ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    masses: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.symbols) == 0:
@@ -86,9 +106,12 @@ class Source:
                 raise DuplicateSymbol(f"symbol {sym!r} listed twice")
             seen.add(sym)
             _check_probability(sym, p)
-        total = sum(self.probs, Fraction(0))
-        if total != 1:
-            raise ProbabilitySumNotOne(f"probabilities sum to {total}, not 1")
+        denom, masses = _integer_masses(self.probs)
+        total = sum(masses)
+        if total != denom:
+            raise ProbabilitySumNotOne(f"probabilities sum to {Fraction(total, denom)}, not 1")
+        object.__setattr__(self, "denominator", denom)
+        object.__setattr__(self, "masses", masses)
 
     @cached_property
     def _index(self) -> dict:
@@ -118,12 +141,15 @@ def _check_radix(r) -> int:
     return r
 
 
-def _log(p: Fraction) -> float:
-    """math.log(p), also for a positive p too small to be a float."""
+def _log(m: int, d: int) -> float:
+    """math.log(m / d) for positive integers, also when m / d is too small
+    to be a float; the fallback reduces the pair first, so its bits do not
+    depend on a common factor of m and d."""
     try:
-        return math.log(p)
+        return math.log(m / d)
     except ValueError:
-        return math.log(p.numerator) - math.log(p.denominator)
+        g = math.gcd(m, d)
+        return math.log(m // g) - math.log(d // g)
 
 
 def entropy(src: Source, r: int) -> float:
@@ -133,8 +159,9 @@ def entropy(src: Source, r: int) -> float:
     """
     _check_radix(r)
     log_r = math.log(r)
+    d = src.denominator
     # + 0.0 normalizes the -0.0 of a singleton source
-    return -math.fsum(float(p) * _log(p) for p in src.probs) / log_r + 0.0
+    return -math.fsum(m / d * _log(m, d) for m in src.masses) / log_r + 0.0
 
 
 def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP) -> Source:
@@ -155,18 +182,6 @@ def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP)
     return Source(tuple(symbols), tuple(probs))
 
 
-def _cumulative_thresholds(probs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Common denominator D and cumulative integer thresholds: bisect_right(bounds, u)
-    for u uniform below D picks index i with probability exactly probs[i]."""
-    denom = math.lcm(*(p.denominator for p in probs))
-    bounds = []
-    acc = 0
-    for p in probs:
-        acc += p.numerator * (denom // p.denominator)
-        bounds.append(acc)
-    return denom, bounds
-
-
 def sample_stream(src: Source, t: int, seed: int) -> list:
     """t i.i.d. draws from the source, deterministic given the seed.
 
@@ -179,7 +194,8 @@ def sample_stream(src: Source, t: int, seed: int) -> list:
     _check_seed(seed)
     if len(src) == 1:
         return [src.symbols[0]] * t
-    denom, bounds = _cumulative_thresholds(src.probs)
+    # bisect_right(bounds, u) for u uniform below D picks i with probability m_i/D
+    denom, bounds = src.denominator, list(itertools.accumulate(src.masses))
     rng = SplitMix64(seed)
     out = []
     for _ in range(t):

@@ -5,6 +5,7 @@ mpmath at 50 significant digits or exact Fractions, sharing no code
 with the package under test.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -98,3 +99,35 @@ def ud_witness_oracle(mapping, r, max_len):
             if len(decodings(string)) >= 2:
                 return string
     return None
+
+
+def heap_huffman_oracle(probs, r):
+    """Huffman codewords as digit tuples, in symbol order, from a heap of
+    (Fraction weight, creation order, children) entries.
+
+    Pads with zero-weight placeholders to 1 mod (r-1) leaves; ties pop the
+    earliest-created node, and a merged group takes digits 0..r-1 in pop
+    order. This is the heap construction the integer engine must match.
+    """
+    n = len(probs)
+    heap = [(Fraction(p), i, ()) for i, p in enumerate(probs)]
+    pad = 0
+    if r > 2:
+        while (n + pad) % (r - 1) != 1:
+            pad += 1
+    heap.extend((Fraction(0), n + k, ()) for k in range(pad))
+    heapq.heapify(heap)
+    order = n + pad
+    while len(heap) > 1:
+        group = tuple(heapq.heappop(heap) for _ in range(min(r, len(heap))))
+        heapq.heappush(heap, (sum((g[0] for g in group), Fraction(0)), order, group))
+        order += 1
+    words = [None] * n
+    stack = [(heap[0], ())]
+    while stack:
+        (_, i, children), path = stack.pop()
+        if children:
+            stack.extend((child, path + (digit,)) for digit, child in enumerate(children))
+        elif i < n:
+            words[i] = path
+    return words

@@ -113,6 +113,22 @@ def test_certify_raises_when_exact_checks_disagree(monkeypatch):
         certify(src, code)
 
 
+def test_delta_bits_pinned_for_masses_below_the_float_range():
+    # the masses 5 and 10 share the factor 5 with D, and 5/D, 1/D, 10/D and
+    # the merged 6/D and 16/D are all below 2^-1074; the bits were recorded
+    # from the Fraction arithmetic that the integer masses replaced
+    D = 5 * 2**1100
+    src = make_source("abcd", [F(D - 16, D), F(5, D), F(1, D), F(10, D)])
+    code = make_code(2, {"a": "0", "b": "100", "c": "101", "d": "11"})
+    cert = certify(src, code)
+    assert [s.delta.hex() for s in cert.steps] == ["-0x0.0p+0", "-0x0.0p+0", "-0x1.0000000000000p+0"]
+    assert [s.p_red * D for s in cert.steps] == [6, 16, D]
+    assert (cert.entropy.hex(), cert.sum_delta.hex()) == ("0x0.0p+0", "-0x1.0000000000000p+0")
+    assert cert.acl_exact == 1 + F(22, D) and cert.verdict == "StrictInequality"
+    # the reference chain reduces each group over its own denominator
+    assert [fields(s) for s in cert.steps] == [fields(s) for s in reference_chain(src, cert.canonical_code)]
+
+
 # --- sorted-neighbour prefix test ---
 
 

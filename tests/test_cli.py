@@ -646,6 +646,54 @@ def test_numerals_are_ascii_only(tmp_path, capsys):
     assert (status, err) == (2, "error: bad probability list: not a rational number: '1_0/20'")
 
 
+# int() reads '1_0' and '١٠' as 10; every integer option reads ASCII digits only
+INTEGER_OPTION_CASES = [
+    ("kraft --lengths 1,1 --radix 1_0", "--radix", "1_0"),
+    ("entropy {src} --radix ٢", "--radix", "٢"),
+    ("check-ud {code} --max-len 1_2", "--max-len", "1_2"),
+    ("certify {src} {code} --max-len ١٢", "--max-len", "١٢"),
+    ("simulate {src} {code} --seed ١٠ --machine", "--seed", "١٠"),
+    ("simulate {src} {code} --t 5_0", "--t", "5_0"),
+    ("fuzz --trials 1_0", "--trials", "1_0"),
+    ("fuzz --trials 2 --seed 1_0", "--seed", "1_0"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", INTEGER_OPTION_CASES)
+def test_integer_options_are_ascii_only(command, option, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command.format(**_inputs(tmp_path)).split())
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert f"error: argument {option}: not an integer: {value!r}" in err
+
+
+def test_integer_options_read_signs_and_ascii_digits(tmp_path, capsys):
+    inputs = _inputs(tmp_path)
+    assert run(capsys, "kraft", "--lengths", "1,1", "--radix", "+10", "--machine") == (0, "kraft=1/5\nholds=True", "")
+    status, out, _ = run(capsys, "simulate", inputs["src"], inputs["code"], "--seed", "10", "--t", "20", "--machine")
+    assert status == 0 and "seed=10" in out.splitlines()
+
+
+# --- radix 1 ---
+
+
+def test_kraft_on_radix_one(tmp_path, capsys):
+    # at radix 1 every codeword contributes 1, so the sum is the codeword count
+    one = write(tmp_path, "one.txt", "radix 1\na 0\n")
+    two = write(tmp_path, "two.txt", "radix 1\na 0\nb 00\n")
+    assert run(capsys, "kraft", one, "--machine") == (0, "kraft=1/1\nholds=True", "")
+    assert run(capsys, "check-prefix", one, "--machine") == (0, "prefix_free=True", "")
+    assert run(capsys, "kraft", two, "--machine") == (1, "kraft=2/1\nholds=False", "")
+    assert run(capsys, "check-prefix", two, "--machine") == (1, "prefix_free=False", "")
+    assert run(capsys, "kraft", "--lengths", "3", "--radix", "1")[:2] == (0, "Kraft sum = 1/1 (radix 1), within the bound")
+    assert run(capsys, "kraft", "--lengths", "1,2", "--radix", "1", "--machine")[:2] == (1, "kraft=2/1\nholds=False")
+    # building a code still needs two digits
+    for command in (["build-code", "--lengths", "1"], ["huffman", write(tmp_path, "s.txt", DYADIC_SRC)]):
+        status, out, err = run(capsys, *command, "--radix", "1")
+        assert (status, out) == (2, "") and err == "error: radix must be an integer >= 2, got 1"
+
+
 # --- codewords with digits above 9 ---
 
 

@@ -105,6 +105,9 @@ def test_is_non_singular():
     assert is_non_singular(code_abc())
     shared = make_code(2, [("a", "0"), ("b", "0")])
     assert not is_non_singular(shared)
+    # several codewords per symbol: only a word shared across symbols is singular
+    assert is_non_singular(make_code(2, [("a", ["0", "11"]), ("b", ["10", "011"])]))
+    assert not is_non_singular(make_code(2, [("a", ["0", "11"]), ("b", "10"), ("c", ["1", "11"])]))
 
 
 # --- Kraft sum ---
@@ -116,8 +119,10 @@ def test_kraft_sum_exact():
     assert kraft_sum([1, 1, 1], 3) == 1
     assert kraft_sum([], 2) == 0
     assert kraft_sum([0], 2) == 1  # the empty codeword counts in full
+    assert kraft_sum([1], 1) == 1  # radix 1: every term is 1, so the sum counts the words
+    assert kraft_sum([1, 2, 3], 1) == 3
     with pytest.raises(InvalidRadix):
-        kraft_sum([1], 1)
+        kraft_sum([1], 0)
     with pytest.raises(ValueError):
         kraft_sum([-1], 2)
 
@@ -151,6 +156,26 @@ def test_acl_policy_weighted():
         acl_exact(src, code)
     with pytest.raises(MissingPolicy):
         acl_exact(src, code, make_policy({"a": ["1/3", "1/3", "1/3"]}))
+
+
+def test_acl_exact_equals_the_rational_definition():
+    # coprime denominators in the source and in the policy weights
+    rng = random.Random("acl")
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        weights = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+        probs = [w / sum(weights) for w in weights]
+        src = make_source([f"s{i}" for i in range(n)], probs)
+        mapping, policy, expected = [], {}, F(0)
+        for i, p in enumerate(probs):
+            words = sorted({"".join(rng.choice("01") for _ in range(rng.randint(0, 6))) or "-" for _ in range(3)})
+            words = words[: rng.randint(1, len(words))]
+            qs = [F(rng.randint(1, 7), rng.randint(1, 7)) for _ in words]
+            qs = [q / sum(qs) for q in qs] if len(words) > 1 else [F(1)]
+            mapping.append((f"s{i}", words))
+            policy[f"s{i}"] = qs
+            expected += p * sum(q * (0 if w == "-" else len(w)) for q, w in zip(qs, words))
+        assert acl_exact(src, make_code(2, mapping), make_policy(policy)) == expected
 
 
 def test_acl_missing_symbol():
@@ -202,6 +227,11 @@ def test_empirical_symbol_stream_independent_of_code():
     other = make_code(2, {"a": "1", "b": "01", "c": "00"})
     t2 = empirical_acl(src, other, None, 200, 5)
     assert t1.symbol_indices == t2.symbol_indices
+
+
+def test_empirical_acl_names_every_missing_symbol():
+    with pytest.raises(MissingSymbol, match=r"does not cover symbols \['b', 'c'\]"):
+        empirical_acl(dyadic_abc(), make_code(2, {"a": "0"}), None, 5, 1)
 
 
 def test_empirical_acl_matches_running_average():

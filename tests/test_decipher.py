@@ -27,7 +27,7 @@ from codecert import (
     make_source,
     ud_counterexample,
 )
-from oracles import ud_witness_oracle
+from oracles import heap_huffman_oracle, ud_witness_oracle
 
 
 def singleton(words, r=2):
@@ -318,3 +318,25 @@ def test_huffman_within_one_of_entropy():
         code = huffman(src, r)
         h = entropy(src, r)
         assert h - 1e-12 <= float(acl_exact(src, code)) < h + 1
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 16, 36])
+def test_huffman_codewords_equal_heap_oracle(r):
+    # few distinct masses force ties between leaves, between merged nodes,
+    # and between a leaf and a merged node; n spans every padding count
+    rng = random.Random(f"huffman:{r}")
+    for k in range(120):
+        n = 1 + rng.randrange(3 * r if k % 4 else 90)
+        weights = [rng.choice([1, 1, 2, 3, 4, 8]) if k % 2 else rng.randint(1, 10**6) for _ in range(n)]
+        total = sum(weights)
+        probs = [F(w, total) for w in weights]
+        src = make_source([f"s{i}" for i in range(n)], probs)
+        code = huffman(src, r)
+        assert [words[0].digits for _, words in code.mapping] == heap_huffman_oracle(probs, r), (r, k)
+
+
+def test_huffman_equal_masses_and_padding_pinned():
+    # uniform masses: every merge is a tie; 5 symbols at radix 4 need 2 placeholders
+    src = make_source("abcde", [F(1, 5)] * 5)
+    assert [str(w[0]) for _, w in huffman(src, 4).mapping] == ["32", "33", "0", "1", "2"]
+    assert [str(w[0]) for _, w in huffman(src, 2).mapping] == ["110", "111", "00", "01", "10"]

@@ -120,17 +120,18 @@ def test_step_rejects_invalid_groups():
 
 def test_reduction_step_record_and_errors():
     group = SiblingGroup((1,), ((1, 0), (1, 1)))
-    step = reduction_step(group, (F(3, 10), F(1, 10)), 2)
+    step = reduction_step(group, (3, 1), 10, 2)  # probabilities 3/10 and 1/10
     assert (step.p_red, step.l_red, step.s, step.is_tight) == (F(2, 5), 1, 2, False)
+    assert step.probs == (F(3, 10), F(1, 10))
     assert abs(step.delta - float(delta_oracle((F(3, 10), F(1, 10)), 2))) <= 1e-12
+    # the masses' common factor changes no bit of the defect
+    assert reduction_step(group, (6, 2), 20, 2).delta.hex() == step.delta.hex()
     with pytest.raises(InvalidGroup):
-        reduction_step(group, (F(1, 2),), 2)  # fewer probabilities than members
+        reduction_step(group, (1,), 2, 2)  # fewer masses than members
     with pytest.raises(InvalidGroup):
-        reduction_step(group, (F(1, 2), None), 2)
+        reduction_step(SiblingGroup((), ((0,),)), (1,), 1, 2)  # group of one
     with pytest.raises(InvalidGroup):
-        reduction_step(SiblingGroup((), ((0,),)), (F(1),), 2)  # group of one
-    with pytest.raises(InvalidGroup):
-        reduction_step(SiblingGroup((), ((0,), (1,), (2,))), (F(1, 3),) * 3, 2)  # larger than r
+        reduction_step(SiblingGroup((), ((0,), (1,), (2,))), (1,) * 3, 3, 2)  # larger than r
 
 
 # --- certify: worked instances ---

@@ -20,6 +20,7 @@ from codecert import (
     parse_rational,
     sample_stream,
 )
+from codecert.source import _log
 from oracles import entropy_oracle
 
 
@@ -76,6 +77,31 @@ def test_source_invariants():
         make_source([], [])
     with pytest.raises(ValueError):
         make_source("ab", ["1"])
+
+
+def test_source_masses_over_one_denominator():
+    src = make_source("abc", [F(1, 6), F(1, 4), F(7, 12)])
+    assert (src.denominator, src.masses) == (12, (2, 3, 7))
+    assert all(F(m, src.denominator) == p for m, p in zip(src.masses, src.probs))
+    assert make_source("x", [1]).masses == (1,)
+    # coprime denominators: D is their product
+    assert make_source("ab", [F(1, 3), F(2, 3)]).denominator == 3
+    assert make_source("abc", [F(1, 2), F(1, 3), F(1, 6)]).masses == (3, 2, 1)
+    with pytest.raises(ProbabilitySumNotOne, match="sum to 5/6, not 1"):
+        make_source("ab", ["1/2", "1/3"])
+
+
+def test_source_rejects_inexact_probabilities():
+    with pytest.raises(ZeroOrNegativeProbability, match="not an exact rational"):
+        Source(("a", "b"), (0.5, 0.5))
+
+
+def test_log_reduces_masses_below_the_float_range():
+    # 5/(5*2^1100) = 2^-1100 is 0.0 as a float; unreduced, the fallback's
+    # log(5) - log(5*2^1100) is one unit in the last place off
+    assert _log(1, 2**1100).hex() == "-0x1.7d3b1f7e6cc3cp+9"
+    assert _log(5, 5 * 2**1100).hex() == _log(12, 12 * 2**1100).hex() == _log(1, 2**1100).hex()
+    assert _log(3, 12) == math.log(0.25)
 
 
 def test_duplicate_symbol_is_named():
