@@ -2,8 +2,9 @@
 Deciding unique decipherability
 ===============================
 
-Two deciders: the dangling-suffix iteration, and a bounded search for
-an actual ambiguous digit string. They must always agree.
+Two deciders: an exact search over pairs of parses, which also finds the
+shortest ambiguous digit string, and a brute-force search of every digit
+string up to a length budget. They must always agree within the budget.
 """
 
 from codecert import (
@@ -28,7 +29,13 @@ broken = make_code(2, [("a", "0"), ("b", "01"), ("c", "10")])
 print("broken code decipherable:", is_uniquely_decipherable(broken))
 print("witness:", ud_counterexample(broken, 12))  # 010 = a.c = b.a
 
-# the bounded brute-force oracle agrees with the suffix iteration
+# several codewords per symbol: 0^7.0^6 = 0^6.0^7 decodes as one a^2, but
+# 0^42 decodes as a^6 and as a^7, past any 12-digit search
+multi = make_code(2, [("a", ["0000000", "000000"])])
+print("multi-codeword code decipherable:", is_uniquely_decipherable(multi))
+print("shortest witness length:", len(ud_counterexample(multi, None)))
+
+# the bounded brute-force oracle agrees with the exact decision
 for code in (prefix, suffix, broken):
     assert brute_force_ud(code, 12) == is_uniquely_decipherable(code)
 print("both deciders agree on all three codes")

@@ -14,8 +14,11 @@ Subcommands map one-to-one onto library operations:
   fuzz [--trials N --seed S --tol E]  randomized certificate checking
   check-ineq --probs P [--radix R]    the three closing inequality checks
 
---max-len is the digit budget of the search for an ambiguous digit
-string (the witness); it must be at least 0 when the search runs.
+--max-len caps the length of the ambiguous digit string (the witness)
+that is reported; it must be at least 0 when a witness could be reported.
+It does not bound the work: check-ud decides unique decipherability
+exactly, and with several codewords per symbol a code whose shortest
+witness is longer than the cap is reported clean within that many digits.
 --seed is an integer in 0..2^64-1 for every subcommand. simulate encodes
 the stream once and reads its pathwise floor off that trace: a step where
 fewer digits were emitted than the same symbols' shortest codewords take
@@ -31,8 +34,9 @@ across runs for fixed inputs and seed.
 
 Source files hold one `<symbol> <probability>` pair per line, where the
 probability is a rational like 3/10 or a finite decimal; `#` starts a
-comment line. Numerals in files, --lengths, --probs and the integer options
-(--radix, --max-len, --seed, --t, --trials) are ASCII, no `_`.
+comment line. Numerals in files, --lengths, --probs, --tol and the integer
+options (--radix, --max-len, --seed, --t, --trials) are ASCII, no `_`;
+--tol is a finite number.
 Code files start with `radix <r>`, then per line
 `<symbol> <codeword>[,<codeword>...]`, optionally followed by
 `@ q1,q2,...` choice weights; `-` denotes the empty codeword. A codeword
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -65,10 +70,10 @@ from .codes import (
 )
 from .decipher import (
     DEFAULT_UD_BUDGET,
+    _check_budget,
     construct_instantaneous,
     huffman,
     is_prefix_free,
-    is_uniquely_decipherable,
     ud_counterexample,
 )
 from .errors import CodecertError, KraftViolated, NotUniquelyDecipherable, ParseError
@@ -177,6 +182,20 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
+def _finite(text: str) -> float:
+    """A finite number in ASCII; float() also reads '_', other scripts' digits,
+    'inf' and 'nan'."""
+    if text.isascii() and "_" not in text:
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+
+
 def _parse_lengths(text: str) -> list[int]:
     try:
         return [_integer(part) for part in text.split(",")]
@@ -242,13 +261,16 @@ def _cmd_kraft(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_check_ud(args: argparse.Namespace) -> tuple[int, str]:
     code, _ = parse_code_file(args.code)
+    # one exact search; --max-len only caps the witness that is reported
+    witness = ud_counterexample(code, None)
     singleton = code.is_singleton()
-    if singleton and is_uniquely_decipherable(code):
+    if witness is None and singleton:
         return 0, _kv([("ud", True)]) if args.machine else "uniquely decipherable"
-    # A singleton code that gets here is ambiguous and the search only looks
-    # for a witness. With several codewords per symbol the search is the
-    # whole decision, so a clean verdict is bounded by the digit budget.
-    witness = ud_counterexample(code, args.max_len)
+    _check_budget(args.max_len)
+    if witness is not None and Codeword.parse(witness).length > args.max_len:
+        witness = None
+    # With several codewords per symbol, a witness past the budget is not
+    # reported: the verdict is stated for the budget.
     if witness is None and not singleton:
         if args.machine:
             return 0, _kv([("ud", True), ("budget", args.max_len)])
@@ -468,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = flag("--machine", action="store_true", help="key=value output")
     radix = flag("--radix", type=_integer, default=2)
-    budget = flag("--max-len", type=_integer, default=DEFAULT_UD_BUDGET, help="digit budget of the witness search")
+    budget = flag("--max-len", type=_integer, default=DEFAULT_UD_BUDGET, help="longest witness reported, in digits")
     seeded = flag("--seed", type=_integer, default=REFERENCE_SEED)
 
     parser = argparse.ArgumentParser(
@@ -516,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("fuzz", _cmd_fuzz, "randomized certificate checking", seeded)
     p.add_argument("--trials", type=_integer, default=1000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite, default=1e-9)
 
     p = command("check-ineq", _cmd_check_ineq, "closing inequality checks", radix)
     p.add_argument("--probs", required=True)

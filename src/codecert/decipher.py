@@ -2,13 +2,18 @@
 decipherability, a brute-force oracle, the Kraft construction, and
 Huffman coding.
 
-Unique decipherability is decided two independent ways:
+Unique decipherability means that no digit string has two distinct
+decoded *symbol* sequences; with several codewords per symbol, parses
+that pick different codewords of the same symbols are one decoding.
 
-  * is_uniquely_decipherable: the Sardinas-Patterson dangling-suffix
-    iteration over the pooled codeword set (one codeword per symbol);
-  * ud_counterexample / brute_force_ud: one search over every digit
-    string up to a length budget for two distinct decoded *symbol*
-    sequences, which also handles several codewords per symbol.
+  * One engine decides it exactly and finds the shortest, then least,
+    ambiguous digit string (the witness): a search over the states of a
+    pair of parses on the codeword trie, in the manner of Sardinas and
+    Patterson (1953) and Even (1963). is_uniquely_decipherable and
+    ud_counterexample both run it; its work is set by the code, not by a
+    digit budget.
+  * brute_force_ud is the independent oracle: dynamic programming over
+    every digit string up to a length budget.
 
 Convention for the empty codeword: a code whose only codeword is the
 empty word is treated as uniquely decipherable (it is the degenerate
@@ -23,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from .codes import Code, Codeword, kraft_sum
-from .errors import KraftViolated, UnsupportedMultiCodeword
+from .errors import KraftViolated
 from .source import Source, _check_radix
 
 DEFAULT_UD_BUDGET = 12
@@ -43,66 +48,220 @@ def is_prefix_free(code: Code) -> bool:
     return not any(v[: len(u)] == u for u, v in zip(words, words[1:]))
 
 
-def _sardinas_patterson(codewords: set[tuple[int, ...]]) -> bool:
-    """Run the dangling-suffix iteration; True iff no suffix is a codeword."""
-    dangling: set[tuple[int, ...]] = set()
-    for u in codewords:
-        for v in codewords:
-            if u != v and v[: len(u)] == u:
-                dangling.add(v[len(u):])
-    visited: set[tuple[int, ...]] = set()
-    frontier = dangling
-    while frontier:
-        if frontier & codewords:
-            return False
-        visited |= frontier
-        nxt: set[tuple[int, ...]] = set()
-        for d in frontier:
-            for c in codewords:
-                if len(c) > len(d) and c[: len(d)] == d:
-                    nxt.add(c[len(d):])
-                elif len(d) > len(c) and d[: len(c)] == c:
-                    nxt.add(d[len(c):])
-        frontier = nxt - visited
-    return True
+def _check_budget(max_len) -> None:
+    if max_len < 0:
+        raise ValueError(f"the witness search needs max_len >= 0, got {max_len}")
+
+
+def _trie(code: Code) -> tuple[list[dict[int, int]], list[tuple[int, ...]], list[bool]]:
+    """The codeword trie: node 0 is the root, children[u] maps each digit to
+    the next node in ascending digit order (words are inserted sorted), and
+    ends[u] lists 1 + the index of every symbol with a codeword ending at u.
+    apart[u] holds when u is a proper prefix of a word that is a prefix of
+    another word or shared by two symbols: only below such a node can two
+    parses that agree so far come apart.
+
+    In sorted order a word that prefixes another word prefixes the next one,
+    so each word is compared with its successor only.
+    """
+    children: list[dict[int, int]] = [{}]
+    ends: list[tuple[int, ...]] = [()]
+    apart = [False]
+    entries = sorted((w.digits, symbol_id) for symbol_id, (_, words) in enumerate(code.mapping, start=1) for w in words)
+    for i, (digits, symbol_id) in enumerate(entries):
+        fork = i + 1 < len(entries) and entries[i + 1][0][: len(digits)] == digits
+        u = 0
+        for digit in digits:
+            apart[u] = apart[u] or fork
+            nxt = children[u].get(digit)
+            if nxt is None:
+                nxt = children[u][digit] = len(children)
+                children.append({})
+                ends.append(())
+                apart.append(False)
+            u = nxt
+        ends[u] += (symbol_id,)
+    return children, ends, apart
+
+
+def _emit(delay: tuple[int, ...] | None, x: int) -> tuple[int, ...] | None:
+    """The delay after one parse emits symbol id |x|: x > 0 for parse 1, x < 0
+    for parse 2. A delay holds the ahead parse's pending symbols, signed by
+    that parse; None means the decoded sequences have diverged."""
+    if delay is None:
+        return None
+    if not delay or (delay[0] > 0) == (x > 0):
+        return delay + (x,)
+    return delay[1:] if delay[0] == -x else None
+
+
+def _shortest_ambiguity(code: Code, max_len: int | None) -> tuple[int, ...] | None:
+    """The shortest, then least, digit string with two distinct decoded symbol
+    sequences, as digits, or None if there is none of length <= max_len
+    (max_len None: none at all, so the code is uniquely decipherable).
+
+    Two parses read the same digits on the codeword trie. A state is a node
+    pair and a delay: the pair packed as u1 * size + u2 with u1 <= u2, since
+    swapping the parses negates the delay and changes nothing else, and the
+    delay as an index into the delays met so far. A state accepts when both
+    parses end a codeword on the same digit with a nonempty or diverged
+    delay. Parses at one node have come down the trie together from the
+    root, with the empty delay, so such a pair is followed only above a node
+    where they can come apart.
+
+    The search runs level by level, each state kept once with a parent link
+    for the witness. A level is a list of groups of states first reached by
+    one string, in string order, and a group's successors are taken digit by
+    digit, so the first arrival at a state is its least string and the first
+    accepting arrival is the least witness of the least accepting length.
+
+    Only pairs from which both parses can end together (co-accessible) are
+    searched. Such a pair reached with two different delays, or a diverged
+    one, completes to an ambiguous string (Beal, Carton, Prieur and
+    Sakarovitch 2003, squaring of transducers), so on a uniquely decipherable
+    code each carries one delay and the search ends. With one codeword per
+    symbol, parses that come apart decode differently whatever follows, so
+    every nonempty delay is diverged, and the co-accessibility pass, which
+    bounds the delays, is skipped.
+    """
+    pooled = code.pooled()
+    if any(w.length == 0 for w in pooled):
+        # The empty string already decodes as "" and as the empty-word symbol.
+        return None if len(pooled) == 1 else ()
+
+    children, ends, apart = _trie(code)
+    size = len(children)
+    pairs = size * size
+    stay = (0,)  # the symbol ids a parse that goes on inside a codeword emits
+
+    def moves(pair: int) -> list:
+        """[(digit, [(next pair, swapped, symbol ids parse 1 may emit, the
+        same for parse 2), ...]), ...], digits ascending."""
+        u1, u2 = divmod(pair, size)
+        other = children[u2]
+        out = []
+        for digit, c1 in children[u1].items():
+            c2 = other.get(digit)
+            if c2 is None:
+                continue
+            go1, end1, go2, end2 = children[c1], ends[c1], children[c2], ends[c2]
+            succ = []
+            if go1 and go2 and (c1 != c2 or apart[c1]):
+                succ.append((c1 * size + c2, False, stay, stay) if c1 <= c2 else (c2 * size + c1, True, stay, stay))
+            if end1 and go2:
+                succ.append((c2, False, end1, stay))
+            if go1 and end2 and c1 != c2:  # at one node this is the move above, swapped
+                succ.append((c1, True, stay, end2))
+            if end1 and end2:
+                succ.append((0, False, end1, end2))
+            out.append((digit, succ))
+        return out
+
+    singleton = code.is_singleton()
+    live = None
+    if not singleton:
+        # every pair reachable together, then those with a path back to the root pair
+        preds: dict[int, list[int]] = {0: []}
+        todo = [0]
+        while todo:
+            pair = todo.pop()
+            for _, succ in moves(pair):
+                for nxt, _, _, _ in succ:
+                    if nxt not in preds:
+                        preds[nxt] = []
+                        todo.append(nxt)
+                    preds[nxt].append(pair)
+        live = set()
+        todo = [0]
+        while todo:
+            for pair in preds[todo.pop()]:
+                if pair not in live:
+                    live.add(pair)
+                    todo.append(pair)
+
+    # a state is delay index * pairs + pair; delay 0 is the empty one, 1 diverged
+    delays: list[tuple[int, ...] | None] = [(), None]
+    delay_index: dict = {(): 0, None: 1}
+    parent: dict[int, tuple[int, int] | None] = {0: None}
+    level = [[0]]
+    length = 0
+    while level and length != max_len:
+        length += 1
+        reached = []
+        for group in level:
+            by_digit: dict[int, list] = {}
+            for state in group:
+                for digit, succ in moves(state % pairs):
+                    by_digit.setdefault(digit, []).append((state, succ))
+            for digit, sources in sorted(by_digit.items()):
+                states = []
+                for state, succ in sources:
+                    index = state // pairs
+                    for nxt, swapped, xs, ys in succ:
+                        if live is not None and nxt not in live:
+                            continue
+                        for x in xs:
+                            for y in ys:
+                                if singleton:
+                                    new_index = index if x == y else 1
+                                else:
+                                    delay = _emit(delays[index], x) if x else delays[index]
+                                    delay = _emit(delay, -y) if y else delay
+                                    if swapped and delay:
+                                        delay = tuple(-z for z in delay)
+                                    new_index = delay_index.setdefault(delay, len(delays))
+                                    if new_index == len(delays):
+                                        delays.append(delay)
+                                new = new_index * pairs + nxt
+                                if new in parent:
+                                    continue
+                                parent[new] = (state, digit)
+                                if nxt == 0:  # both parses ended; the start state is seen
+                                    digits = []
+                                    while new:
+                                        new, digit = parent[new]
+                                        digits.append(digit)
+                                    return tuple(reversed(digits))
+                                states.append(new)
+                if states:
+                    reached.append(states)
+        level = reached
+    return None
 
 
 def is_uniquely_decipherable(code: Code) -> bool:
-    """Sardinas-Patterson decision for codes with one codeword per symbol."""
-    if not code.is_singleton():
-        raise UnsupportedMultiCodeword(
-            "Sardinas-Patterson runs on pooled singleton codes; use brute_force_ud "
-            "for codes with several codewords per symbol"
-        )
-    pooled = [w.digits for w in code.pooled()]
-    if len(set(pooled)) != len(pooled):
-        return False  # shared codeword: two symbols decode identically
-    if () in pooled:
-        return len(pooled) == 1
-    return _sardinas_patterson(set(pooled))
+    """True iff no digit string has two distinct decoded symbol sequences."""
+    return _shortest_ambiguity(code, None) is None
 
 
-def ud_counterexample(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> str | None:
-    """Shortest digit string with two distinct decodings, or None.
+def ud_counterexample(code: Code, max_len: int | None = DEFAULT_UD_BUDGET) -> str | None:
+    """Shortest digit string with two distinct decodings, ties broken to the
+    least; None if it is longer than max_len digits (None: no bound), so
+    ud_counterexample(code, None) is None iff the code is uniquely
+    decipherable. Two parses that pick different codewords of the same
+    symbols are one decoding.
+    """
+    if max_len is not None:
+        _check_budget(max_len)
+    witness = _shortest_ambiguity(code, max_len)
+    return None if witness is None else str(Codeword(witness))
 
-    Dynamic programming over digit strings of length <= max_len, one level
-    per length: each string maps to the id of its one decoded symbol
+
+def brute_force_ud(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> bool:
+    """True iff every digit string of length <= max_len decodes at most one way.
+
+    The independent oracle: dynamic programming over digit strings, one
+    level per length, sharing nothing with the automaton but the empty-word
+    convention. Each string maps to the id of its one decoded symbol
     sequence, or to an ambiguous mark once a second, different sequence
     reaches it. Ids are interned from (parent id, symbol), so two parses
     that pick different codewords of the same symbols are one decoding.
-    Ties at the witness length break to the least digit string.
     """
-    if max_len < 0:
-        raise ValueError(f"the witness search needs max_len >= 0, got {max_len}")
+    _check_budget(max_len)
     pooled = code.pooled()
     if any(w.length == 0 for w in pooled):
-        if len(pooled) == 1:
-            return None
-        # The empty string already decodes as "" and as the empty-word symbol.
-        return "-"
+        return len(pooled) == 1
 
-    # A string is keyed by chr() of its digits: same-length keys then
-    # compare in digit order, so min() picks the least digit string.
     transitions = [
         ("".join(map(chr, w.digits)), w.length, symbol)
         for symbol, words in code.mapping
@@ -116,9 +275,8 @@ def ud_counterexample(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> str | Non
     levels: dict[int, dict[str, int]] = {0: {"": 0}}  # "" decodes as the empty sequence
     for length in range(max_len + 1):
         current = levels.pop(length, {})
-        ambiguous = [s for s, q in current.items() if q == AMBIGUOUS]
-        if ambiguous:
-            return str(Codeword(tuple(map(ord, min(ambiguous)))))
+        if AMBIGUOUS in current.values():
+            return False
         moves = [
             (w, symbol, levels.setdefault(length + size, {}))
             for w, size, symbol in transitions
@@ -130,12 +288,7 @@ def ud_counterexample(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> str | Non
                 s = prefix + w
                 if bucket.setdefault(s, seq) != seq:
                     bucket[s] = AMBIGUOUS
-    return None
-
-
-def brute_force_ud(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> bool:
-    """True iff every digit string of length <= max_len decodes at most one way."""
-    return ud_counterexample(code, max_len) is None
+    return True
 
 
 def construct_instantaneous(lengths: Sequence[int], r: int, symbols: Sequence | None = None) -> Code:

@@ -46,10 +46,6 @@ class MissingPolicy(CodecertError):
     pass
 
 
-class UnsupportedMultiCodeword(CodecertError):
-    pass
-
-
 class KraftViolated(CodecertError):
     pass
 

@@ -49,11 +49,16 @@ def parse_rational(text: str) -> Fraction:
     Decimal text is converted exactly ('0.25' -> 1/4), never through a
     binary float. Digits are ASCII, without '_' (Fraction accepts both).
     """
-    if text.isascii() and "_" not in text:
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError):
-            pass
+    if text.isascii():
+        # 'a/b' and 'a' in plain digits skip Fraction's regular expression
+        num, slash, den = text.partition("/")
+        if num.isdigit() and (not slash or den.isdigit() and den.strip("0")):
+            return Fraction(int(num), int(den) if slash else 1)
+        if "_" not in text:
+            try:
+                return Fraction(text.strip())
+            except (ValueError, ZeroDivisionError):
+                pass
     raise ValueError(f"not a rational number: {text!r}")
 
 

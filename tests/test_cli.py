@@ -4,6 +4,7 @@ import argparse
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -126,6 +127,33 @@ def test_check_ud_multi_codeword(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "radix 2\na 0,10\nb 01\n")
     status, out, _ = run(capsys, "check-ud", bad, "--machine")
     assert (status, out) == (1, "ud=False\nwitness=010")
+
+
+def test_check_ud_work_does_not_grow_with_the_budget(tmp_path, capsys):
+    # every one of the 4^12 strings of 12 digits parses; none may be held
+    code = write(tmp_path, "c.txt", "radix 4\na 0,1\nb 2,3\n")
+    tracemalloc.start()
+    try:
+        for budget in ("12", "1000000"):
+            status, out, _ = run(capsys, "check-ud", code, "--max-len", budget, "--machine")
+            assert (status, out) == (0, f"ud=True\nbudget={budget}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_check_ud_witness_longer_than_the_budget(tmp_path, capsys):
+    # 0^7.0^6 = 0^6.0^7 decodes as ab and as ba; no shorter string is ambiguous
+    code = write(tmp_path, "c.txt", "radix 2\na 0000000\nb 000000\n")
+    assert run(capsys, "check-ud", code) == (1, "not uniquely decipherable (no witness within 12 digits)", "")
+    assert run(capsys, "check-ud", code, "--machine") == (1, "ud=False\nwitness=None", "")
+    assert run(capsys, "check-ud", code, "--max-len", "13", "--machine") == (1, f"ud=False\nwitness={'0' * 13}", "")
+    # with both words on one symbol, a^6 = a^7 on 0^42 is the shortest ambiguity
+    multi = write(tmp_path, "m.txt", "radix 2\na 0000000,000000\n")
+    assert run(capsys, "check-ud", multi) == (0, "no ambiguous digit string within 12 digits", "")
+    assert run(capsys, "check-ud", multi, "--max-len", "41", "--machine") == (0, "ud=True\nbudget=41", "")
+    assert run(capsys, "check-ud", multi, "--max-len", "42", "--machine") == (1, f"ud=False\nwitness={'0' * 42}", "")
 
 
 def test_check_prefix(tmp_path, capsys):
@@ -492,6 +520,22 @@ def test_run_config_validation(capsys):
     assert "tolerance must be positive" in err
 
 
+# float() reads '_' separators, other scripts' digits, inf and nan
+@pytest.mark.parametrize("value", ["1_0e-9", "١e-9", "1e-٩", "inf", "Infinity", "nan", "1e-9x", ""])
+def test_tol_is_a_finite_ascii_number(value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fuzz", "--trials", "2", "--tol", value, "--machine"])
+    assert exit_info.value.code == 2
+    assert f"error: argument --tol: not a finite number: {value!r}" in capsys.readouterr().err
+
+
+def test_tol_reads_decimal_and_exponent_literals(capsys):
+    for value in ("1e-9", "+2.5E-10", ".000000001", "0.000000001"):
+        assert run(capsys, "fuzz", "--trials", "2", "--tol", value, "--machine")[0] == 0
+    status, _, err = run(capsys, "fuzz", "--trials", "2", "--tol=-1e-9")
+    assert (status, err) == (2, "error: tolerance must be positive, got -1e-09")
+
+
 def test_bad_lengths_flag(capsys):
     status, _, err = run(capsys, "build-code", "--lengths", "1,x")
     assert status == 2
@@ -585,7 +629,7 @@ RESOURCE_CASES = [
     ("entropy {src}", "entropy"),
     ("acl {src} {code}", "acl_exact"),
     ("kraft --lengths 1,2", "kraft_sum"),
-    ("check-ud {code}", "is_uniquely_decipherable"),
+    ("check-ud {code}", "ud_counterexample"),
     ("check-prefix {code}", "is_prefix_free"),
     ("build-code --lengths 1,2,2", "construct_instantaneous"),
     ("huffman {src}", "huffman"),

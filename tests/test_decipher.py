@@ -14,7 +14,6 @@ from codecert import (
     Codeword,
     InvalidRadix,
     KraftViolated,
-    UnsupportedMultiCodeword,
     acl_exact,
     brute_force_ud,
     construct_instantaneous,
@@ -58,7 +57,7 @@ def test_prefix_free_pools_across_symbols():
     assert not is_prefix_free(code)
 
 
-# --- Sardinas-Patterson ---
+# --- exact decision ---
 
 
 @pytest.mark.parametrize(
@@ -80,9 +79,9 @@ def test_is_uniquely_decipherable(words, expected):
 
 
 def test_sp_rejects_multi_codeword():
-    code = make_code(2, {"a": ["0", "10"], "b": "11"})
-    with pytest.raises(UnsupportedMultiCodeword):
-        is_uniquely_decipherable(code)
+    # the decision is exact for several codewords per symbol too
+    assert is_uniquely_decipherable(make_code(2, {"a": ["0", "10"], "b": "11"}))
+    assert not is_uniquely_decipherable(make_code(2, {"a": ["0", "10"], "b": "01"}))
 
 
 # --- brute force and witnesses ---
@@ -112,8 +111,7 @@ def test_witness_search_rejects_a_negative_budget():
 
 
 def test_witness_search_memory_does_not_grow_with_the_budget():
-    # only the levels the search can still write to are live; one dict per
-    # budget digit, allocated up front, peaked at about 70 MB on this call
+    # the budget only stops the search early; the code sets its memory
     code = singleton(["0", "01", "10"])
     tracemalloc.start()
     try:
@@ -149,17 +147,17 @@ def test_multi_codeword_cross_symbol_ambiguity():
 @pytest.mark.parametrize("r,max_len", [(2, 8), (3, 5), (4, 4), (12, 3)])
 def test_witness_matches_naive_oracle_multi_codeword(r, max_len):
     rng = random.Random(f"ud-oracle:{r}")
-    for k in range(60):
-        # Odd cases draw words with exactly one 0 digit: every decoding of a
-        # string then has as many symbols as the string has 0s, so two parses
-        # often give one decoded sequence. Even cases share codewords
-        # across symbols.
-        one_zero = k % 2
+    for k in range(90):
+        # Cases k = 1 mod 3 draw words with exactly one 0 digit: every decoding
+        # of a string then has as many symbols as the string has 0s, so two
+        # parses often give one decoded sequence. Cases k = 0 mod 3 share
+        # codewords across symbols; cases k = 2 mod 3 have one word per symbol.
+        one_zero, single = k % 3 == 1, k % 3 == 2
         mapping, pool = [], []
-        for i in range(rng.randint(1, 2 if one_zero else 3)):
+        for i in range(rng.randint(1, 2 if one_zero else 3 + single)):
             words = []
-            for _ in range(rng.randint(1 + one_zero, 4)):
-                if pool and not one_zero and rng.random() < 0.2:
+            for _ in range(1 if single else rng.randint(1 + one_zero, 4)):
+                if pool and k % 3 == 0 and rng.random() < 0.2:
                     w = rng.choice(pool)
                 else:
                     w = [rng.randrange(one_zero, r) for _ in range(rng.randint(1, 3))]
@@ -170,10 +168,50 @@ def test_witness_matches_naive_oracle_multi_codeword(r, max_len):
                     words.append(w)
                     pool.append(w)
             mapping.append((f"s{i}", words))
+        code = make_code(r, mapping)
         expected = ud_witness_oracle(mapping, r, max_len)
         if expected is not None:
             expected = str(Codeword(expected))
-        assert ud_counterexample(make_code(r, mapping), max_len) == expected, mapping
+        assert ud_counterexample(code, max_len) == expected, mapping
+        assert brute_force_ud(code, max_len) == (expected is None), mapping
+        # the exact search agrees within the budget and past it
+        exact = ud_counterexample(code, None)
+        assert is_uniquely_decipherable(code) == (exact is None), mapping
+        if expected is not None:
+            assert exact == expected, mapping
+        elif exact is None:
+            assert brute_force_ud(code, max_len + 2), mapping
+        else:
+            n = Codeword.parse(exact).length
+            assert n > max_len, mapping
+            if n <= max_len + 2:
+                assert brute_force_ud(code, n - 1) and not brute_force_ud(code, n), mapping
+
+
+def test_witness_tie_between_states_of_one_string():
+    # after "1" the parses are at (1, 1) and (root, 1); "11" is ambiguous from
+    # the first, but "10" = s2(10) = s2(1).s1(0) from the second is less
+    code = make_code(2, [("s0", ["1011", "11"]), ("s1", ["11", "0", "101"]), ("s2", ["10", "1"])])
+    assert ud_counterexample(code) == "10"
+
+
+def test_exact_decision_ends_where_parses_never_meet_again():
+    # 01.1010.1010... and 011.01.01.01... read the same digits forever
+    # without ending together, at different symbol rates; only the
+    # co-accessible pairs bound the delays the search carries
+    for mapping in ({"a": ["01", "011", "1010"]}, {"a": ["0101", "10", "100"]}, {"a": "11", "b": ["01", "010", "1110"]}):
+        code = make_code(2, mapping)
+        assert is_uniquely_decipherable(code)
+        assert brute_force_ud(code, 14)
+
+
+def test_exact_witness_has_no_budget():
+    # a^7 = a^6 on 0^42 is the shortest ambiguity, past the default budget
+    code = make_code(2, {"a": ["0" * 7, "0" * 6]})
+    assert ud_counterexample(code) is None and brute_force_ud(code)
+    assert ud_counterexample(code, None) == "0" * 42
+    assert not is_uniquely_decipherable(code)
+    assert ud_counterexample(make_code(2, {"a": "0" * 7, "b": "0" * 6}), None) == "0" * 13
 
 
 def _all_binary_codes(max_words, max_len):

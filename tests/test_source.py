@@ -40,17 +40,33 @@ def dyadic_abc():
         ("0.1", F(1, 10)),  # exact decimal, not the binary float
         ("1", F(1)),
         ("7/28", F(1, 4)),
+        # plain 'a/b' and 'a' take a fast path; the other forms read as Fraction(text)
+        ("007/010", F(7, 10)),
+        ("0/5", F(0)),
+        ("1099511627775/1099511627776", F(2**40 - 1, 2**40)),
+        ("+1/2", F(1, 2)),
+        ("-1/2", F(-1, 2)),
+        ("1/2\n", F(1, 2)),
+        ("\t3/4", F(3, 4)),
+        (".5", F(1, 2)),
+        ("1.5e2", F(150)),
     ],
 )
 def test_parse_rational(text, expected):
-    assert parse_rational(text) == expected
+    value = parse_rational(text)
+    assert type(value) is F and value == expected
 
 
 # Fraction reads '_' separators and any script's decimal digits; the formats do not
-@pytest.mark.parametrize("text", ["", "abc", "1/0", "1/2/3", "0x10", "nan", "inf", "1_0/3", "0.2_5", "١/٢", "１/２"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "abc", "1/0", "1/00", "0/0", "1/2/3", "1 /2", "1/ 2", "1/", "/2", "3/-4", "0x10", "nan", "inf"]
+    + ["1_0/3", "10/3_0", "0.2_5", "١/٢", "1/٢", "²/3", "１/２"],
+)
 def test_parse_rational_rejects(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         parse_rational(text)
+    assert str(info.value) == f"not a rational number: {text!r}"
 
 
 def test_make_source_accepts_strings_ints_fractions():
