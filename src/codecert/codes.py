@@ -99,10 +99,10 @@ def _check_codewords(radix: int, symbol, words: tuple[Codeword, ...]) -> None:
     if not words:
         raise ValueError(f"symbol {symbol!r} has an empty codeword set")
     for w in words:
-        for d in w.digits:
-            if not 0 <= d < radix:
-                raise DigitOutOfRange(f"digit {d} >= radix {radix}" if d >= 0 else f"negative digit {d}")
-    if len(set(words)) != len(words):
+        if w.digits and not (0 <= min(w.digits) and max(w.digits) < radix):
+            d = next(d for d in w.digits if not 0 <= d < radix)
+            raise DigitOutOfRange(f"digit {d} >= radix {radix}" if d >= 0 else f"negative digit {d}")
+    if len(words) > 1 and len(set(words)) != len(words):
         raise ValueError(f"symbol {symbol!r} repeats a codeword")
 
 
@@ -259,8 +259,11 @@ def minimal_reduction(code: Code) -> Code:
     """Keep one shortest codeword per symbol (ties: least digit sequence).
 
     The result never has a larger average codeword length than the
-    input under any policy, and is idempotent.
+    input under any policy, and is idempotent: a code that already has
+    one codeword per symbol is returned as it is.
     """
+    if code.is_singleton():
+        return code
     reduced = []
     for symbol, words in code.mapping:
         best = min(words, key=lambda w: (w.length, w.digits))

@@ -44,7 +44,11 @@ def is_prefix_free(code: Code) -> bool:
     In sorted order every word between u and a word that u prefixes also
     starts with u, so checking each word against its successor suffices.
     """
-    words = sorted(w.digits for w in code.pooled())
+    return _prefix_free([w.digits for w in code.pooled()])
+
+
+def _prefix_free(words: list[tuple[int, ...]]) -> bool:
+    words.sort()
     return not any(v[: len(u)] == u for u, v in zip(words, words[1:]))
 
 
@@ -230,7 +234,15 @@ def _shortest_ambiguity(code: Code, max_len: int | None) -> tuple[int, ...] | No
 
 
 def is_uniquely_decipherable(code: Code) -> bool:
-    """True iff no digit string has two distinct decoded symbol sequences."""
+    """True iff no digit string has two distinct decoded symbol sequences.
+
+    A prefix-free or suffix-free pooled word list splits every digit string
+    into words in at most one way, read left to right or right to left, so
+    such a code is decided without the engine.
+    """
+    pooled = code.pooled()
+    if _prefix_free([w.digits for w in pooled]) or _prefix_free([w.digits[::-1] for w in pooled]):
+        return True
     return _shortest_ambiguity(code, None) is None
 
 

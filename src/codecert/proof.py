@@ -44,7 +44,7 @@ from functools import cached_property
 from typing import Any
 
 from .codes import Code, Codeword, acl_exact, minimal_reduction
-from .decipher import construct_instantaneous, is_prefix_free, is_uniquely_decipherable
+from .decipher import construct_instantaneous, is_uniquely_decipherable
 from .errors import (
     ExactnessCheckFailed,
     GroupLargerThanRadix,
@@ -288,7 +288,7 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
             witness=EqualityWitness(0, (0,)) if equal else None,
         )
 
-    if not is_prefix_free(reduced) and not is_uniquely_decipherable(reduced):
+    if not is_uniquely_decipherable(reduced):
         raise NotUniquelyDecipherable("no decoder can invert this code")
 
     symbols = reduced.symbols

@@ -4,6 +4,10 @@ Everything draws from an explicit SplitMix64 stream, so a master seed
 reproduces the exact instance sequence. Trial k of a batch uses
 derived_seed(master, k), which keeps trials independent and lets a
 failing trial be replayed in isolation.
+
+A random full tree is grown as the list of its leaf paths in digit
+order, one draw per internal node; a TreeNode tree is built from the
+finished list only when a caller asks for one.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from fractions import Fraction
 from .codes import Code, Codeword
 from .rng import SplitMix64, _check_seed, derived_seed
 from .source import Source, _check_radix
-from .tree import CodeTree, TreeNode, _replace_at
+from .tree import CodeTree, TreeNode
 
 
 def trial_rng(master_seed: int, k: int) -> SplitMix64:
@@ -42,15 +46,45 @@ def random_source(rng: SplitMix64, n: int, max_den: int = 64) -> Source:
 
 
 def grow_full_tree(rng: SplitMix64, r: int, z: int) -> CodeTree:
-    """A full r-ary tree with exactly z internal nodes (z >= 0)."""
+    """A full r-ary tree with exactly z internal nodes (z >= 0), unlabelled."""
     _check_radix(r)
-    tree = CodeTree(r, TreeNode())
+    return CodeTree(r, _full_tree_of(_grow_leaf_paths(rng, r, z), r))
+
+
+def _grow_leaf_paths(rng: SplitMix64, r: int, z: int) -> list[tuple[int, ...]]:
+    """The leaf paths, in digit order, of a full r-ary tree grown from one
+    leaf by z times turning a uniformly drawn leaf into an internal node.
+
+    The list is kept in the order CodeTree.leaves() would list the tree's
+    leaves, so each draw picks the same leaf as growing the tree itself.
+    """
+    if z < 0:
+        raise ValueError(f"need at least zero internal nodes, got {z}")
+    paths: list[tuple[int, ...]] = [()]
     for _ in range(z):
-        leaves = tree.leaves()
-        path, _ = leaves[rng.randbelow(len(leaves))]
+        i = rng.randbelow(len(paths))
+        path = paths[i]
         # the leaf at path becomes an internal node bearing r fresh leaves
-        tree = _replace_at(tree, path, TreeNode(tuple((d, TreeNode()) for d in range(r))))
-    return tree
+        paths[i : i + 1] = [path + (d,) for d in range(r)]
+    return paths
+
+
+def _full_tree_of(paths: list[tuple[int, ...]], r: int) -> TreeNode:
+    """The full r-ary tree whose leaves, in digit order, lie at these paths.
+
+    open_children[k] collects the finished children of the open node at
+    depth k - 1 (open_children[0] the root itself); a node is closed as
+    soon as its r-th child is finished.
+    """
+    open_children: list[list[TreeNode]] = [[]]
+    for path in paths:
+        while len(open_children) <= len(path):
+            open_children.append([])
+        open_children[-1].append(TreeNode())
+        while len(open_children) > 1 and len(open_children[-1]) == r:
+            children = open_children.pop()
+            open_children[-1].append(TreeNode(tuple(enumerate(children))))
+    return open_children[0][0]
 
 
 def random_kraft_lengths(rng: SplitMix64, r: int, n: int, extra: int = 3) -> list[int]:
@@ -68,17 +102,17 @@ def _random_leaf_paths(
 ) -> list[tuple[int, ...]]:
     if n < 1:
         raise ValueError(f"need at least one codeword, got {n}")
+    _check_radix(r)
     if n == 1:
         # half the time the whole tree, half a single deeper leaf
         if rng.randbelow(2) == 0:
             return [()]
-        tree = grow_full_tree(rng, r, 1 + rng.randbelow(3))
+        paths = _grow_leaf_paths(rng, r, 1 + rng.randbelow(3))
     else:
         z = -(-(n - 1) // (r - 1)) + rng.randbelow(extra + 1)
-        tree = grow_full_tree(rng, r, z)
-    leaves = tree.leaves()
-    picked = rng.sample_distinct(len(leaves), min(n, len(leaves)))
-    return [leaves[i][0] for i in picked]
+        paths = _grow_leaf_paths(rng, r, z)
+    picked = rng.sample_distinct(len(paths), min(n, len(paths)))
+    return [paths[i] for i in picked]
 
 
 def random_prefix_code(rng: SplitMix64, r: int, n: int, extra: int = 3) -> Code:

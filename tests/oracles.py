@@ -131,3 +131,21 @@ def heap_huffman_oracle(probs, r):
         elif i < n:
             words[i] = path
     return words
+
+
+def grow_leaf_paths_oracle(randbelow, r, z):
+    """Leaf paths, depth first in digit order, of a full r-ary tree grown
+    node by node: each step lists every leaf afresh and turns the one
+    `randbelow(leaf count)` picks into a node with r leaf children."""
+    root = []  # a node is the list of its children; a leaf is an empty list
+
+    def leaves(node, path):
+        if not node:
+            return [(path, node)]
+        return [found for d, child in enumerate(node) for found in leaves(child, path + (d,))]
+
+    for _ in range(z):
+        found = leaves(root, ())
+        _, leaf = found[randbelow(len(found))]
+        leaf.extend([] for _ in range(r))
+    return [path for path, _ in leaves(root, ())]

@@ -36,6 +36,7 @@ from codecert import (
     random_prefix_code,
     random_source,
     trial_rng,
+    ud_counterexample,
 )
 from oracles import entropy_oracle, optimal_acl_oracle
 
@@ -171,16 +172,20 @@ def test_criterion_4_decipherability_oracle_equivalence(criterion_report):
                 2, [(f"s{i + 1}", w or "-") for i, w in enumerate(combo)]
             )
             checked += 1
-            sp = is_uniquely_decipherable(code)
-            if sp != brute_force_ud(code, 12):
+            ud = is_uniquely_decipherable(code)
+            oracle = brute_force_ud(code, 12)
+            # the pair-of-parses engine itself, which prefix-free and
+            # suffix-free codes skip inside is_uniquely_decipherable
+            engine = ud_counterexample(code, None) is None
+            if ud != oracle or engine != oracle:
                 mismatches += 1
-            if sp and kraft_sum(code.lengths(), 2) > 1:
+            if ud and kraft_sum(code.lengths(), 2) > 1:
                 kraft_failures += 1
     ok = mismatches == 0 and kraft_failures == 0 and checked == 1940
     criterion_report(
         4,
         ok,
-        f"Sardinas-Patterson == brute force on {checked} binary codes "
+        f"pair-of-parses engine and decider == brute force on {checked} binary codes "
         f"(<= 4 words, length <= 3); {mismatches} mismatches, "
         f"{kraft_failures} UD codes broke the Kraft bound",
     )

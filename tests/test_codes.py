@@ -80,6 +80,11 @@ def test_make_code_forms():
 def test_code_validation():
     with pytest.raises(DigitOutOfRange):
         make_code(2, {"a": "02"})
+    # the first digit out of range, in word order, is the one named
+    with pytest.raises(DigitOutOfRange, match=r"^digit 3 >= radix 3$"):
+        make_code(3, {"a": ["01", "1302"]})
+    with pytest.raises(DigitOutOfRange, match=r"^negative digit -1$"):
+        Code(2, (("a", (Codeword((1, -1, 5)),)),))
     with pytest.raises(InvalidRadix):
         make_code(0, {"a": "0"})
     with pytest.raises(InvalidRadix, match="got True"):
@@ -201,7 +206,7 @@ def test_minimal_reduction_picks_shortest():
     reduced = minimal_reduction(code)
     assert reduced.codewords("a") == (Codeword((0,)),)
     assert reduced.codewords("b") == (Codeword((1, 0)),)
-    assert minimal_reduction(reduced).mapping == reduced.mapping
+    assert minimal_reduction(reduced) is reduced
 
 
 def test_minimal_reduction_tie_breaks_to_least_digits():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codecert import decipher
 from codecert import (
     Codeword,
     InvalidRadix,
@@ -76,6 +77,26 @@ def test_prefix_free_pools_across_symbols():
 )
 def test_is_uniquely_decipherable(words, expected):
     assert is_uniquely_decipherable(singleton(words)) is expected
+
+
+def test_prefix_and_suffix_free_codes_skip_the_engine(monkeypatch):
+    monkeypatch.setattr(decipher, "_shortest_ambiguity", None)
+    assert is_uniquely_decipherable(singleton(["0", "10", "11"]))
+    assert is_uniquely_decipherable(singleton(["0", "01", "11"]))
+    assert is_uniquely_decipherable(make_code(2, {"a": ["0", "10"], "b": "11"}))
+    assert is_uniquely_decipherable(singleton(["-"]))
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [{"a": "0", "b": "0"}, {"a": ["0", "1"], "b": "1"}, {"a": "-", "b": "0"}],
+)
+def test_shared_words_and_the_empty_word_reach_the_engine(monkeypatch, mapping):
+    calls = []
+    engine = decipher._shortest_ambiguity
+    monkeypatch.setattr(decipher, "_shortest_ambiguity", lambda *args: calls.append(args) or engine(*args))
+    assert not is_uniquely_decipherable(make_code(2, mapping))
+    assert len(calls) == 1
 
 
 def test_sp_rejects_multi_codeword():
