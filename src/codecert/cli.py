@@ -15,10 +15,10 @@ Subcommands map one-to-one onto library operations:
   check-ineq --probs P [--radix R]    the three closing inequality checks
 
 --max-len caps the length of the ambiguous digit string (the witness)
-that is reported; it must be at least 0 when a witness could be reported.
-It does not bound the work: check-ud decides unique decipherability
-exactly, and with several codewords per symbol a code whose shortest
-witness is longer than the cap is reported clean within that many digits.
+that is reported; it must be at least 0, and is checked before any
+search. It does not bound the work: check-ud decides unique
+decipherability exactly, so a code whose shortest witness is longer than
+the cap is reported undecipherable, with no witness, and exits 1.
 --seed is an integer in 0..2^64-1 for every subcommand. simulate encodes
 the stream once and reads its pathwise floor off that trace: a step where
 fewer digits were emitted than the same symbols' shortest codewords take
@@ -182,6 +182,20 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
+def _budget(text: str) -> int:
+    """A --max-len value, an integer of at least 0.
+
+    A negative value raises ParseError rather than ArgumentTypeError:
+    argparse passes it through to main, which reports it as one line.
+    """
+    value = _integer(text)
+    try:
+        _check_budget(value)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+    return value
+
+
 def _finite(text: str) -> float:
     """A finite number in ASCII; float() also reads '_', other scripts' digits,
     'inf' and 'nan'."""
@@ -263,18 +277,14 @@ def _cmd_check_ud(args: argparse.Namespace) -> tuple[int, str]:
     code, _ = parse_code_file(args.code)
     # one exact search; --max-len only caps the witness that is reported
     witness = ud_counterexample(code, None)
-    singleton = code.is_singleton()
-    if witness is None and singleton:
-        return 0, _kv([("ud", True)]) if args.machine else "uniquely decipherable"
-    _check_budget(args.max_len)
-    if witness is not None and Codeword.parse(witness).length > args.max_len:
-        witness = None
-    # With several codewords per symbol, a witness past the budget is not
-    # reported: the verdict is stated for the budget.
-    if witness is None and not singleton:
+    if witness is None:
+        if code.is_singleton():
+            return 0, _kv([("ud", True)]) if args.machine else "uniquely decipherable"
         if args.machine:
             return 0, _kv([("ud", True), ("budget", args.max_len)])
         return 0, f"no ambiguous digit string within {args.max_len} digits"
+    if Codeword.parse(witness).length > args.max_len:
+        witness = None
     if args.machine:
         return 1, _kv([("ud", False), ("witness", witness)])
     if witness is None:
@@ -490,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = flag("--machine", action="store_true", help="key=value output")
     radix = flag("--radix", type=_integer, default=2)
-    budget = flag("--max-len", type=_integer, default=DEFAULT_UD_BUDGET, help="longest witness reported, in digits")
+    budget = flag("--max-len", type=_budget, default=DEFAULT_UD_BUDGET, help="longest witness reported, in digits")
     seeded = flag("--seed", type=_integer, default=REFERENCE_SEED)
 
     parser = argparse.ArgumentParser(
@@ -551,8 +561,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         status, report = args.handler(args)
     except (CodecertError, ValueError) as e:
         status, report = 2, f"error: {e}"

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from .codes import Code, Codeword, kraft_sum
-from .errors import KraftViolated
+from .errors import ExactnessCheckFailed, KraftViolated
 from .source import Source, _check_radix
 
 DEFAULT_UD_BUDGET = 12
@@ -323,20 +323,37 @@ def construct_instantaneous(lengths: Sequence[int], r: int, symbols: Sequence | 
         raise ValueError("symbols and lengths must have equal length")
 
     order = sorted(range(len(lengths)), key=lambda i: lengths[i])
-    words: dict[int, Codeword] = {}
-    digits: list[int] = []  # the previous word; the first word is all zeros
-    for k, i in enumerate(order):
-        if k:
-            # successor of the previous word: the Kraft bound keeps the
-            # carry inside it
+    paths, _ = _canonical_paths([lengths[i] for i in order], r)
+    words = dict(zip(order, map(Codeword, paths)))
+    return Code(r, tuple((symbols[i], (words[i],)) for i in range(len(lengths))))
+
+
+def _canonical_paths(lengths: Sequence[int], r: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The canonical words of ascending lengths, which come out in digit
+    order, and the depth at which each two neighbouring words part.
+
+    The first word is all zeros and each next one is the successor of the
+    one before, padded with zeros; the two part at the digit the successor
+    raises. Lengths within the Kraft bound keep every carry inside the
+    word; a carry out of it raises ExactnessCheckFailed, since callers
+    have checked the bound or know it from decipherability.
+    """
+    paths: list[tuple[int, ...]] = []
+    parts: list[int] = []
+    digits: list[int] = []  # the previous word
+    for length in lengths:
+        if paths:
             j = len(digits) - 1
-            while digits[j] == r - 1:
+            while j >= 0 and digits[j] == r - 1:
                 digits[j] = 0
                 j -= 1
+            if j < 0:
+                raise ExactnessCheckFailed("canonical words ran out: the lengths exceed the Kraft bound")
             digits[j] += 1
-        digits.extend([0] * (lengths[i] - len(digits)))
-        words[i] = Codeword(tuple(digits))
-    return Code(r, tuple((symbols[i], (words[i],)) for i in range(len(lengths))))
+            parts.append(j)
+        digits.extend([0] * (length - len(digits)))
+        paths.append(tuple(digits))
+    return paths, parts
 
 
 def huffman(src: Source, r: int) -> Code:

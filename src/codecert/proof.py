@@ -16,13 +16,15 @@ The chain merges, deepest level first, every internal node of the
 compacted tree, and within a level the nodes in lexicographic path
 order; this is the order the reference operations find_sibling_group
 and reduce_group pick one merge at a time, rebuilding the tree and the
-source after each. certify runs it in one bottom-up pass instead: each
-merge passes its children's integer masses over the source's
-denominator D to reduction_step, which records the step, and their sum
-becomes the merged node's mass. The pass never rebuilds the tree or a
-Source, so a chain costs about one tree walk plus the integer
-arithmetic of its steps; a step's probs and p_red are Fraction views of
-its masses over D.
+source after each. certify never builds that tree. It works on the
+leaves' digit paths in digit order: the canonical words of the code's
+lengths, then one stack pass that drops the digits of only-child nodes,
+then one bottom-up fold that lists every internal node with its
+children's integer masses over the source's denominator D. It calls
+reduction_step once per merge, and each merged node's mass is the sum of
+its children's. So a chain costs about one pass over the paths plus the
+integer arithmetic of its steps; a step's probs and p_red are Fraction
+views of its masses over D.
 
 Defects are reported as floats but verdicts are decided exactly: a step
 is tight iff s = r and the probabilities match as rationals, and the
@@ -43,8 +45,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any
 
-from .codes import Code, Codeword, acl_exact, minimal_reduction
-from .decipher import construct_instantaneous, is_uniquely_decipherable
+from .codes import Code, Codeword, minimal_reduction
+from .decipher import _canonical_paths, is_uniquely_decipherable
 from .errors import (
     ExactnessCheckFailed,
     GroupLargerThanRadix,
@@ -58,11 +60,9 @@ from .source import Source, _check_radix, _integer_masses, _log, entropy
 from .tree import (
     CodeTree,
     SiblingGroup,
-    TreeNode,
-    compact_standalone,
-    from_tree,
+    _compact_paths,
+    _leaf_fold,
     replace_group_with_leaf,
-    to_tree,
     tree_source,
 )
 
@@ -118,11 +118,12 @@ class EqualityWitness:
 class ReductionCertificate:
     source: Source
     code: Code
-    # same length multiset as the minimal reduction of code, rebuilt in
-    # canonical digit order so the chain is byte-reproducible
-    canonical_code: Code
-    # canonical code with chain nodes spliced out; the chain runs on this
-    certified_code: Code
+    # the leaves in digit order: their symbols, their canonical words (the
+    # minimal reduction's lengths, so the chain is byte-reproducible) and
+    # those words with chain nodes spliced out, which the chain runs on
+    leaf_symbols: tuple[Any, ...]
+    canonical_paths: tuple[tuple[int, ...], ...]
+    certified_paths: tuple[tuple[int, ...], ...]
     acl_drop: Fraction
     steps: tuple[ReductionStep, ...]
     entropy: float
@@ -131,6 +132,18 @@ class ReductionCertificate:
     sum_delta: float
     verdict: str
     witness: EqualityWitness | None
+
+    @cached_property
+    def canonical_code(self) -> Code:
+        """The canonical words on the code's symbols, in the code's order."""
+        word_of = dict(zip(self.leaf_symbols, map(Codeword, self.canonical_paths)))
+        return Code(self.code.radix, tuple((s, (word_of[s],)) for s in self.code.symbols))
+
+    @cached_property
+    def certified_code(self) -> Code:
+        """The code the chain runs on, symbols in digit order."""
+        words = map(Codeword, self.certified_paths)
+        return Code(self.code.radix, tuple((s, (w,)) for s, w in zip(self.leaf_symbols, words)))
 
 
 @dataclass(frozen=True)
@@ -257,10 +270,12 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     """Build the full merge chain from code down to the empty-word code.
 
     The input may map several codewords per symbol; the chain runs on
-    its minimal reduction. A decipherable but not prefix-free code is
-    first rebuilt as an instantaneous code on the same lengths, and a
-    tree with splice-able chain nodes is compacted, recording the exact
-    ACL decrease; the bound for the original code follows a fortiori.
+    its minimal reduction. Its lengths are given canonical words, which
+    are prefix-free even when the code is only decipherable, and every
+    only-child node of their tree is spliced, recording the exact ACL
+    decrease; the bound for the original code follows a fortiori. Both
+    steps work on the leaves' digit paths, and neither builds a Code or
+    a tree; canonical_code and certified_code are built when read.
     """
     _check_alignment(src, code)
     reduced = minimal_reduction(code)
@@ -271,18 +286,20 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
             raise RadixOneUnsupported(
                 "unit radix admits no decipherable code for two or more symbols"
             )
-        length = reduced.codewords(src.symbols[0])[0].length
-        equal = length == 0
+        symbol = src.symbols[0]
+        (word,) = reduced.codewords(symbol)
+        equal = word.length == 0
         return ReductionCertificate(
             source=src,
             code=code,
-            canonical_code=reduced,
-            certified_code=reduced,
+            leaf_symbols=(symbol,),
+            canonical_paths=(word.digits,),
+            certified_paths=(word.digits,),
             acl_drop=Fraction(0),
             steps=(),
             entropy=0.0,
-            acl=float(length),
-            acl_exact=Fraction(length),
+            acl=float(word.length),
+            acl_exact=Fraction(word.length),
             sum_delta=0.0,
             verdict="Equality" if equal else "StrictInequality",
             witness=EqualityWitness(0, (0,)) if equal else None,
@@ -291,26 +308,33 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     if not is_uniquely_decipherable(reduced):
         raise NotUniquelyDecipherable("no decoder can invert this code")
 
-    symbols = reduced.symbols
-    lengths = [reduced.codewords(s)[0].length for s in symbols]
-    canonical = construct_instantaneous(lengths, r, symbols=symbols)
+    d = src.denominator
+    length_of = {s: words[0].length for s, words in reduced.mapping}
+    symbols = sorted(reduced.symbols, key=length_of.__getitem__)  # the canonical words' order
+    mass_of = dict(zip(src.symbols, src.masses))
+    masses = [mass_of[s] for s in symbols]
+    canonical, parts = _canonical_paths([length_of[s] for s in symbols], r)
+    certified, parts = _compact_paths(canonical, parts)
 
-    tree = compact_standalone(to_tree(canonical, src))
-    certified = from_tree(tree)
-    acl_fraction = acl_exact(src, certified)
-    drop = acl_exact(src, canonical) - acl_fraction
+    steps = _merge_chain(certified, parts, masses, d, r)
+    # each leaf's mass is merged once per node above it, so the merged
+    # masses sum to sum m_i * l_i over the certified lengths
+    merged = sum(sum(step.masses) for step in steps)
+    acl_fraction = Fraction(merged, d)
+    drop = Fraction(sum(m * len(path) for m, path in zip(masses, canonical)) - merged, d)
 
-    steps = _merge_chain(tree, src)
+    depth_of = dict(zip(symbols, map(len, certified)))
+    witness = _equality_witness(src, [depth_of[s] for s in src.symbols], r)
     all_tight = all(s.is_tight for s in steps)
-    equal, witness = equality_condition(src, certified)
-    if equal != all_tight:
+    if (witness is not None) != all_tight:
         raise ExactnessCheckFailed("exact tightness disagrees with the length condition")
 
     return ReductionCertificate(
         source=src,
         code=code,
-        canonical_code=canonical,
-        certified_code=certified,
+        leaf_symbols=tuple(symbols),
+        canonical_paths=tuple(canonical),
+        certified_paths=tuple(certified),
         acl_drop=drop,
         steps=tuple(steps),
         entropy=entropy(src, r),
@@ -322,30 +346,32 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     )
 
 
-def _merge_chain(tree: CodeTree, src: Source) -> list[ReductionStep]:
-    """Every merge of a compact tree's chain, in one bottom-up pass.
+def _merge_chain(
+    paths: list[tuple[int, ...]], parts: list[int], masses: list[int], d: int, r: int
+) -> list[ReductionStep]:
+    """Every merge of the compact tree with these leaf paths (in digit
+    order, parting at parts) and integer masses over d, in chain order.
 
     Each internal node is merged once, deepest level first and each
     level in lexicographic path order, so by its turn all of its
-    children are leaves. The tree's leaves carry src's symbols, whose
-    integer masses over src.denominator the steps sum.
+    children are leaves. One fold records every node with its children's
+    masses, which are leaf masses or the sums of merged nodes.
     """
-    levels: list[list[tuple[tuple[int, ...], TreeNode]]] = []
-    for path, node in tree.walk():
-        if not node.is_leaf:
-            if len(path) == len(levels):
-                levels.append([])
-            levels[len(path)].append((path, node))
+    levels: list[list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]] = []
 
-    mass_of = dict(zip(src.symbols, src.masses))
-    merged: dict[int, int] = {}  # id(node) -> mass of every node merged so far
+    def record(path, children):
+        digits, child_masses = zip(*children)
+        while len(levels) <= len(path):
+            levels.append([])
+        levels[len(path)].append((path, digits, child_masses))
+        return sum(child_masses)
+
+    _leaf_fold(paths, parts, masses, record)
     steps = []
     for level in reversed(levels):
-        for path, node in level:
-            group = SiblingGroup(path, tuple(path + (d,) for d, _ in node.children))
-            masses = tuple(mass_of[c.symbol] if c.is_leaf else merged[id(c)] for _, c in node.children)
-            steps.append(reduction_step(group, masses, src.denominator, tree.radix))
-            merged[id(node)] = sum(masses)
+        for path, digits, child_masses in level:
+            group = SiblingGroup(path, tuple(path + (digit,) for digit in digits))
+            steps.append(reduction_step(group, child_masses, d, r))
     return steps
 
 
@@ -366,13 +392,20 @@ def equality_condition(src: Source, code: Code) -> tuple[bool, EqualityWitness |
             return True, EqualityWitness(0, (0,))
         return False, None
 
+    witness = _equality_witness(src, lengths, r)
+    return witness is not None, witness
+
+
+def _equality_witness(src: Source, lengths: list[int], r: int) -> EqualityWitness | None:
+    """The witness of p_i = r**(-l_i) for lengths in source order and r >= 2,
+    tested as m_i * r**l_i == D; None when it fails."""
     d = src.denominator
     if any(m * r**length != d for m, length in zip(src.masses, lengths)):
-        return False, None
+        return None
     n = len(src)
     if (n - 1) % (r - 1) != 0:
         raise ExactnessCheckFailed("power-of-r probabilities must force a full tree")
-    return True, EqualityWitness((n - 1) // (r - 1), tuple(lengths))
+    return EqualityWitness((n - 1) // (r - 1), tuple(lengths))
 
 
 def _group_masses(probs, r: int) -> tuple[int, tuple[int, ...]]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .codes import Code, Codeword
 from .rng import SplitMix64, _check_seed, derived_seed
 from .source import Source, _check_radix
-from .tree import CodeTree, TreeNode
+from .tree import CodeTree, TreeNode, _parts, _tree_of
 
 
 def trial_rng(master_seed: int, k: int) -> SplitMix64:
@@ -48,7 +48,8 @@ def random_source(rng: SplitMix64, n: int, max_den: int = 64) -> Source:
 def grow_full_tree(rng: SplitMix64, r: int, z: int) -> CodeTree:
     """A full r-ary tree with exactly z internal nodes (z >= 0), unlabelled."""
     _check_radix(r)
-    return CodeTree(r, _full_tree_of(_grow_leaf_paths(rng, r, z), r))
+    paths = _grow_leaf_paths(rng, r, z)
+    return CodeTree(r, _tree_of(paths, _parts(paths), [TreeNode() for _ in paths]))
 
 
 def _grow_leaf_paths(rng: SplitMix64, r: int, z: int) -> list[tuple[int, ...]]:
@@ -67,24 +68,6 @@ def _grow_leaf_paths(rng: SplitMix64, r: int, z: int) -> list[tuple[int, ...]]:
         # the leaf at path becomes an internal node bearing r fresh leaves
         paths[i : i + 1] = [path + (d,) for d in range(r)]
     return paths
-
-
-def _full_tree_of(paths: list[tuple[int, ...]], r: int) -> TreeNode:
-    """The full r-ary tree whose leaves, in digit order, lie at these paths.
-
-    open_children[k] collects the finished children of the open node at
-    depth k - 1 (open_children[0] the root itself); a node is closed as
-    soon as its r-th child is finished.
-    """
-    open_children: list[list[TreeNode]] = [[]]
-    for path in paths:
-        while len(open_children) <= len(path):
-            open_children.append([])
-        open_children[-1].append(TreeNode())
-        while len(open_children) > 1 and len(open_children[-1]) == r:
-            children = open_children.pop()
-            open_children[-1].append(TreeNode(tuple(enumerate(children))))
-    return open_children[0][0]
 
 
 def random_kraft_lengths(rng: SplitMix64, r: int, n: int, extra: int = 3) -> list[int]:

@@ -11,10 +11,15 @@ the codewords below it; repeated splicing of a bare chain collapses it
 to the single-leaf tree whose codeword is the empty word. Compact trees
 with at least two leaves always contain a deepest group of sibling
 leaves, which is the unit the proof engine merges.
+
+Building and compacting run on the leaves' paths in digit order: one
+compaction (_compact_paths) and one bottom-up fold (_leaf_fold), which
+the proof engine also uses directly, with no tree built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -101,31 +106,10 @@ def to_tree(code: Code, src: Source | None = None) -> CodeTree:
     if not is_prefix_free(code):
         raise NotPrefixFree("code is not prefix-free")
 
-    # a trie of digit -> subtrie dicts first, frozen on the way out; a
-    # prefix-free code ends each word at its own empty dict
-    trie: dict = {}
-    leaves: dict[int, TreeNode] = {}
-    for symbol, words in code.mapping:
-        node = trie
-        for digit in words[0].digits:
-            node = node.setdefault(digit, {})
-        prob = src.prob_of(symbol) if src is not None else None
-        leaves[id(node)] = TreeNode((), symbol, prob)
-
-    # every trie node is frozen after its children: reversed preorder
-    order, stack = [], [trie]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.values())
-    frozen: dict[int, TreeNode] = {}
-    for node in reversed(order):
-        if id(node) in leaves:
-            frozen[id(node)] = leaves[id(node)]
-        else:
-            children = tuple((d, frozen[id(c)]) for d, c in sorted(node.items()))
-            frozen[id(node)] = TreeNode(children)
-    return CodeTree(code.radix, frozen[id(trie)])
+    order = sorted(code.mapping, key=lambda entry: entry[1][0].digits)  # digit order
+    paths = [words[0].digits for _, words in order]
+    leaves = [TreeNode((), symbol, src.prob_of(symbol) if src is not None else None) for symbol, _ in order]
+    return CodeTree(code.radix, _tree_of(paths, _parts(paths), leaves))
 
 
 def from_tree(tree: CodeTree) -> Code:
@@ -159,21 +143,91 @@ def compact_standalone(tree: CodeTree) -> CodeTree:
     strictly decreases when a spliced edge sits above a leaf with
     positive probability.
     """
-    compacted: dict[int, TreeNode] = {}
-    for _, node in reversed(tree.walk()):  # every node after its descendants
-        compacted[id(node)] = node if node.is_leaf else _compact_node(node, compacted)
-    return CodeTree(tree.radix, compacted[id(tree.root)])
+    leaves = tree.leaves()
+    paths = [path for path, _ in leaves]
+    paths, parts = _compact_paths(paths, _parts(paths))
+    return CodeTree(tree.radix, _tree_of(paths, parts, [leaf for _, leaf in leaves]))
 
 
-def _compact_node(node: TreeNode, compacted: dict[int, TreeNode]) -> TreeNode:
-    """node with its compacted children, spliced while it has only one."""
-    children = tuple((d, compacted[id(c)]) for d, c in node.children)
-    while len(children) == 1:
-        only = children[0][1]
-        if only.is_leaf:
-            return TreeNode((), only.symbol, only.prob)
-        children = only.children
-    return TreeNode(children)
+def _parts(paths: list[tuple[int, ...]]) -> list[int]:
+    """The depth at which each two neighbouring paths part: their common prefix's length."""
+    out = []
+    for p, q in zip(paths, paths[1:]):
+        n = min(len(p), len(q))
+        k = 0
+        while k < n and p[k] == q[k]:
+            k += 1
+        out.append(k)
+    return out
+
+
+def _compact_paths(paths: list[tuple[int, ...]], parts: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The leaf paths, in digit order, once every only-child node is
+    spliced, and the parts of the new paths.
+
+    The paths are prefix-free and in digit order, and leaves k and k+1
+    part at depth parts[k], where their common ancestor branches. A leaf
+    keeps the digit below each ancestor with two or more children. For
+    leaf k, the branching ancestors above depth parts[k-1] are those of
+    leaf k-1, the one at that depth branches, and below it the ancestor
+    at depth d branches exactly when d is a running minimum of parts[k],
+    parts[k+1], ...; one monotone stack pass from the right lists those
+    minima. Two new paths part at the count of kept depths above their
+    old part.
+    """
+    right: list[tuple[int, ...]] = []  # right[k]: the running minima from parts[k] on, ascending
+    stack: list[int] = []
+    for part in reversed(parts):
+        while stack and stack[-1] >= part:
+            stack.pop()
+        stack.append(part)
+        right.append(tuple(stack))
+    right.reverse()
+    right.append(())
+
+    kept = right[0]  # the depths of the branching ancestors of the current leaf
+    out, out_parts = [tuple(map(paths[0].__getitem__, kept))], []
+    for path, part, minima in zip(paths[1:], parts, right[1:]):
+        above = bisect_left(kept, part)
+        kept = kept[:above] + (part,) + minima[bisect_right(minima, part) :]
+        out.append(tuple(map(path.__getitem__, kept)))
+        out_parts.append(above)
+    return out, out_parts
+
+
+def _leaf_fold(paths, parts: list[int], leaves: list, close):
+    """Fold the tree whose leaves lie at these paths, bottom-up.
+
+    The paths are prefix-free and in digit order, parts[k] is the depth
+    at which paths k and k+1 part, and leaves[k] is the value of leaf k.
+    close(path, children) gets each internal node's path and its
+    children's (digit, value) pairs in digit order, and returns the
+    node's value. Nodes close in postorder, so the nodes of each depth
+    close in lexicographic path order. Returns the root's value.
+    """
+    if len(paths) == 1 and not paths[0]:
+        return leaves[0]  # the root is the only leaf
+    open_children: list[list] = [[]]  # open_children[k]: the finished children of the open node at depth k
+    prev: tuple[int, ...] = ()
+
+    def close_below(depth: int) -> None:
+        while len(open_children) > depth + 1:
+            children = open_children.pop()
+            k = len(open_children)
+            open_children[-1].append((prev[k - 1], close(prev[:k], children)))
+
+    for path, part, leaf in zip(paths, [0, *parts], leaves):
+        close_below(part)
+        open_children.extend([] for _ in range(len(path) - len(open_children)))
+        open_children[-1].append((path[-1], leaf))
+        prev = path
+    close_below(0)
+    return close((), open_children[0])
+
+
+def _tree_of(paths, parts: list[int], leaves: list[TreeNode]) -> TreeNode:
+    """The tree whose leaves, in digit order, lie at these paths."""
+    return _leaf_fold(paths, parts, leaves, lambda _, children: TreeNode(tuple(children)))
 
 
 def is_compact(tree: CodeTree) -> bool:

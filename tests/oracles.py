@@ -149,3 +149,13 @@ def grow_leaf_paths_oracle(randbelow, r, z):
         _, leaf = found[randbelow(len(found))]
         leaf.extend([] for _ in range(r))
     return [path for path, _ in leaves(root, ())]
+
+
+def compacted_paths_oracle(paths):
+    """Each leaf path with the digits below its only-child ancestors left out:
+    the ancestor at depth d keeps its digit when the leaves below it differ
+    in digit d."""
+    return [
+        tuple(p[d] for d in range(len(p)) if len({q[d] for q in paths if q[:d] == p[:d]}) > 1)
+        for p in paths
+    ]

@@ -2,21 +2,29 @@
 the sorted-neighbour prefix test, and deep codes."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import codecert.decipher as decipher_module
 import codecert.proof as proof
 import codecert.tree as tree_module
 from codecert import (
+    Code,
     Codeword,
     ExactnessCheckFailed,
+    SiblingGroup,
     Source,
     SplitMix64,
+    acl_exact,
     certify,
     compact_standalone,
+    construct_instantaneous,
     dump_tree,
+    entropy,
+    equality_condition,
     find_sibling_group,
     format_certificate,
     from_tree,
@@ -26,14 +34,16 @@ from codecert import (
     kraft_sum,
     make_code,
     make_source,
+    minimal_reduction,
     random_prefix_code,
     reduce_group,
+    reduction_step,
     reversed_code,
     to_tree,
     tree_source,
     tree_stats,
 )
-from oracles import prefix_free_oracle
+from oracles import compacted_paths_oracle, prefix_free_oracle
 
 
 def reference_chain(src, code):
@@ -108,8 +118,150 @@ def test_certify_builds_no_source_and_rebuilds_no_tree(monkeypatch):
 def test_certify_raises_when_exact_checks_disagree(monkeypatch):
     src = make_source("abc", [F(1, 2), F(1, 4), F(1, 4)])
     code = make_code(2, {"a": "0", "b": "10", "c": "11"})
-    monkeypatch.setattr(proof, "equality_condition", lambda src, code: (False, None))
+    monkeypatch.setattr(proof, "_equality_witness", lambda src, depths, r: None)
     with pytest.raises(ExactnessCheckFailed):
+        certify(src, code)
+
+
+# --- certify against the TreeNode route ---
+
+
+def walk_chain(tree, src):
+    """The chain of a compact tree by one preorder walk: every internal node,
+    deepest level first and each level in walk order, its children's masses
+    summed bottom-up. Linear in the tree, so it reaches deep codes that
+    reference_chain, one tree rebuild per merge, cannot."""
+    levels = []
+    for path, node in tree.walk():
+        if not node.is_leaf:
+            if len(path) == len(levels):
+                levels.append([])
+            levels[len(path)].append((path, node))
+    mass_of = dict(zip(src.symbols, src.masses))
+    merged, steps = {}, []
+    for level in reversed(levels):
+        for path, node in level:
+            masses = tuple(mass_of[c.symbol] if c.is_leaf else merged[id(c)] for _, c in node.children)
+            group = SiblingGroup(path, tuple(path + (d,) for d, _ in node.children))
+            steps.append(reduction_step(group, masses, src.denominator, tree.radix))
+            merged[id(node)] = sum(masses)
+    return steps
+
+
+def assert_matches_tree_route(src, code, deep=False):
+    """Every certificate field, the lazily built codes and the text, against
+    construct_instantaneous, to_tree, compact_standalone, from_tree, the
+    chain (walk_chain for deep codes), acl_exact and equality_condition."""
+    r = code.radix
+    reduced = minimal_reduction(code)
+    canonical = construct_instantaneous([w.length for w in reduced.pooled()], r, symbols=reduced.symbols)
+    tree = compact_standalone(to_tree(canonical, src))
+    certified = from_tree(tree)
+    steps = walk_chain(tree, src) if deep else reference_chain(src, canonical)
+    acl = acl_exact(src, certified)
+    equal, witness = equality_condition(src, certified)
+    summary = {
+        "acl_drop": acl_exact(src, canonical) - acl,
+        "entropy": entropy(src, r),
+        "acl": float(acl),
+        "acl_exact": acl,
+        "sum_delta": math.fsum(s.delta for s in steps),
+        "verdict": "Equality" if equal else "StrictInequality",
+        "witness": witness,
+    }
+
+    cert = certify(src, code)
+    assert (cert.source, cert.code) == (src, code)
+    assert {name: getattr(cert, name) for name in summary} == summary
+    assert [fields(s) for s in cert.steps] == [fields(s) for s in steps]
+    assert cert.canonical_code == canonical
+    assert cert.certified_code == certified
+    replayed = dataclasses.replace(cert, steps=tuple(steps), **summary)
+    assert format_certificate(cert) == format_certificate(replayed)
+    return cert
+
+
+def comb(r, depth):
+    """A dyadic-like code whose tree has one internal node per level: r - 1
+    leaves at each depth below depth and r at depth, with p = r**-length."""
+    top = (r - 1,) * (depth - 1)
+    words = [(r - 1,) * (k - 1) + (d,) for k in range(1, depth) for d in range(r - 1)]
+    words += [top + (d,) for d in range(r)]
+    symbols = [f"s{i}" for i in range(len(words))]
+    src = make_source(symbols, [F(1, r ** len(w)) for w in words])
+    return src, make_code(r, [(s, Codeword(w)) for s, w in zip(symbols, words)])
+
+
+@pytest.mark.parametrize("r", [2, 3, 16, 36])
+def test_certify_matches_tree_route_on_random_codes(r):
+    rng = random.Random(f"route:{r}")
+    for k in range(30):
+        cert = assert_matches_tree_route(*random_case(rng, r, k))
+        assert list(cert.certified_paths) == compacted_paths_oracle(list(cert.canonical_paths))
+
+
+@pytest.mark.parametrize("r", [2, 3, 16, 36])
+def test_certify_matches_tree_route_on_one_symbol(r):
+    one = make_source("a", [F(1)])
+    cert = assert_matches_tree_route(one, make_code(r, {"a": "-"}))
+    assert (cert.verdict, cert.acl_drop, cert.steps) == ("Equality", 0, ())
+    long_word = make_code(r, {"a": Codeword((r - 1,) * 2100)})
+    cert = assert_matches_tree_route(one, long_word, deep=True)
+    assert (cert.verdict, cert.acl_drop, cert.certified_paths) == ("Equality", 2100, ((),))
+
+
+@pytest.mark.parametrize("r", [2, 3, 16, 36])
+def test_certify_matches_tree_route_on_deep_chains(r):
+    # the canonical words 0, 10^2099 and 0, 10^2099, 10^2098 10 hang on chains
+    two = make_source("ab", [F(1, 3), F(2, 3)])
+    cert = assert_matches_tree_route(two, make_code(r, {"a": "0", "b": Codeword((1,) * 2100)}), deep=True)
+    assert cert.acl_drop == F(2, 3) * 2099
+    words = {"a": Codeword((0,)), "b": Codeword((1,) * 2099 + (0,)), "c": Codeword((1,) * 2101)}
+    three = make_source("abc", [F(1, 2), F(1, 3), F(1, 6)])
+    cert = assert_matches_tree_route(three, make_code(r, words), deep=True)
+    assert cert.certified_paths == ((0,), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("r,depth", [(2, 2001), (3, 400)])
+def test_certify_matches_tree_route_on_deep_combs(r, depth):
+    src, code = comb(r, depth)
+    cert = assert_matches_tree_route(src, code, deep=True)
+    assert cert.verdict == "Equality" and len(cert.steps) == depth
+    assert [s.l_red for s in cert.steps] == list(range(depth - 1, -1, -1))
+
+
+def test_certify_builds_no_code_and_no_tree(monkeypatch):
+    src = make_source("abcd", [F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
+    code = make_code(3, {"a": "0", "b": "10", "c": "11", "d": "1200"})
+    built = []
+    original = Code.__post_init__
+    monkeypatch.setattr(Code, "__post_init__", lambda self: built.append(original(self)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify works on leaf paths")
+
+    for module, name in (
+        (decipher_module, "construct_instantaneous"),
+        (tree_module, "to_tree"),
+        (tree_module, "compact_standalone"),
+        (tree_module, "from_tree"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+        if hasattr(proof, name):
+            monkeypatch.setattr(proof, name, refuse)
+    cert = certify(src, code)
+    assert built == []  # a one-codeword code is its own minimal reduction
+    assert [str(w) for w in cert.certified_code.pooled()] == ["0", "10", "11", "12"]
+    assert [str(w) for w in cert.canonical_code.pooled()] == ["0", "10", "11", "1200"]
+    assert len(built) == 2
+
+
+def test_certify_raises_when_the_lengths_outrun_the_canonical_words(monkeypatch):
+    # a wrong decipherability verdict would leave lengths past the Kraft bound
+    src = make_source("abc", [F(1, 3)] * 3)
+    code = make_code(2, {"a": "0", "b": "1", "c": "01"})
+    monkeypatch.setattr(proof, "is_uniquely_decipherable", lambda code: True)
+    with pytest.raises(ExactnessCheckFailed, match="Kraft"):
         certify(src, code)
 
 

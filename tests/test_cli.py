@@ -151,8 +151,8 @@ def test_check_ud_witness_longer_than_the_budget(tmp_path, capsys):
     assert run(capsys, "check-ud", code, "--max-len", "13", "--machine") == (1, f"ud=False\nwitness={'0' * 13}", "")
     # with both words on one symbol, a^6 = a^7 on 0^42 is the shortest ambiguity
     multi = write(tmp_path, "m.txt", "radix 2\na 0000000,000000\n")
-    assert run(capsys, "check-ud", multi) == (0, "no ambiguous digit string within 12 digits", "")
-    assert run(capsys, "check-ud", multi, "--max-len", "41", "--machine") == (0, "ud=True\nbudget=41", "")
+    assert run(capsys, "check-ud", multi) == (1, "not uniquely decipherable (no witness within 12 digits)", "")
+    assert run(capsys, "check-ud", multi, "--max-len", "41", "--machine") == (1, "ud=False\nwitness=None", "")
     assert run(capsys, "check-ud", multi, "--max-len", "42", "--machine") == (1, f"ud=False\nwitness={'0' * 42}", "")
 
 
@@ -558,6 +558,7 @@ def _inputs(tmp_path):
         "src": write(tmp_path, "s.txt", DYADIC_SRC),
         "code": write(tmp_path, "c.txt", DYADIC_CODE),
         "ambiguous": write(tmp_path, "amb.txt", "radix 2\na 0\nb 01\nc 10\n"),
+        "long_witness": write(tmp_path, "long.txt", "radix 2\na 0000000,000000\n"),
         "not_prefix": write(tmp_path, "np.txt", "radix 2\na 0\nb 01\n"),
         "bad_src": write(tmp_path, "bad_s.txt", "a 1/2\nb 1/3\n"),
         "bad_code": write(tmp_path, "bad_c.txt", "radix 2\na 0\nb 012\n"),
@@ -580,6 +581,9 @@ EXIT_STATUS_CASES = [
     ("check-ud {code}", 0),
     ("check-ud {ambiguous}", 1),
     ("check-ud {ambiguous} --max-len -1", 2),
+    ("check-ud {code} --max-len -1", 2),
+    ("check-ud {long_witness}", 1),
+    ("check-ud {long_witness} --max-len -1", 2),
     ("check-ud {bad_code}", 2),
     ("check-prefix {code}", 0),
     ("check-prefix {not_prefix}", 1),
@@ -592,6 +596,7 @@ EXIT_STATUS_CASES = [
     ("certify {src} {code}", 0),
     ("certify {src} {ambiguous}", 1),
     ("certify {src} {ambiguous} --max-len -1", 2),
+    ("certify {src} {code} --max-len -1", 2),
     ("certify {bad_src} {code}", 2),
     ("simulate {src} {code} --t 50", 0),
     ("simulate {src} {code} --t 0", 2),

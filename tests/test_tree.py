@@ -1,11 +1,13 @@
 """Tree view of prefix-free codes: round trips, compacting, sibling
 groups, merges."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from codecert import (
+    Codeword,
     InvalidGroup,
     NotCompact,
     NotPrefixFree,
@@ -23,6 +25,7 @@ from codecert import (
     tree_source,
     tree_stats,
 )
+from oracles import compacted_paths_oracle
 
 
 def abc_tree(with_src=True):
@@ -119,6 +122,24 @@ def test_compact_never_deepens_a_leaf():
     before = {l.symbol: len(p) for p, l in tree.leaves()}
     after = {l.symbol: len(p) for p, l in compact_standalone(tree).leaves()}
     assert all(after[s] <= before[s] for s in before)
+
+
+def test_compact_matches_the_splicing_oracle():
+    # random digits put only-children at every digit, not just at 0
+    rng = random.Random("compact")
+    for _ in range(300):
+        r = rng.choice([2, 3, 16])
+        words = set()
+        for _ in range(rng.randint(1, 8)):
+            w = tuple(rng.randrange(r) for _ in range(rng.randint(1, 7)))
+            if not any(w[: len(u)] == u or u[: len(w)] == w for u in words):
+                words.add(w)
+        paths = sorted(words)
+        code = make_code(r, [(f"s{i}", Codeword(p)) for i, p in enumerate(paths)])
+        compacted = compact_standalone(to_tree(code))
+        assert is_compact(compacted)
+        expected = list(zip(compacted_paths_oracle(paths), code.symbols))
+        assert [(p, leaf.symbol) for p, leaf in compacted.leaves()] == expected, paths
 
 
 def test_is_compact_cases():
