@@ -184,13 +184,16 @@ class EncodingPolicy:
     weights: tuple[tuple[Any, tuple[Fraction, ...]], ...]
 
     def __post_init__(self):
+        seen = set()
         for symbol, qs in self.weights:
+            if symbol in seen:
+                raise ValueError(f"symbol {symbol!r} listed twice")
+            seen.add(symbol)
             _check_weights(symbol, qs)
 
     @cached_property
     def _index(self) -> dict:
-        # reversed, so a symbol listed twice keeps its first weights
-        return dict(reversed(self.weights))
+        return dict(self.weights)
 
     def weights_for(self, symbol) -> tuple[Fraction, ...] | None:
         return self._index.get(symbol)

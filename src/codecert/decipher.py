@@ -9,9 +9,10 @@ that pick different codewords of the same symbols are one decoding.
   * One engine decides it exactly and finds the shortest, then least,
     ambiguous digit string (the witness): a search over the states of a
     pair of parses on the codeword trie, in the manner of Sardinas and
-    Patterson (1953) and Even (1963). is_uniquely_decipherable and
-    ud_counterexample both run it; its work is set by the code, not by a
-    digit budget.
+    Patterson (1953) and Even (1963); its work is set by the code, not by
+    a digit budget. is_uniquely_decipherable and ud_counterexample share
+    one front, which decides a prefix-free or suffix-free code by sorting
+    its words and runs the engine on every other code.
   * brute_force_ud is the independent oracle: dynamic programming over
     every digit string up to a length budget.
 
@@ -99,10 +100,9 @@ def _emit(delay: tuple[int, ...] | None, x: int) -> tuple[int, ...] | None:
     return delay[1:] if delay[0] == -x else None
 
 
-def _shortest_ambiguity(code: Code, max_len: int | None) -> tuple[int, ...] | None:
+def _shortest_ambiguity(code: Code) -> tuple[int, ...] | None:
     """The shortest, then least, digit string with two distinct decoded symbol
-    sequences, as digits, or None if there is none of length <= max_len
-    (max_len None: none at all, so the code is uniquely decipherable).
+    sequences, as digits, or None when the code is uniquely decipherable.
 
     Two parses read the same digits on the codeword trie. A state is a node
     pair and a delay: the pair packed as u1 * size + u2 with u1 <= u2, since
@@ -188,9 +188,7 @@ def _shortest_ambiguity(code: Code, max_len: int | None) -> tuple[int, ...] | No
     delay_index: dict = {(): 0, None: 1}
     parent: dict[int, tuple[int, int] | None] = {0: None}
     level = [[0]]
-    length = 0
-    while level and length != max_len:
-        length += 1
+    while level:
         reached = []
         for group in level:
             by_digit: dict[int, list] = {}
@@ -233,17 +231,19 @@ def _shortest_ambiguity(code: Code, max_len: int | None) -> tuple[int, ...] | No
     return None
 
 
-def is_uniquely_decipherable(code: Code) -> bool:
-    """True iff no digit string has two distinct decoded symbol sequences.
+def _witness(code: Code) -> tuple[int, ...] | None:
+    """The shortest, then least, ambiguous digit string, or None. A prefix-free
+    or suffix-free word list splits a digit string into words one way at most,
+    read left to right or right to left, so such a code skips the engine."""
+    words = [w.digits for w in code.pooled()]
+    if _prefix_free(words) or _prefix_free([w[::-1] for w in words]):
+        return None
+    return _shortest_ambiguity(code)
 
-    A prefix-free or suffix-free pooled word list splits every digit string
-    into words in at most one way, read left to right or right to left, so
-    such a code is decided without the engine.
-    """
-    pooled = code.pooled()
-    if _prefix_free([w.digits for w in pooled]) or _prefix_free([w.digits[::-1] for w in pooled]):
-        return True
-    return _shortest_ambiguity(code, None) is None
+
+def is_uniquely_decipherable(code: Code) -> bool:
+    """True iff no digit string has two distinct decoded symbol sequences."""
+    return _witness(code) is None
 
 
 def ud_counterexample(code: Code, max_len: int | None = DEFAULT_UD_BUDGET) -> str | None:
@@ -255,8 +255,9 @@ def ud_counterexample(code: Code, max_len: int | None = DEFAULT_UD_BUDGET) -> st
     """
     if max_len is not None:
         _check_budget(max_len)
-    witness = _shortest_ambiguity(code, max_len)
-    return None if witness is None else str(Codeword(witness))
+    witness = _witness(code)
+    fits = witness is not None and (max_len is None or len(witness) <= max_len)
+    return str(Codeword(witness)) if fits else None
 
 
 def brute_force_ud(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> bool:

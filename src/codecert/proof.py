@@ -56,10 +56,11 @@ from .errors import (
     RadixOneUnsupported,
     ZeroOrNegativeProbability,
 )
-from .source import Source, _check_radix, _integer_masses, _log, entropy
+from .source import Source, _as_fraction, _check_radix, _integer_masses, _log, entropy
 from .tree import (
     CodeTree,
     SiblingGroup,
+    _below,
     _compact_paths,
     _leaf_fold,
     replace_group_with_leaf,
@@ -230,27 +231,22 @@ def reduce_group(
 ) -> tuple[Source, CodeTree, ReductionStep]:
     """Merge a sibling-leaf group into its parent.
 
-    The reference form of one merge, which rebuilds the tree and the
+    The reference form of one merge, which builds the reduced tree and
     source; certify's one-pass chain never calls it. Returns the reduced
     source, the reduced tree, and the step record.
     The reduced source lists the reduced tree's leaves in digit order,
     so repeated steps keep source and tree aligned.
     """
-    try:
-        parent = tree.node_at(group.parent)
-    except KeyError:
-        raise InvalidGroup(f"no node at parent path {group.parent}") from None
-    expected = tuple(group.parent + (d,) for d, _ in parent.children)
-    if parent.is_leaf or expected != group.members:
-        raise InvalidGroup("group members are not exactly the parent's children")
-    if any(not c.is_leaf for _, c in parent.children):
-        raise InvalidGroup("group contains an internal node")
-    probs = tuple(c.prob for _, c in parent.children)
+    span = _below(tree, group.parent)
+    if tree.paths[span] != group.members or any(len(p) != len(group.parent) + 1 for p in group.members):
+        raise InvalidGroup(f"group members are not exactly the leaf children of a node at {group.parent}")
+    leaves = tree.nodes[span]
+    probs = tuple(leaf.prob for leaf in leaves)
     if None in probs:
         raise InvalidGroup("group leaf carries no probability")
     denominator, masses = _integer_masses(probs)
     step = reduction_step(group, masses, denominator, tree.radix)
-    merged = MergedSymbol(tuple(c.symbol for _, c in parent.children))
+    merged = MergedSymbol(tuple(leaf.symbol for leaf in leaves))
     reduced_tree = replace_group_with_leaf(tree, group, merged, step.p_red)
     return tree_source(reduced_tree), reduced_tree, step
 
@@ -409,10 +405,11 @@ def _equality_witness(src: Source, lengths: list[int], r: int) -> EqualityWitnes
 
 
 def _group_masses(probs, r: int) -> tuple[int, tuple[int, ...]]:
-    """Check the radix and the probabilities of a closing-inequality check;
-    returns them as integer masses over their common denominator."""
+    """Check the radix and the probabilities of a closing-inequality check,
+    read as make_source reads them (a float is rejected); returns them as
+    integer masses over their common denominator."""
     _check_radix(r)
-    probs = tuple(Fraction(p) for p in probs)
+    probs = tuple(map(_as_fraction, probs))
     if not probs:
         raise ValueError("need at least one probability")
     for p in probs:

@@ -6,8 +6,7 @@ derived_seed(master, k), which keeps trials independent and lets a
 failing trial be replayed in isolation.
 
 A random full tree is grown as the list of its leaf paths in digit
-order, one draw per internal node; a TreeNode tree is built from the
-finished list only when a caller asks for one.
+order, one draw per internal node, which is the form a CodeTree stores.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from fractions import Fraction
 from .codes import Code, Codeword
 from .rng import SplitMix64, _check_seed, derived_seed
 from .source import Source, _check_radix
-from .tree import CodeTree, TreeNode, _parts, _tree_of
+from .tree import CodeTree, TreeNode
 
 
 def trial_rng(master_seed: int, k: int) -> SplitMix64:
@@ -49,16 +48,12 @@ def grow_full_tree(rng: SplitMix64, r: int, z: int) -> CodeTree:
     """A full r-ary tree with exactly z internal nodes (z >= 0), unlabelled."""
     _check_radix(r)
     paths = _grow_leaf_paths(rng, r, z)
-    return CodeTree(r, _tree_of(paths, _parts(paths), [TreeNode() for _ in paths]))
+    return CodeTree(r, tuple(paths), (TreeNode(),) * len(paths))
 
 
 def _grow_leaf_paths(rng: SplitMix64, r: int, z: int) -> list[tuple[int, ...]]:
     """The leaf paths, in digit order, of a full r-ary tree grown from one
-    leaf by z times turning a uniformly drawn leaf into an internal node.
-
-    The list is kept in the order CodeTree.leaves() would list the tree's
-    leaves, so each draw picks the same leaf as growing the tree itself.
-    """
+    leaf by z times turning a uniformly drawn leaf into an internal node."""
     if z < 0:
         raise ValueError(f"need at least zero internal nodes, got {z}")
     paths: list[tuple[int, ...]] = [()]

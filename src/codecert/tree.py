@@ -12,9 +12,12 @@ to the single-leaf tree whose codeword is the empty word. Compact trees
 with at least two leaves always contain a deepest group of sibling
 leaves, which is the unit the proof engine merges.
 
-Building and compacting run on the leaves' paths in digit order: one
-compaction (_compact_paths) and one bottom-up fold (_leaf_fold), which
-the proof engine also uses directly, with no tree built.
+A CodeTree stores its leaves' paths in digit order and their leaf nodes.
+Digits are below the radix, so the leaves at or below path p are the
+range [p, p + (radix,)), found by two bisects; a merge replaces that
+range by one leaf. Compacting is one stack pass (_compact_paths). The
+nested TreeNode view, root, is folded from the list (_leaf_fold) when
+first read. The proof engine runs both passes on bare paths.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 from .codes import Code, Codeword
@@ -45,12 +49,20 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class CodeTree:
+    """A tree stored as its leaves: their paths in digit order and their
+    leaf nodes, which carry the payloads. root is the nested view."""
+
     radix: int
-    root: TreeNode
+    paths: tuple[tuple[int, ...], ...]
+    nodes: tuple[TreeNode, ...]
+
+    @cached_property
+    def root(self) -> TreeNode:
+        return _tree_of(self.paths, self.nodes)
 
     def leaves(self) -> list[tuple[tuple[int, ...], TreeNode]]:
         """(path, leaf) pairs in depth-first digit order."""
-        return [(path, node) for path, node in self.walk() if node.is_leaf]
+        return list(zip(self.paths, self.nodes))
 
     def walk(self) -> list[tuple[tuple[int, ...], TreeNode]]:
         """(path, node) pairs of every node in preorder, children in digit order.
@@ -68,11 +80,8 @@ class CodeTree:
     def node_at(self, path: tuple[int, ...]) -> TreeNode:
         node = self.root
         for digit in path:
-            for d, child in node.children:
-                if d == digit:
-                    node = child
-                    break
-            else:
+            node = dict(node.children).get(digit)
+            if node is None:
                 raise KeyError(f"no node at path {path}")
         return node
 
@@ -101,15 +110,17 @@ def to_tree(code: Code, src: Source | None = None) -> CodeTree:
 
     Leaves carry the symbol, and its probability when a source is given.
     """
+    if not code.mapping:
+        raise ValueError("tree view needs at least one codeword")
     if not code.is_singleton():
         raise NotPrefixFree("tree view needs one codeword per symbol")
     if not is_prefix_free(code):
         raise NotPrefixFree("code is not prefix-free")
 
     order = sorted(code.mapping, key=lambda entry: entry[1][0].digits)  # digit order
-    paths = [words[0].digits for _, words in order]
-    leaves = [TreeNode((), symbol, src.prob_of(symbol) if src is not None else None) for symbol, _ in order]
-    return CodeTree(code.radix, _tree_of(paths, _parts(paths), leaves))
+    paths = tuple(words[0].digits for _, words in order)
+    leaves = tuple(TreeNode((), symbol, src.prob_of(symbol) if src is not None else None) for symbol, _ in order)
+    return CodeTree(code.radix, paths, leaves)
 
 
 def from_tree(tree: CodeTree) -> Code:
@@ -117,22 +128,21 @@ def from_tree(tree: CodeTree) -> Code:
 
     Leaves without a symbol get positional names leaf0, leaf1, ...
     """
-    mapping = []
-    for k, (path, leaf) in enumerate(tree.leaves()):
-        symbol = leaf.symbol if leaf.symbol is not None else f"leaf{k}"
-        mapping.append((symbol, (Codeword(path),)))
-    return Code(tree.radix, tuple(mapping))
+    words = [(Codeword(path),) for path, _ in tree.leaves()]
+    return Code(tree.radix, tuple(zip(_symbols(tree), words)))
 
 
 def tree_source(tree: CodeTree) -> Source:
     """The source carried on a tree's leaves (requires probabilities)."""
-    symbols, probs = [], []
-    for k, (path, leaf) in enumerate(tree.leaves()):
+    for path, leaf in tree.leaves():
         if leaf.prob is None:
             raise ValueError(f"leaf at {path} carries no probability")
-        symbols.append(leaf.symbol if leaf.symbol is not None else f"leaf{k}")
-        probs.append(leaf.prob)
-    return Source(tuple(symbols), tuple(probs))
+    return Source(_symbols(tree), tuple(leaf.prob for leaf in tree.nodes))
+
+
+def _symbols(tree: CodeTree) -> tuple:
+    """The leaves' symbols in digit order; leaf k without one is named leaf<k>."""
+    return tuple(f"leaf{k}" if leaf.symbol is None else leaf.symbol for k, leaf in enumerate(tree.nodes))
 
 
 def compact_standalone(tree: CodeTree) -> CodeTree:
@@ -143,10 +153,8 @@ def compact_standalone(tree: CodeTree) -> CodeTree:
     strictly decreases when a spliced edge sits above a leaf with
     positive probability.
     """
-    leaves = tree.leaves()
-    paths = [path for path, _ in leaves]
-    paths, parts = _compact_paths(paths, _parts(paths))
-    return CodeTree(tree.radix, _tree_of(paths, parts, [leaf for _, leaf in leaves]))
+    paths, _ = _compact_paths(tree.paths, _parts(tree.paths))
+    return CodeTree(tree.radix, tuple(paths), tree.nodes)
 
 
 def _parts(paths: list[tuple[int, ...]]) -> list[int]:
@@ -225,13 +233,20 @@ def _leaf_fold(paths, parts: list[int], leaves: list, close):
     return close((), open_children[0])
 
 
-def _tree_of(paths, parts: list[int], leaves: list[TreeNode]) -> TreeNode:
-    """The tree whose leaves, in digit order, lie at these paths."""
-    return _leaf_fold(paths, parts, leaves, lambda _, children: TreeNode(tuple(children)))
+def _tree_of(paths, leaves) -> TreeNode:
+    """The nested nodes of the tree whose leaves, in digit order, lie at these paths."""
+    return _leaf_fold(paths, _parts(paths), leaves, lambda _, children: TreeNode(tuple(children)))
+
+
+def _below(tree: CodeTree, path: tuple[int, ...]) -> slice:
+    """The positions of the leaves at or below path. Digits are below the
+    radix, so their paths are those in [path, path + (radix,))."""
+    return slice(bisect_left(tree.paths, path), bisect_left(tree.paths, path + (tree.radix,)))
 
 
 def is_compact(tree: CodeTree) -> bool:
-    return all(len(node.children) != 1 for _, node in tree.walk())
+    """True iff compacting changes nothing: no node has an only child."""
+    return compact_standalone(tree) == tree
 
 
 def find_sibling_group(tree: CodeTree) -> SiblingGroup:
@@ -241,19 +256,15 @@ def find_sibling_group(tree: CodeTree) -> SiblingGroup:
     parent path. Existence is guaranteed for compact trees with at least
     two leaves, which is exactly what the induction needs.
     """
-    leaves = tree.leaves()
-    if len(leaves) < 2:
+    if len(tree.paths) < 2:
         raise TreeTooSmall("a sibling group needs at least two leaves")
     if not is_compact(tree):
         raise NotCompact("tree has an only-child node; compact it first")
 
-    deepest = max(len(path) for path, _ in leaves)
-    parents = sorted({path[:-1] for path, _ in leaves if len(path) == deepest})
-    parent = parents[0]
-    node = tree.node_at(parent)
-    members = tuple(parent + (digit,) for digit, _ in node.children)
+    deepest = max(map(len, tree.paths))
+    parent = next(path for path in tree.paths if len(path) == deepest)[:-1]
     # all children of a deepest leaf's parent are themselves deepest leaves
-    return SiblingGroup(parent, members)
+    return SiblingGroup(parent, tree.paths[_below(tree, parent)])
 
 
 def tree_stats(tree: CodeTree) -> TreeStats:
@@ -266,22 +277,14 @@ def tree_stats(tree: CodeTree) -> TreeStats:
 def replace_group_with_leaf(
     tree: CodeTree, group: SiblingGroup, symbol, prob: Fraction | None
 ) -> CodeTree:
-    """The tree with the group's parent turned into a leaf (used by reductions)."""
-    return _replace_at(tree, group.parent, TreeNode((), symbol, prob))
-
-
-def _replace_at(tree: CodeTree, path: tuple[int, ...], node: TreeNode) -> CodeTree:
-    """The tree with node in place of the node at path; only the path's ancestors are rebuilt."""
-    above = [tree.root]  # the nodes on the path, root first
-    for depth, digit in enumerate(path):
-        children = dict(above[-1].children)
-        if digit not in children:
-            raise InvalidGroup(f"no node at path {path[: depth + 1]}")
-        above.append(children[digit])
-    for digit, old in zip(reversed(path), reversed(above[:-1])):
-        children = tuple((d, node if d == digit else c) for d, c in old.children)
-        node = TreeNode(children, old.symbol, old.prob)
-    return CodeTree(tree.radix, node)
+    """The tree with the node at the group's parent turned into a leaf
+    (used by reductions): the leaves below it give way to the one leaf."""
+    span = _below(tree, group.parent)
+    if span.start == span.stop:
+        raise InvalidGroup(f"no node at path {group.parent}")
+    paths = tree.paths[: span.start] + (group.parent,) + tree.paths[span.stop :]
+    nodes = tree.nodes[: span.start] + (TreeNode((), symbol, prob),) + tree.nodes[span.stop :]
+    return CodeTree(tree.radix, paths, nodes)
 
 
 def dump_tree(tree: CodeTree) -> str:

@@ -36,8 +36,8 @@ from codecert import (
     random_prefix_code,
     random_source,
     trial_rng,
-    ud_counterexample,
 )
+from codecert.decipher import _shortest_ambiguity
 from oracles import entropy_oracle, optimal_acl_oracle
 
 TOL = 1e-9
@@ -174,9 +174,9 @@ def test_criterion_4_decipherability_oracle_equivalence(criterion_report):
             checked += 1
             ud = is_uniquely_decipherable(code)
             oracle = brute_force_ud(code, 12)
-            # the pair-of-parses engine itself, which prefix-free and
-            # suffix-free codes skip inside is_uniquely_decipherable
-            engine = ud_counterexample(code, None) is None
+            # the pair-of-parses engine itself, called directly: both public
+            # deciders answer prefix-free and suffix-free codes without it
+            engine = _shortest_ambiguity(code) is None
             if ud != oracle or engine != oracle:
                 mismatches += 1
             if ud and kraft_sum(code.lengths(), 2) > 1:
@@ -185,7 +185,7 @@ def test_criterion_4_decipherability_oracle_equivalence(criterion_report):
     criterion_report(
         4,
         ok,
-        f"pair-of-parses engine and decider == brute force on {checked} binary codes "
+        f"pair-of-parses engine (run on every code) and decider == brute force on {checked} binary codes "
         f"(<= 4 words, length <= 3); {mismatches} mismatches, "
         f"{kraft_failures} UD codes broke the Kraft bound",
     )

@@ -196,6 +196,8 @@ def test_policy_validation():
         make_policy({"a": ["1", "0"]})
     with pytest.raises(ValueError):
         make_policy({"a": []})
+    with pytest.raises(ValueError, match="symbol 'a' listed twice"):
+        make_policy([("a", ["1/2", "1/2"]), ("a", ["1/3", "2/3"])])
 
 
 # --- minimal reduction ---

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codecert import decipher
+from codecert.cli import main
 from codecert import (
     Codeword,
     InvalidRadix,
@@ -79,12 +80,20 @@ def test_is_uniquely_decipherable(words, expected):
     assert is_uniquely_decipherable(singleton(words)) is expected
 
 
-def test_prefix_and_suffix_free_codes_skip_the_engine(monkeypatch):
+def test_prefix_and_suffix_free_codes_skip_the_engine(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(decipher, "_shortest_ambiguity", None)
-    assert is_uniquely_decipherable(singleton(["0", "10", "11"]))
-    assert is_uniquely_decipherable(singleton(["0", "01", "11"]))
-    assert is_uniquely_decipherable(make_code(2, {"a": ["0", "10"], "b": "11"}))
-    assert is_uniquely_decipherable(singleton(["-"]))
+    for code in (
+        singleton(["0", "10", "11"]),
+        singleton(["0", "01", "11"]),
+        make_code(2, {"a": ["0", "10"], "b": "11"}),
+        singleton(["-"]),
+    ):
+        assert is_uniquely_decipherable(code)
+        assert ud_counterexample(code, None) is None
+    suffix_free = tmp_path / "suffix.code"
+    suffix_free.write_text("radix 2\na 0\nb 01\nc 11\n")
+    assert main(["check-ud", str(suffix_free), "--machine"]) == 0
+    assert capsys.readouterr().out == "ud=True\n"
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,9 @@ def test_step_rejects_invalid_groups():
     bare = to_tree(make_code(2, {"a": "0"}))
     with pytest.raises(InvalidGroup):
         reduce_group(DYADIC, bare, SiblingGroup((), ((0,),)))  # group of one
+    ternary = to_tree(make_code(3, DYADIC_CODE.mapping), DYADIC)
+    with pytest.raises(InvalidGroup):  # every leaf below the root, but (1, 0) and (1, 1) are grandchildren
+        reduce_group(DYADIC, ternary, SiblingGroup((), ((0,), (1, 0), (1, 1))))
     no_probs = to_tree(DYADIC_CODE)
     with pytest.raises(InvalidGroup):
         reduce_group(DYADIC, no_probs, find_sibling_group(no_probs))
@@ -357,6 +360,10 @@ def test_group_inequality_errors():
         check_group_inequality([F(1, 2), F(0)], 2)
     with pytest.raises(ValueError):
         check_group_inequality([], 2)
+    # a float is read as exactly as make_source reads one: not at all
+    for check in (check_group_inequality, check_pp_inequalities):
+        with pytest.raises(ZeroOrNegativeProbability, match="float probability 0.1 rejected"):
+            check([0.1, 0.9], 2)
 
 
 def test_inequality_checks_below_the_smallest_float():

@@ -6,7 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import codecert.tree as tree_module
 from codecert import (
+    Code,
     Codeword,
     InvalidGroup,
     NotCompact,
@@ -17,10 +19,13 @@ from codecert import (
     dump_tree,
     find_sibling_group,
     from_tree,
+    grow_full_tree,
     is_compact,
     make_code,
     make_source,
+    reduce_group,
     replace_group_with_leaf,
+    trial_rng,
     to_tree,
     tree_source,
     tree_stats,
@@ -54,6 +59,11 @@ def test_to_tree_rejects_bad_codes():
         to_tree(make_code(2, {"a": ["0", "10"], "b": "11"}))
     with pytest.raises(NotPrefixFree):
         to_tree(make_code(2, {"a": "0", "b": "01"}))
+
+
+def test_to_tree_rejects_a_code_without_codewords():
+    with pytest.raises(ValueError, match="at least one codeword"):
+        to_tree(Code(2, ()))
 
 
 def test_single_empty_codeword_tree():
@@ -221,6 +231,24 @@ def test_replace_group_at_absent_path_raises():
     for parent in [(2,), (0, 1), (1, 0, 0)]:  # no digit 2; below a leaf; below a deepest leaf
         with pytest.raises(InvalidGroup):
             replace_group_with_leaf(tree, SiblingGroup(parent, (parent + (0,),)), "x", F(1, 2))
+
+
+def test_leaf_list_operations_build_no_nested_view(monkeypatch):
+    # only walk, node_at, dump_tree and tree_stats read the nested view
+    def refuse(*args):
+        raise AssertionError("the nested view was built")
+
+    monkeypatch.setattr(tree_module, "_tree_of", refuse)
+    src = make_source("abcde", [F(1, 5)] * 5)
+    tree = compact_standalone(to_tree(make_code(3, {"a": "0", "b": "10", "c": "12", "d": "200", "e": "201"}), src))
+    assert is_compact(tree)
+    cur = tree_source(tree)
+    while len(tree.leaves()) > 1:
+        cur, tree, _ = reduce_group(cur, tree, find_sibling_group(tree))
+        assert from_tree(tree).symbols == cur.symbols
+    assert tree.paths == ((),)
+    grown = grow_full_tree(trial_rng(7, 0), 3, 4)
+    assert len(grown.leaves()) == 9 and is_compact(grown)
 
 
 # --- dump ---
