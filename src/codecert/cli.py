@@ -61,8 +61,6 @@ from .codes import (
     Codeword,
     EncodingPolicy,
     _check_code_radix,
-    _check_codewords,
-    _check_weights,
     acl_exact,
     empirical_acl,
     kraft_sum,
@@ -86,7 +84,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _check_probability, _integer_masses, entropy, parse_rational
+from .source import REFERENCE_SEED, Source, _integer_masses, entropy, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -98,7 +96,7 @@ def _significant_lines(path: str) -> list[tuple[int, str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(str(e), path=path) from None
     out = []
     for lineno, line in enumerate(raw, start=1):
@@ -108,11 +106,14 @@ def _significant_lines(path: str) -> list[tuple[int, str]]:
     return out
 
 
-def _at(path: str, line: int | None, parse, *args):
-    """parse(*args), reporting a CodecertError or ValueError as a ParseError at path[:line]."""
+def _at(path: str, line: int | list[int] | None, parse, *args):
+    """parse(*args), reporting a CodecertError or ValueError as a ParseError at path[:line];
+    given a table's entry lines, at the line of the entry the error names (source._check_entries)."""
     try:
         return parse(*args)
     except (CodecertError, ValueError) as e:
+        if isinstance(line, list):
+            line = line[e.entry] if hasattr(e, "entry") else None
         raise ParseError(str(e), path=path, line=line) from None
 
 
@@ -120,17 +121,16 @@ def _source_entry(text: str) -> tuple[str, Fraction]:
     tokens = text.split()
     if len(tokens) != 2:
         raise ValueError(f"expected '<symbol> <probability>', got {text!r}")
-    symbol, p = tokens[0], parse_rational(tokens[1])
-    _check_probability(symbol, p)
-    return symbol, p
+    return tokens[0], parse_rational(tokens[1])
 
 
 def parse_source_file(path: str) -> Source:
-    entries = [_at(path, lineno, _source_entry, text) for lineno, text in _significant_lines(path)]
+    lines = _significant_lines(path)
+    entries = [_at(path, lineno, _source_entry, text) for lineno, text in lines]
     if not entries:
         raise ParseError("no source entries found", path=path)
     symbols, probs = zip(*entries)
-    return _at(path, None, Source, symbols, probs)
+    return _at(path, [lineno for lineno, _ in lines], Source, symbols, probs)
 
 
 def _code_header(text: str) -> int:
@@ -142,20 +142,18 @@ def _code_header(text: str) -> int:
     return r
 
 
-def _code_entry(r: int, text: str) -> tuple[str, tuple[Codeword, ...], tuple[Fraction, ...]]:
+def _code_entry(text: str) -> tuple[str, tuple[Codeword, ...], tuple[Fraction, ...]]:
     body, _, weight_text = text.partition("@")
     tokens = body.split()
     if len(tokens) != 2:
         raise ValueError(f"expected '<symbol> <codewords> [@ weights]', got {text!r}")
     symbol, words_text = tokens
     words = tuple(Codeword.parse(w) for w in words_text.split(","))
-    _check_codewords(r, symbol, words)
     if not weight_text.strip():
         return symbol, words, ()
     qs = tuple(parse_rational(q) for q in weight_text.split(","))
     if len(qs) != len(words):
         raise ValueError(f"{len(qs)} weights for {len(words)} codewords")
-    _check_weights(symbol, qs)
     return symbol, words, qs
 
 
@@ -164,12 +162,14 @@ def parse_code_file(path: str) -> tuple[Code, EncodingPolicy | None]:
     if not lines:
         raise ParseError("no code entries found", path=path)
     r = _at(path, lines[0][0], _code_header, lines[0][1])
-    entries = [_at(path, lineno, _code_entry, r, text) for lineno, text in lines[1:]]
+    linenos = [lineno for lineno, _ in lines[1:]]
+    entries = [_at(path, lineno, _code_entry, text) for lineno, text in lines[1:]]
     if not entries:
         raise ParseError("code file has a header but no codewords", path=path)
-    code = _at(path, None, Code, r, tuple((symbol, words) for symbol, words, _ in entries))
+    code = _at(path, linenos, Code, r, tuple((symbol, words) for symbol, words, _ in entries))
     weights = tuple((symbol, qs) for symbol, _, qs in entries if qs)
-    return code, EncodingPolicy(weights) if weights else None
+    weight_lines = [lineno for lineno, (_, _, qs) in zip(linenos, entries) if qs]
+    return code, _at(path, weight_lines, EncodingPolicy, weights) if weights else None
 
 
 def _integer(text: str) -> int:

@@ -14,6 +14,9 @@ flavors:
 Exact ACL is computed on the source's integer masses m_i over its
 denominator D and returned as a Fraction, the API view.
 
+A Code checks each symbol's codeword set, and an EncodingPolicy each
+symbol's weights, once, through the entry validator that Source uses.
+
 The empty codeword (written '-') is representable; it is only ever
 useful as the sole codeword of a one-symbol code, and the
 decipherability and tree layers reject it in any other position.
@@ -26,7 +29,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -36,7 +39,7 @@ from .errors import (
     MissingSymbol,
 )
 from .rng import SplitMix64, _check_seed, derived_seed
-from .source import Source, _as_fraction, _integer_masses, sample_stream
+from .source import Source, _as_fraction, _check_entries, _integer_masses, sample_stream
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -64,12 +67,6 @@ class Codeword:
     @property
     def length(self) -> int:
         return len(self.digits)
-
-    def is_prefix_of(self, other: "Codeword") -> bool:
-        return other.digits[: len(self.digits)] == self.digits
-
-    def drop_last(self) -> "Codeword":
-        return Codeword(self.digits[:-1])
 
     def __str__(self) -> str:
         if not self.digits:
@@ -115,12 +112,7 @@ class Code:
 
     def __post_init__(self):
         _check_code_radix(self.radix)
-        seen = set()
-        for symbol, words in self.mapping:
-            if symbol in seen:
-                raise ValueError(f"symbol {symbol!r} listed twice")
-            seen.add(symbol)
-            _check_codewords(self.radix, symbol, words)
+        _check_entries(self.mapping, partial(_check_codewords, self.radix))
 
     @cached_property
     def _index(self) -> dict:
@@ -135,10 +127,6 @@ class Code:
             return self._index[symbol]
         except KeyError:
             raise MissingSymbol(f"code does not cover symbol {symbol!r}") from None
-
-    def covers(self, src: Source) -> bool:
-        have = set(self.symbols)
-        return all(s in have for s in src.symbols)
 
     def pooled(self) -> list[Codeword]:
         """All codewords across all symbols, in mapping order (may repeat)."""
@@ -184,12 +172,7 @@ class EncodingPolicy:
     weights: tuple[tuple[Any, tuple[Fraction, ...]], ...]
 
     def __post_init__(self):
-        seen = set()
-        for symbol, qs in self.weights:
-            if symbol in seen:
-                raise ValueError(f"symbol {symbol!r} listed twice")
-            seen.add(symbol)
-            _check_weights(symbol, qs)
+        _check_entries(self.weights, _check_weights)
 
     @cached_property
     def _index(self) -> dict:

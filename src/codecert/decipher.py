@@ -360,11 +360,11 @@ def _canonical_paths(lengths: Sequence[int], r: int) -> tuple[list[tuple[int, ..
 def huffman(src: Source, r: int) -> Code:
     """Huffman's minimum-redundancy instantaneous code for the source.
 
-    For r > 2 the alphabet is padded with zero-weight placeholders so
-    that the leaf count is 1 mod (r-1); placeholders never appear in the
-    output. Ties merge the earliest-created nodes first (leaves are
-    created in symbol order), and the merged group takes digits 0..r-1
-    in that same order, so the output is deterministic.
+    For r > 2, pad = (1 - n) mod (r-1) zero-weight placeholders would fill
+    digits 0..pad-1 of the first merge, so it takes r - pad nodes from digit
+    pad instead and the cost does not grow with r. Ties merge the earliest-
+    created nodes first (leaves in symbol order), and a merged group takes
+    its digits in that same order, so the output is deterministic.
 
     Integer masses are merged with the two queues of van Leeuwen (1976):
     leaves sorted once by (mass, order), and merged nodes in creation
@@ -374,32 +374,33 @@ def huffman(src: Source, r: int) -> Code:
     _check_radix(r)
     n = len(src)
     pad = (1 - n) % (r - 1)  # n + pad = 1 mod (r-1)
-    # node k is symbol k for k < n, a placeholder for k < n + pad, and
-    # merged node k - n - pad after that; orders are creation orders
-    mass = list(src.masses) + [0] * pad
-    leaves = list(range(n, n + pad)) + sorted(range(n), key=mass.__getitem__)
+    # node k is symbol k for k < n, else merged node k - n; orders are creation orders
+    mass = list(src.masses)
+    leaves = sorted(range(n), key=mass.__getitem__)
     groups: list[list[int]] = []
     i = j = 0  # heads of the leaf queue and of the merged queue
-    first_merged = n + pad
+    size = r - pad  # real nodes in the first merge
     for _ in range((n + pad - 1) // (r - 1)):
         group = []
-        for _ in range(r):
+        for _ in range(size):
             # on equal masses the leaf is older, so the leaf queue wins ties
-            if j < len(groups) and (i == len(leaves) or mass[first_merged + j] < mass[leaves[i]]):
-                group.append(first_merged + j)
+            if j < len(groups) and (i == len(leaves) or mass[n + j] < mass[leaves[i]]):
+                group.append(n + j)
                 j += 1
             else:
                 group.append(leaves[i])
                 i += 1
         mass.append(sum(mass[k] for k in group))
         groups.append(group)
+        size = r
 
     words: list[Codeword | None] = [None] * n
     stack = [(len(mass) - 1, ())]
     while stack:
         k, path = stack.pop()
-        if k >= first_merged:
-            stack.extend((child, path + (digit,)) for digit, child in enumerate(groups[k - first_merged]))
-        elif k < n:
+        if k >= n:
+            digits = enumerate(groups[k - n], pad if k == n else 0)
+            stack.extend((child, path + (digit,)) for digit, child in digits)
+        else:
             words[k] = Codeword(path)
     return Code(r, tuple((s, (w,)) for s, w in zip(src.symbols, words)))

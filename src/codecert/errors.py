@@ -20,8 +20,8 @@ class ProbabilitySumNotOne(CodecertError):
     pass
 
 
-class DuplicateSymbol(CodecertError):
-    pass
+class DuplicateSymbol(CodecertError, ValueError):
+    """A symbol table (Source, Code, EncodingPolicy) lists a symbol twice."""
 
 
 class ExtensionTooLarge(CodecertError):

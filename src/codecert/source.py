@@ -11,6 +11,9 @@ floating-point surfaces, and they read m/D, which rounds exactly as
 float(Fraction) does. Exactness is what lets the proof engine decide
 the equality case p_i = r^(-l_i) with no tolerance at all.
 
+Every symbol table (Source, Code, EncodingPolicy) checks each entry once,
+through `_check_entries`, which also rejects a symbol listed twice.
+
 Sampling is deterministic: a seed is an integer in [0, 2^64) that keys
 a splitmix64 stream (see codecert.rng), so a stream is reproducible from
 the seed alone.
@@ -25,9 +28,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
+    CodecertError,
     DuplicateSymbol,
     ExtensionTooLarge,
     InvalidRadix,
@@ -73,6 +77,22 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _check_entries(entries: Iterable[tuple[Any, Any]], check: Callable[[Any, Any], None]) -> None:
+    """Validate a symbol table's (symbol, value) entries in order: a repeated
+    symbol raises DuplicateSymbol, and an error of the table's own
+    `check(symbol, value)` carries the entry's position as `.entry`."""
+    seen = set()
+    for symbol, value in entries:
+        if symbol in seen:
+            raise DuplicateSymbol(f"symbol {symbol!r} listed twice")
+        seen.add(symbol)
+        try:
+            check(symbol, value)
+        except (CodecertError, ValueError) as e:
+            e.entry = len(seen) - 1  # the symbols so far are distinct
+            raise
+
+
 def _check_probability(symbol, p: Fraction) -> None:
     """The invariant of one symbol's probability in a Source."""
     if not isinstance(p, Rational):
@@ -105,12 +125,7 @@ class Source:
             raise ValueError("a source needs at least one symbol")
         if len(self.symbols) != len(self.probs):
             raise ValueError("symbols and probs must have equal length")
-        seen = set()
-        for sym, p in zip(self.symbols, self.probs):
-            if sym in seen:
-                raise DuplicateSymbol(f"symbol {sym!r} listed twice")
-            seen.add(sym)
-            _check_probability(sym, p)
+        _check_entries(zip(self.symbols, self.probs), _check_probability)
         denom, masses = _integer_masses(self.probs)
         total = sum(masses)
         if total != denom:

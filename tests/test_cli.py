@@ -14,6 +14,7 @@ import codecert
 import codecert.cli as cli
 import codecert.codes as codes
 from codecert.cli import main, parse_code_file
+from codecert.source import _check_probability
 
 DYADIC_SRC = "a 1/2\nb 1/4\nc 1/4\n"
 DYADIC_CODE = "radix 2\na 0\nb 10\nc 11\n"
@@ -670,6 +671,68 @@ def test_file_errors_are_located(tmp_path, capsys):
     radix = write(tmp_path, "r.txt", "# radix zero\nradix 0\na -\n")
     status, _, err = run(capsys, "check-prefix", radix)
     assert (status, err) == (2, f"error: {radix}:2: radix must be an integer >= 1, got 0")
+
+
+# each entry error is raised by Source, Code or EncodingPolicy and put on its line
+ENTRY_ERROR_CASES = [
+    ("entropy", "a 3/2\n# b is negative\nb -1/2\n", 3, "p('b') = -1/2 is not strictly positive"),
+    ("check-prefix", "radix 2\na 0\nb 10,10\n", 3, "symbol 'b' repeats a codeword"),
+    ("check-prefix", "radix 2\na 0,11 @ 1/2,1/3\nb 10\n", 2, "weights for 'a' must sum to exactly 1"),
+    ("check-prefix", "radix 2\nb 10\na 0,11 @ 3/2,-1/2\n", 3, "weights for 'a' must be strictly positive"),
+]
+
+
+@pytest.mark.parametrize("command, text, line, message", ENTRY_ERROR_CASES)
+def test_entry_errors_name_their_line(command, text, line, message, tmp_path, capsys):
+    path = write(tmp_path, "entries.txt", text)
+    assert run(capsys, command, path) == (2, "", f"error: {path}:{line}: {message}")
+
+
+def test_duplicate_weighted_symbol_is_a_file_error(tmp_path, capsys):
+    path = write(tmp_path, "dup.txt", "radix 2\nb 0,10 @ 1/2,1/2\nb 11 @ 1\n")
+    assert run(capsys, "check-prefix", path) == (2, "", f"error: {path}: symbol 'b' listed twice")
+
+
+def test_entries_are_checked_in_table_order(tmp_path, capsys):
+    # the repeated symbol of line 2 is found before its zero probability
+    path = write(tmp_path, "multi.txt", "a 1/2\na 0\n")
+    assert run(capsys, "entropy", path) == (2, "", f"error: {path}: symbol 'a' listed twice")
+    # every codeword is checked before any weight
+    path = write(tmp_path, "multi.code", "radix 2\na 0,1 @ 2,-1\nb 12\n")
+    assert run(capsys, "check-prefix", path) == (2, "", f"error: {path}:3: digit 2 >= radix 2")
+
+
+def test_parsing_checks_each_entry_once(tmp_path):
+    # counted by code object, so a call through any name the check is bound to counts
+    checks = {f.__code__: f.__name__ for f in (_check_probability, codes._check_codewords, codes._check_weights)}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in checks:
+            calls[checks[frame.f_code]] += 1
+
+    n = 40
+    src_path = write(tmp_path, "s.txt", "".join(f"s{i} 1/{n}\n" for i in range(n)))
+    code_path = write(tmp_path, "c.txt", "radix 2\n" + "".join(f"s{i} {i:06b},1{i:06b} @ 1/3,2/3\n" for i in range(n)))
+    sys.setprofile(profile)
+    try:
+        cli.parse_source_file(src_path)
+        code, policy = parse_code_file(code_path)
+    finally:
+        sys.setprofile(None)
+    assert len(code.mapping) == len(policy.weights) == n
+    assert calls == {"_check_probability": n, "_check_codewords": n, "_check_weights": n}
+
+
+def test_undecodable_file_names_its_path(tmp_path, capsys):
+    message = "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+    for command, name, data in (
+        ("entropy", "bad.txt", b"a 1/2\nb 1/2\xff\n"),
+        ("check-prefix", "bad.code", b"radix 2\na 0\xff\n"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(capsys, command, str(path)) == (2, "", f"error: {path}: {message}")
 
 
 def test_numerals_are_ascii_only(tmp_path, capsys):

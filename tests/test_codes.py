@@ -11,9 +11,11 @@ from codecert import (
     Code,
     Codeword,
     DigitOutOfRange,
+    DuplicateSymbol,
     InvalidRadix,
     MissingPolicy,
     MissingSymbol,
+    ZeroOrNegativeProbability,
     acl,
     acl_exact,
     empirical_acl,
@@ -58,14 +60,6 @@ def test_codeword_text_round_trips_digits_up_to_35():
     assert Codeword.parse("10.") != Codeword.parse("10")
 
 
-def test_codeword_prefix_relation():
-    assert Codeword(()).is_prefix_of(Codeword((0,)))
-    assert Codeword((1,)).is_prefix_of(Codeword((1, 0)))
-    assert not Codeword((1, 0)).is_prefix_of(Codeword((1,)))
-    assert Codeword((1,)).is_prefix_of(Codeword((1,)))
-    assert Codeword((1, 0, 1)).drop_last() == Codeword((1, 0))
-
-
 # --- code construction ---
 
 
@@ -101,7 +95,6 @@ def test_code_lookup_and_lengths():
     code = code_abc()
     assert code.symbols == ("a", "b", "c")
     assert code.lengths() == [1, 2, 2]
-    assert code.covers(dyadic_abc())
     with pytest.raises(MissingSymbol):
         code.codewords("z")
 
@@ -196,8 +189,29 @@ def test_policy_validation():
         make_policy({"a": ["1", "0"]})
     with pytest.raises(ValueError):
         make_policy({"a": []})
-    with pytest.raises(ValueError, match="symbol 'a' listed twice"):
+    with pytest.raises(DuplicateSymbol, match="symbol 'a' listed twice"):
         make_policy([("a", ["1/2", "1/2"]), ("a", ["1/3", "2/3"])])
+
+
+def test_tables_share_one_entry_validator():
+    # a repeated symbol is one error type, still a ValueError, in every table
+    for build in (
+        lambda: make_source("aba", ["1/4", "1/4", "1/2"]),
+        lambda: make_code(2, [("a", "0"), ("b", "10"), ("a", "11")]),
+        lambda: make_policy([("a", ["1"]), ("b", ["1"]), ("a", ["1"])]),
+    ):
+        with pytest.raises(DuplicateSymbol, match=r"^symbol 'a' listed twice$") as info:
+            build()
+        assert isinstance(info.value, ValueError)
+    # an entry's own error carries its position
+    for build, error in (
+        (lambda: make_source("abc", ["1/2", "0", "1/2"]), ZeroOrNegativeProbability),
+        (lambda: make_code(2, [("a", "0"), ("b", "12"), ("c", "11")]), DigitOutOfRange),
+        (lambda: make_policy([("a", ["1"]), ("b", ["1/2", "1/3"])]), ValueError),
+    ):
+        with pytest.raises(error) as info:
+            build()
+        assert info.value.entry == 1
 
 
 # --- minimal reduction ---

@@ -365,6 +365,19 @@ def test_huffman_ternary_padding():
     assert h <= float(acl_exact(src, code)) < h + 1
 
 
+def test_huffman_cost_does_not_grow_with_the_radix():
+    # the 999,998 zero-mass placeholders of r = 10^6 are never made
+    src = make_source("ab", ["1/3", "2/3"])
+    tracemalloc.start()
+    try:
+        code = huffman(src, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [str(w) for w in code.pooled()] == ["999998.", "999999."]
+    assert peak < 2**20
+
+
 def test_huffman_single_symbol():
     src = make_source("a", [F(1)])
     code = huffman(src, 2)
