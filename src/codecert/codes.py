@@ -267,24 +267,12 @@ class SimulationTrace:
     codeword_indices: tuple[int, ...]
     acl_values: tuple[float, ...]
 
-    @property
-    def t(self) -> int:
-        return len(self.symbol_indices)
-
     def step_lengths(self) -> list[int]:
         """Digits emitted at each step."""
         out = []
         for i, u in zip(self.symbol_indices, self.codeword_indices):
             out.append(self.code.codewords(self.source.symbols[i])[u].length)
         return out
-
-    def frequencies(self, upto: int | None = None) -> dict:
-        """Symbol frequency counts f_{i,t} after the first `upto` steps."""
-        upto = self.t if upto is None else upto
-        counts = {s: 0 for s in self.source.symbols}
-        for i in self.symbol_indices[:upto]:
-            counts[self.source.symbols[i]] += 1
-        return counts
 
 
 Chooser = Callable[[Any, int, tuple[Codeword, ...]], int]

@@ -192,7 +192,8 @@ def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP)
     if p < 1:
         raise ValueError("extension order must be >= 1")
     n = len(src)
-    if n**p > max_symbols:
+    # n**p has about p bits, so for n >= 2 refuse p past the cap's bit length first
+    if (n >= 2 and p > max_symbols.bit_length()) or n**p > max_symbols:
         raise ExtensionTooLarge(f"{n}^{p} symbols exceeds the cap of {max_symbols}")
     symbols = []
     probs = []

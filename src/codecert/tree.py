@@ -15,9 +15,9 @@ leaves, which is the unit the proof engine merges.
 A CodeTree stores its leaves' paths in digit order and their leaf nodes.
 Digits are below the radix, so the leaves at or below path p are the
 range [p, p + (radix,)), found by two bisects; a merge replaces that
-range by one leaf. Compacting is one stack pass (_compact_paths). The
-nested TreeNode view, root, is folded from the list (_leaf_fold) when
-first read. The proof engine runs both passes on bare paths.
+range by one leaf. Compacting is one stack pass (_compact_paths); walk,
+dump_tree and tree_stats read the internal nodes off the list as the
+leaves' proper prefixes, and the proof engine folds it (_leaf_fold).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any
 
 from .codes import Code, Codeword
@@ -36,54 +35,38 @@ from .source import Source
 
 @dataclass(frozen=True)
 class TreeNode:
-    """children is a digit-sorted tuple of (digit, node); leaves may hold a payload."""
+    """A leaf's payload: its symbol and its probability, either may be absent."""
 
-    children: tuple[tuple[int, "TreeNode"], ...] = ()
     symbol: Any = None
     prob: Fraction | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass(frozen=True)
 class CodeTree:
     """A tree stored as its leaves: their paths in digit order and their
-    leaf nodes, which carry the payloads. root is the nested view."""
+    leaf nodes, which carry the payloads."""
 
     radix: int
     paths: tuple[tuple[int, ...], ...]
     nodes: tuple[TreeNode, ...]
 
-    @cached_property
-    def root(self) -> TreeNode:
-        return _tree_of(self.paths, self.nodes)
-
     def leaves(self) -> list[tuple[tuple[int, ...], TreeNode]]:
         """(path, leaf) pairs in depth-first digit order."""
         return list(zip(self.paths, self.nodes))
 
-    def walk(self) -> list[tuple[tuple[int, ...], TreeNode]]:
-        """(path, node) pairs of every node in preorder, children in digit order.
+    def walk(self) -> list[tuple[tuple[int, ...], TreeNode | None]]:
+        """(path, leaf) pairs of every node in preorder, children in digit
+        order, with None as the leaf of an internal node.
 
-        Preorder lists the nodes of each depth in lexicographic path order.
+        The internal nodes are the leaves' proper prefixes: leaf k adds
+        those deeper than the depth where it parts from leaf k-1. Preorder
+        is the lexicographic order of the paths.
         """
         out = []
-        stack = [((), self.root)]
-        while stack:
-            path, node = stack.pop()
-            out.append((path, node))
-            stack.extend((path + (d,), c) for d, c in reversed(node.children))
+        for path, part, leaf in zip(self.paths, [-1, *_parts(self.paths)], self.nodes):
+            out.extend((path[:depth], None) for depth in range(part + 1, len(path)))
+            out.append((path, leaf))
         return out
-
-    def node_at(self, path: tuple[int, ...]) -> TreeNode:
-        node = self.root
-        for digit in path:
-            node = dict(node.children).get(digit)
-            if node is None:
-                raise KeyError(f"no node at path {path}")
-        return node
 
 
 @dataclass(frozen=True)
@@ -119,7 +102,7 @@ def to_tree(code: Code, src: Source | None = None) -> CodeTree:
 
     order = sorted(code.mapping, key=lambda entry: entry[1][0].digits)  # digit order
     paths = tuple(words[0].digits for _, words in order)
-    leaves = tuple(TreeNode((), symbol, src.prob_of(symbol) if src is not None else None) for symbol, _ in order)
+    leaves = tuple(TreeNode(symbol, src.prob_of(symbol) if src is not None else None) for symbol, _ in order)
     return CodeTree(code.radix, paths, leaves)
 
 
@@ -204,7 +187,8 @@ def _compact_paths(paths: list[tuple[int, ...]], parts: list[int]) -> tuple[list
 
 
 def _leaf_fold(paths, parts: list[int], leaves: list, close):
-    """Fold the tree whose leaves lie at these paths, bottom-up.
+    """Fold the tree whose leaves lie at these paths, bottom-up; the
+    proof engine's merge chain (proof._merge_chain) is this fold.
 
     The paths are prefix-free and in digit order, parts[k] is the depth
     at which paths k and k+1 part, and leaves[k] is the value of leaf k.
@@ -231,11 +215,6 @@ def _leaf_fold(paths, parts: list[int], leaves: list, close):
         prev = path
     close_below(0)
     return close((), open_children[0])
-
-
-def _tree_of(paths, leaves) -> TreeNode:
-    """The nested nodes of the tree whose leaves, in digit order, lie at these paths."""
-    return _leaf_fold(paths, _parts(paths), leaves, lambda _, children: TreeNode(tuple(children)))
 
 
 def _below(tree: CodeTree, path: tuple[int, ...]) -> slice:
@@ -268,10 +247,12 @@ def find_sibling_group(tree: CodeTree) -> SiblingGroup:
 
 
 def tree_stats(tree: CodeTree) -> TreeStats:
-    nodes = [node for _, node in tree.walk()]
-    internal = [node for node in nodes if not node.is_leaf]
-    full = all(len(node.children) == tree.radix for node in internal)
-    return TreeStats(len(nodes) - len(internal), len(internal), full)
+    """n leaves and z internal nodes, each with 1..r children and n + z - 1
+    in all, so the tree is full iff that is z*r. Leaf k adds the ancestors
+    below its part with leaf k-1."""
+    n = len(tree.paths)
+    z = sum(len(path) - part - 1 for path, part in zip(tree.paths, [-1, *_parts(tree.paths)]))
+    return TreeStats(n, z, n + z - 1 == z * tree.radix)
 
 
 def replace_group_with_leaf(
@@ -283,7 +264,7 @@ def replace_group_with_leaf(
     if span.start == span.stop:
         raise InvalidGroup(f"no node at path {group.parent}")
     paths = tree.paths[: span.start] + (group.parent,) + tree.paths[span.stop :]
-    nodes = tree.nodes[: span.start] + (TreeNode((), symbol, prob),) + tree.nodes[span.stop :]
+    nodes = tree.nodes[: span.start] + (TreeNode(symbol, prob),) + tree.nodes[span.stop :]
     return CodeTree(tree.radix, paths, nodes)
 
 
@@ -292,7 +273,7 @@ def dump_tree(tree: CodeTree) -> str:
     lines = []
     for path, node in tree.walk():
         label = str(Codeword(path))
-        if node.is_leaf and node.symbol is not None:
+        if node is not None and node.symbol is not None:
             label += f" {node.symbol}"
             if node.prob is not None:
                 label += f" p={node.prob}"

@@ -159,3 +159,22 @@ def compacted_paths_oracle(paths):
         tuple(p[d] for d in range(len(p)) if len({q[d] for q in paths if q[:d] == p[:d]}) > 1)
         for p in paths
     ]
+
+
+def tree_nodes_oracle(paths):
+    """Every node of the tree with these leaf paths, in lexicographic order,
+    with its number of children: the nodes are the paths' distinct
+    prefixes. A path's prefixes are added from the longest down and stop at
+    one already present, whose own prefixes are then present too, so a
+    deep comb costs its paths' total length rather than its square."""
+    nodes = set()
+    for p in paths:
+        for k in range(len(p), -1, -1):
+            if p[:k] in nodes:
+                break
+            nodes.add(p[:k])
+    children = dict.fromkeys(nodes, 0)
+    for node in nodes:
+        if node:
+            children[node[:-1]] += 1
+    return [(node, children[node]) for node in sorted(nodes)]

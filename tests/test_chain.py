@@ -123,7 +123,7 @@ def test_certify_raises_when_exact_checks_disagree(monkeypatch):
         certify(src, code)
 
 
-# --- certify against the TreeNode route ---
+# --- certify against the tree route ---
 
 
 def walk_chain(tree, src):
@@ -131,20 +131,18 @@ def walk_chain(tree, src):
     deepest level first and each level in walk order, its children's masses
     summed bottom-up. Linear in the tree, so it reaches deep codes that
     reference_chain, one tree rebuild per merge, cannot."""
-    levels = []
-    for path, node in tree.walk():
-        if not node.is_leaf:
-            if len(path) == len(levels):
-                levels.append([])
-            levels[len(path)].append((path, node))
     mass_of = dict(zip(src.symbols, src.masses))
-    merged, steps = {}, []
-    for level in reversed(levels):
-        for path, node in level:
-            masses = tuple(mass_of[c.symbol] if c.is_leaf else merged[id(c)] for _, c in node.children)
-            group = SiblingGroup(path, tuple(path + (d,) for d, _ in node.children))
-            steps.append(reduction_step(group, masses, src.denominator, tree.radix))
-            merged[id(node)] = sum(masses)
+    walk = tree.walk()
+    children = {path: [] for path, leaf in walk if leaf is None}  # (digit, mass), last digit first
+    for path, leaf in reversed(walk):
+        if path:
+            mass = mass_of[leaf.symbol] if leaf is not None else sum(m for _, m in children[path])
+            children[path[:-1]].append((path[-1], mass))
+    steps = []
+    for path in sorted(children, key=len, reverse=True):
+        digits, masses = zip(*reversed(children[path]))
+        group = SiblingGroup(path, tuple(path + (d,) for d in digits))
+        steps.append(reduction_step(group, masses, src.denominator, tree.radix))
     return steps
 
 

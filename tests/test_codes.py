@@ -263,8 +263,7 @@ def test_empirical_acl_matches_running_average():
     for k, l in enumerate(lengths, start=1):
         acc += l
         assert trace.acl_values[k - 1] == acc / k
-    assert trace.t == 500
-    assert sum(trace.frequencies().values()) == 500
+    assert len(trace.symbol_indices) == 500
 
 
 def test_empirical_acl_converges():

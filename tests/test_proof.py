@@ -60,7 +60,7 @@ def test_step_tight_pair():
     assert step.is_tight
     assert step.s == 2
     assert step.l_red == 1
-    assert reduced_tree.node_at((1,)).is_leaf
+    assert (1,) in reduced_tree.paths
     assert reduced_src.probs == (F(1, 2), F(1, 2))
     assert str(reduced_src.symbols[1]) == "(b+c)"
 

@@ -1,6 +1,7 @@
 """Sources: exact probabilities, entropy, extensions, and sampling."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -196,6 +197,27 @@ def test_extend_source_identity_and_errors():
         extend_source(src, 0)
     with pytest.raises(ExtensionTooLarge):
         extend_source(src, 2, max_symbols=8)
+
+
+def test_extension_order_is_refused_before_the_power_is_built():
+    # 2**(10**7) alone is a 1.25 MB integer
+    src = make_source("ab", [F(1, 2), F(1, 2)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExtensionTooLarge, match=r"^2\^10000000 symbols exceeds the cap of 1000000$"):
+            extend_source(src, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(ExtensionTooLarge, match=r"^2\^20 symbols exceeds the cap of 1000000$"):
+        extend_source(src, 20)
+    assert len(extend_source(src, 3, max_symbols=8)) == 8
+    for p in (4, 5):  # 4 is the cap's bit length, 5 is past it
+        with pytest.raises(ExtensionTooLarge):
+            extend_source(src, p, max_symbols=8)
+    # one symbol has one block of every order
+    assert extend_source(make_source("a", [1]), 50, max_symbols=8).probs == (F(1),)
 
 
 def test_extension_entropy_additivity_dyadic_oracle():

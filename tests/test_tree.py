@@ -6,14 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-import codecert.tree as tree_module
 from codecert import (
     Code,
+    CodeTree,
     Codeword,
     InvalidGroup,
     NotCompact,
     NotPrefixFree,
     SiblingGroup,
+    TreeNode,
+    TreeStats,
     TreeTooSmall,
     compact_standalone,
     dump_tree,
@@ -30,7 +32,7 @@ from codecert import (
     tree_source,
     tree_stats,
 )
-from oracles import compacted_paths_oracle
+from oracles import compacted_paths_oracle, tree_nodes_oracle
 
 
 def abc_tree(with_src=True):
@@ -68,8 +70,8 @@ def test_to_tree_rejects_a_code_without_codewords():
 
 def test_single_empty_codeword_tree():
     tree = to_tree(make_code(2, {"a": "-"}))
-    assert tree.root.is_leaf
-    assert tree.root.symbol == "a"
+    assert tree.paths == ((),)
+    assert tree.nodes[0].symbol == "a"
     stats = tree_stats(tree)
     assert (stats.n, stats.z) == (1, 0)
 
@@ -82,14 +84,6 @@ def test_leaves_depth_first_digit_order():
         ((1, 0), "b"),
         ((1, 1), "c"),
     ]
-
-
-def test_node_at():
-    tree = abc_tree()
-    assert tree.node_at(()).is_leaf is False
-    assert tree.node_at((1, 0)).symbol == "b"
-    with pytest.raises(KeyError):
-        tree.node_at((0, 1))
 
 
 def test_from_tree_names_unnamed_leaves():
@@ -115,8 +109,8 @@ def test_compact_splices_chains():
 def test_compact_collapses_bare_chain_to_empty_word():
     tree = to_tree(make_code(2, {"a": "000"}))
     compacted = compact_standalone(tree)
-    assert compacted.root.is_leaf
-    assert compacted.root.symbol == "a"
+    assert compacted.paths == ((),)
+    assert compacted.nodes[0].symbol == "a"
 
 
 def test_compact_idempotent_and_preserves_payload():
@@ -214,7 +208,7 @@ def test_replace_group_with_leaf():
         ((1,), "(b+c)", F(1, 2)),
     ]
     # siblings elsewhere untouched
-    assert merged.node_at((0,)).prob == F(1, 2)
+    assert merged.leaves()[0] == ((0,), tree.nodes[0])
 
 
 def test_replace_group_at_root():
@@ -222,8 +216,8 @@ def test_replace_group_at_root():
     group = find_sibling_group(tree)
     assert group.parent == ()
     merged = replace_group_with_leaf(tree, group, "(a+b)", F(1))
-    assert merged.root.is_leaf
-    assert merged.root.symbol == "(a+b)"
+    assert merged.paths == ((),)
+    assert merged.nodes[0].symbol == "(a+b)"
 
 
 def test_replace_group_at_absent_path_raises():
@@ -233,12 +227,7 @@ def test_replace_group_at_absent_path_raises():
             replace_group_with_leaf(tree, SiblingGroup(parent, (parent + (0,),)), "x", F(1, 2))
 
 
-def test_leaf_list_operations_build_no_nested_view(monkeypatch):
-    # only walk, node_at, dump_tree and tree_stats read the nested view
-    def refuse(*args):
-        raise AssertionError("the nested view was built")
-
-    monkeypatch.setattr(tree_module, "_tree_of", refuse)
+def test_leaf_list_operations_build_no_nested_view():
     src = make_source("abcde", [F(1, 5)] * 5)
     tree = compact_standalone(to_tree(make_code(3, {"a": "0", "b": "10", "c": "12", "d": "200", "e": "201"}), src))
     assert is_compact(tree)
@@ -249,6 +238,55 @@ def test_leaf_list_operations_build_no_nested_view(monkeypatch):
     assert tree.paths == ((),)
     grown = grow_full_tree(trial_rng(7, 0), 3, 4)
     assert len(grown.leaves()) == 9 and is_compact(grown)
+
+
+# --- the readers of the leaf list against the tree's nodes ---
+
+
+def assert_readers_match_nodes_oracle(tree):
+    nodes = tree_nodes_oracle(tree.paths)
+    leaf_of = dict(tree.leaves())
+    assert [path for path, count in nodes if not count] == list(tree.paths)
+    assert tree.walk() == [(path, leaf_of.get(path)) for path, _ in nodes]
+    internal = [count for _, count in nodes if count]
+    full = all(count == tree.radix for count in internal)
+    assert tree_stats(tree) == TreeStats(len(tree.paths), len(internal), full)
+    lines = dump_tree(tree).splitlines()
+    assert [line.split()[0] for line in lines] == [str(Codeword(path)) for path, _ in nodes]
+    assert [len(line) - len(line.lstrip()) for line in lines] == [2 * len(path) for path, _ in nodes]
+
+
+def random_paths(rng, r):
+    """Prefix-free digit paths with only-child nodes at every digit."""
+    words = set()
+    for _ in range(rng.randint(1, 12)):
+        w = tuple(rng.randrange(r) for _ in range(rng.randint(0, 6)))
+        if not any(w[: len(u)] == u or u[: len(w)] == w for u in words):
+            words.add(w)
+    return sorted(words)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 11, 36])
+def test_flat_readers_match_the_nodes_oracle(r):
+    rng = random.Random(f"flat:{r}")
+    for k in range(60):
+        paths = random_paths(rng, r)
+        symbols = [f"s{i}" for i in range(len(paths))]
+        src = make_source(symbols, [F(1, len(paths))] * len(paths)) if k % 2 else None
+        tree = to_tree(make_code(r, [(s, Codeword(p)) for s, p in zip(symbols, paths)]), src)
+        assert_readers_match_nodes_oracle(tree)
+        assert_readers_match_nodes_oracle(compact_standalone(tree))
+        assert_readers_match_nodes_oracle(grow_full_tree(trial_rng(k, r), r, k % 7))
+
+
+def test_flat_readers_on_a_deep_comb():
+    # one internal node per level, the last with r leaves
+    r, depth = 2, 2000
+    paths = [(r - 1,) * (k - 1) + (d,) for k in range(1, depth) for d in range(r - 1)]
+    paths += [(r - 1,) * (depth - 1) + (d,) for d in range(r)]
+    tree = CodeTree(r, tuple(sorted(paths)), (TreeNode(),) * len(paths))
+    assert_readers_match_nodes_oracle(tree)
+    assert tree_stats(tree) == TreeStats(len(paths), depth, True)
 
 
 # --- dump ---
