@@ -18,13 +18,14 @@ order; this is the order the reference operations find_sibling_group
 and reduce_group pick one merge at a time, rebuilding the tree and the
 source after each. certify never builds that tree. It works on the
 leaves' digit paths in digit order: the canonical words of the code's
-lengths, then one stack pass that drops the digits of only-child nodes,
-then one bottom-up fold that lists every internal node with its
-children's integer masses over the source's denominator D. It calls
-reduction_step once per merge, and each merged node's mass is the sum of
-its children's. So a chain costs about one pass over the paths plus the
-integer arithmetic of its steps; a step's probs and p_red are Fraction
-views of its masses over D.
+lengths, then one stack pass that drops the digits of only-child nodes.
+Then it merges one level at a time, from the deepest up: that level's
+leaves and the nodes merged one level below, in path order, fall into
+runs of siblings, and each run is one merge whose parent joins the next
+level with the run's summed integer mass over the source's denominator
+D. It calls reduction_step once per merge, so a chain costs about a sort
+of each level plus the integer arithmetic of its steps; a step's probs
+and p_red are Fraction views of its masses over D.
 
 Defects are reported as floats but verdicts are decided exactly: a step
 is tight iff s = r and the probabilities match as rationals, and the
@@ -40,9 +41,11 @@ The telescoping identity is vacuous there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from typing import Any
 
 from .codes import Code, Codeword, minimal_reduction
@@ -62,12 +65,12 @@ from .tree import (
     SiblingGroup,
     _below,
     _compact_paths,
-    _leaf_fold,
     replace_group_with_leaf,
     tree_source,
 )
 
 LOG_SLACK = 1e-12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -310,9 +313,9 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     mass_of = dict(zip(src.symbols, src.masses))
     masses = [mass_of[s] for s in symbols]
     canonical, parts = _canonical_paths([length_of[s] for s in symbols], r)
-    certified, parts = _compact_paths(canonical, parts)
+    certified = _compact_paths(canonical, parts)
 
-    steps = _merge_chain(certified, parts, masses, d, r)
+    steps = _merge_chain(certified, masses, d, r)
     # each leaf's mass is merged once per node above it, so the merged
     # masses sum to sum m_i * l_i over the certified lengths
     merged = sum(sum(step.masses) for step in steps)
@@ -342,32 +345,27 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     )
 
 
-def _merge_chain(
-    paths: list[tuple[int, ...]], parts: list[int], masses: list[int], d: int, r: int
-) -> list[ReductionStep]:
+def _merge_chain(paths: list[tuple[int, ...]], masses: list[int], d: int, r: int) -> list[ReductionStep]:
     """Every merge of the compact tree with these leaf paths (in digit
-    order, parting at parts) and integer masses over d, in chain order.
+    order) and integer masses over d, in chain order.
 
     Each internal node is merged once, deepest level first and each
     level in lexicographic path order, so by its turn all of its
-    children are leaves. One fold records every node with its children's
-    masses, which are leaf masses or the sums of merged nodes.
+    children are leaves. A level's nodes are its leaves and the nodes
+    merged one level below, in path order; each run of them that shares
+    a parent is that parent's merge, and the parent goes up a level with
+    the run's summed mass.
     """
-    levels: list[list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]] = []
-
-    def record(path, children):
-        digits, child_masses = zip(*children)
-        while len(levels) <= len(path):
-            levels.append([])
-        levels[len(path)].append((path, digits, child_masses))
-        return sum(child_masses)
-
-    _leaf_fold(paths, parts, masses, record)
-    steps = []
-    for level in reversed(levels):
-        for path, digits, child_masses in level:
-            group = SiblingGroup(path, tuple(path + (digit,) for digit in digits))
-            steps.append(reduction_step(group, child_masses, d, r))
+    levels: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(max(map(len, paths)) + 1)]
+    for path, mass in zip(paths, masses):
+        levels[len(path)].append((path, mass))
+    steps, merged = [], []
+    for level in reversed(levels[1:]):
+        nodes, merged = sorted(level + merged), []  # two runs in path order
+        for parent, run in groupby(nodes, key=lambda node: node[0][:-1]):
+            members, run_masses = zip(*run)
+            steps.append(reduction_step(SiblingGroup(parent, members), run_masses, d, r))
+            merged.append((parent, sum(run_masses)))
     return steps
 
 
@@ -407,7 +405,8 @@ def _equality_witness(src: Source, lengths: list[int], r: int) -> EqualityWitnes
 def _group_masses(probs, r: int) -> tuple[int, tuple[int, ...]]:
     """Check the radix and the probabilities of a closing-inequality check,
     read as make_source reads them (a float is rejected); returns them as
-    integer masses over their common denominator."""
+    integer masses over their common denominator. Their total P is capped
+    at 2**512, where the float sums of P*log(P) and P*log(r) stay finite."""
     _check_radix(r)
     probs = tuple(map(_as_fraction, probs))
     if not probs:
@@ -415,14 +414,18 @@ def _group_masses(probs, r: int) -> tuple[int, tuple[int, ...]]:
     for p in probs:
         if p <= 0:
             raise ZeroOrNegativeProbability(f"group probabilities must be positive, got {p}")
-    return _integer_masses(probs)
+    d, masses = _integer_masses(probs)
+    if sum(masses) > d << 512:
+        raise ValueError("group probabilities sum to more than 2**512, beyond floating-point evaluation")
+    return d, masses
 
 
 def check_group_inequality(probs, r: int) -> GroupInequalityResult:
     """The per-merge inequality prod_k (r*p_k / sum_p)**p_k >= 1 for s <= r.
 
-    Evaluated in log space; `tight` is the exact rational test s = r
-    with all p_k equal, which the value check cross-validates.
+    Evaluated in log space, and a product beyond the float range is inf;
+    `tight` is the exact rational test s = r with all p_k equal, which
+    the value check cross-validates.
     """
     d, masses = _group_masses(probs, r)
     s = len(masses)
@@ -431,7 +434,7 @@ def check_group_inequality(probs, r: int) -> GroupInequalityResult:
 
     log_r, log_total = math.log(r), _log(sum(masses), d)
     log_value = math.fsum(m / d * (log_r + _log(m, d) - log_total) for m in masses)
-    value = math.exp(log_value)
+    value = math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
     return GroupInequalityResult(
         value=value,
         holds=value >= 1.0 - LOG_SLACK,

@@ -115,19 +115,17 @@ def reversed_code(code: Code) -> Code:
     return Code(code.radix, mapping)
 
 
-def random_group(
-    rng: SplitMix64, r: int, max_den: int = 32
-) -> tuple[list[Fraction], list[int]]:
+def random_group(rng: SplitMix64, r: int) -> tuple[list[Fraction], list[int]]:
     """1..r positive rationals over one common denominator, plus frequencies.
 
-    The rationals are k_i/D for a shared D <= max_den (sum unconstrained).
+    The rationals are k_i/D for a shared D <= 32 (sum unconstrained).
     The returned frequencies are the raw numerators, which scale the
     group to integers exactly as the big-integer inequality oracle
     expects: r*p_k/sum_p == r*f_k/sum_f.
     """
     _check_radix(r)
     s = 1 + rng.randbelow(r)
-    den = rng.randrange(2, max_den + 1)
+    den = rng.randrange(2, 33)
     freqs = [1 + rng.randbelow(den) for _ in range(s)]
     probs = [Fraction(f, den) for f in freqs]
     return probs, freqs

@@ -187,7 +187,8 @@ def entropy(src: Source, r: int) -> float:
 def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP) -> Source:
     """The product source of p-symbol blocks, with product probabilities.
 
-    Symbols of the extension are p-tuples of the original symbols.
+    Symbols of the extension are p-tuples of the original symbols, and a
+    block's probability is its integer masses' product over D**p.
     """
     if p < 1:
         raise ValueError("extension order must be >= 1")
@@ -195,12 +196,11 @@ def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP)
     # n**p has about p bits, so for n >= 2 refuse p past the cap's bit length first
     if (n >= 2 and p > max_symbols.bit_length()) or n**p > max_symbols:
         raise ExtensionTooLarge(f"{n}^{p} symbols exceeds the cap of {max_symbols}")
-    symbols = []
-    probs = []
-    for combo in itertools.product(range(n), repeat=p):
-        symbols.append(tuple(src.symbols[i] for i in combo))
-        probs.append(math.prod((src.probs[i] for i in combo), start=Fraction(1)))
-    return Source(tuple(symbols), tuple(probs))
+    blocks = list(itertools.product(range(n), repeat=p))
+    symbols = tuple(tuple(src.symbols[i] for i in block) for block in blocks)
+    denominator = src.denominator**p
+    probs = tuple(Fraction(math.prod(src.masses[i] for i in block), denominator) for block in blocks)
+    return Source(symbols, probs)
 
 
 def sample_stream(src: Source, t: int, seed: int) -> list:

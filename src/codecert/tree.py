@@ -15,9 +15,9 @@ leaves, which is the unit the proof engine merges.
 A CodeTree stores its leaves' paths in digit order and their leaf nodes.
 Digits are below the radix, so the leaves at or below path p are the
 range [p, p + (radix,)), found by two bisects; a merge replaces that
-range by one leaf. Compacting is one stack pass (_compact_paths); walk,
-dump_tree and tree_stats read the internal nodes off the list as the
-leaves' proper prefixes, and the proof engine folds it (_leaf_fold).
+range by one leaf. Compacting is one stack pass (_compact_paths), and
+walk, dump_tree and tree_stats read the internal nodes off the list as
+the leaves' proper prefixes.
 """
 
 from __future__ import annotations
@@ -136,8 +136,7 @@ def compact_standalone(tree: CodeTree) -> CodeTree:
     strictly decreases when a spliced edge sits above a leaf with
     positive probability.
     """
-    paths, _ = _compact_paths(tree.paths, _parts(tree.paths))
-    return CodeTree(tree.radix, tuple(paths), tree.nodes)
+    return CodeTree(tree.radix, tuple(_compact_paths(tree.paths, _parts(tree.paths))), tree.nodes)
 
 
 def _parts(paths: list[tuple[int, ...]]) -> list[int]:
@@ -152,9 +151,8 @@ def _parts(paths: list[tuple[int, ...]]) -> list[int]:
     return out
 
 
-def _compact_paths(paths: list[tuple[int, ...]], parts: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The leaf paths, in digit order, once every only-child node is
-    spliced, and the parts of the new paths.
+def _compact_paths(paths: list[tuple[int, ...]], parts: list[int]) -> list[tuple[int, ...]]:
+    """The leaf paths, in digit order, once every only-child node is spliced.
 
     The paths are prefix-free and in digit order, and leaves k and k+1
     part at depth parts[k], where their common ancestor branches. A leaf
@@ -163,8 +161,7 @@ def _compact_paths(paths: list[tuple[int, ...]], parts: list[int]) -> tuple[list
     leaf k-1, the one at that depth branches, and below it the ancestor
     at depth d branches exactly when d is a running minimum of parts[k],
     parts[k+1], ...; one monotone stack pass from the right lists those
-    minima. Two new paths part at the count of kept depths above their
-    old part.
+    minima.
     """
     right: list[tuple[int, ...]] = []  # right[k]: the running minima from parts[k] on, ascending
     stack: list[int] = []
@@ -177,44 +174,11 @@ def _compact_paths(paths: list[tuple[int, ...]], parts: list[int]) -> tuple[list
     right.append(())
 
     kept = right[0]  # the depths of the branching ancestors of the current leaf
-    out, out_parts = [tuple(map(paths[0].__getitem__, kept))], []
+    out = [tuple(map(paths[0].__getitem__, kept))]
     for path, part, minima in zip(paths[1:], parts, right[1:]):
-        above = bisect_left(kept, part)
-        kept = kept[:above] + (part,) + minima[bisect_right(minima, part) :]
+        kept = kept[: bisect_left(kept, part)] + (part,) + minima[bisect_right(minima, part) :]
         out.append(tuple(map(path.__getitem__, kept)))
-        out_parts.append(above)
-    return out, out_parts
-
-
-def _leaf_fold(paths, parts: list[int], leaves: list, close):
-    """Fold the tree whose leaves lie at these paths, bottom-up; the
-    proof engine's merge chain (proof._merge_chain) is this fold.
-
-    The paths are prefix-free and in digit order, parts[k] is the depth
-    at which paths k and k+1 part, and leaves[k] is the value of leaf k.
-    close(path, children) gets each internal node's path and its
-    children's (digit, value) pairs in digit order, and returns the
-    node's value. Nodes close in postorder, so the nodes of each depth
-    close in lexicographic path order. Returns the root's value.
-    """
-    if len(paths) == 1 and not paths[0]:
-        return leaves[0]  # the root is the only leaf
-    open_children: list[list] = [[]]  # open_children[k]: the finished children of the open node at depth k
-    prev: tuple[int, ...] = ()
-
-    def close_below(depth: int) -> None:
-        while len(open_children) > depth + 1:
-            children = open_children.pop()
-            k = len(open_children)
-            open_children[-1].append((prev[k - 1], close(prev[:k], children)))
-
-    for path, part, leaf in zip(paths, [0, *parts], leaves):
-        close_below(part)
-        open_children.extend([] for _ in range(len(path) - len(open_children)))
-        open_children[-1].append((path[-1], leaf))
-        prev = path
-    close_below(0)
-    return close((), open_children[0])
+    return out
 
 
 def _below(tree: CodeTree, path: tuple[int, ...]) -> slice:

@@ -94,6 +94,20 @@ def test_one_pass_chain_equals_reference_chain(r):
         assert format_certificate(cert) == format_certificate(replayed)
 
 
+def test_chain_level_takes_leaves_and_merged_nodes_in_path_order():
+    # compacted to 00, 01, 100, 101, 11: at depth 2 the node 10, merged from
+    # depth 3, lies between the leaves 01 and 11
+    src = make_source("abcde", [F(1, 5)] * 5)
+    cert = certify(src, construct_instantaneous([2, 2, 3, 3, 4], 2, "abcde"))
+    assert cert.certified_paths == ((0, 0), (0, 1), (1, 0, 0), (1, 0, 1), (1, 1))
+    assert [(step.group.parent, step.group.members, step.masses) for step in cert.steps] == [
+        ((1, 0), ((1, 0, 0), (1, 0, 1)), (1, 1)),
+        ((0,), ((0, 0), (0, 1)), (1, 1)),
+        ((1,), ((1, 0), (1, 1)), (2, 1)),
+        ((), ((0,), (1,)), (2, 3)),
+    ]
+
+
 def test_certify_builds_no_source_and_rebuilds_no_tree(monkeypatch):
     src = make_source("abcd", [F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
     code = make_code(2, {"a": "0", "b": "10", "c": "110", "d": "111"})

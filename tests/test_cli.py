@@ -384,6 +384,12 @@ def test_fuzz_clean_and_deterministic(capsys):
     assert second == first
 
 
+def test_fuzz_tolerance_only_loosens_the_checks(capsys):
+    # a strict inequality whose gap is within --tol is no violation
+    status, out, _ = run(capsys, "fuzz", "--trials", "300", "--seed", "1", "--tol", "2", "--machine")
+    assert (status, out) == (0, "trials=300\nseed=1\nviolations=0")
+
+
 def test_fuzz_human_report(capsys):
     status, out, _ = run(capsys, "fuzz", "--trials", "10", "--seed", "3")
     assert status == 0
@@ -449,6 +455,40 @@ def test_check_ineq_probability_below_the_smallest_float(capsys):
     assert status == 0
     lines = dict(line.split("=", 1) for line in out.splitlines())
     assert (lines["group_holds"], lines["ghm_holds"], lines["pp_a"]) == ("True", "None", "True")
+
+
+def test_check_ineq_product_beyond_the_float_range(capsys):
+    # log value ~1378: the product is inf and holds, and the oracle's 7,200-digit
+    # numerator is skipped by its size
+    status, out, _ = run(capsys, "check-ineq", "--probs", "2000,1", "--machine")
+    assert status == 0
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    assert (lines["value"], lines["group_holds"], lines["ghm_lhs"], lines["pp_a"]) == ("inf", "True", "None", "True")
+    status, out, _ = run(capsys, "check-ineq", "--probs", "2000,1")
+    assert status == 0
+    assert out.splitlines()[:2] == [
+        "group product = inf, holds: True, tight: False",
+        "integer oracle: skipped (scaled mass too large)",
+    ]
+
+
+def test_check_ineq_radix_beyond_the_float_range(capsys):
+    radix = str(10**400)
+    status, out, _ = run(capsys, "check-ineq", "--probs", "1/2,1/2", "--radix", radix, "--machine")
+    assert status == 0
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    assert (lines["value"], lines["group_holds"], lines["ghm_holds"]) == ("inf", "True", "True")
+    assert lines["ghm_lhs"] == lines["ghm_rhs"] == f"{10**800 // 4}/1"  # (r*1)**2 / 2**2
+    status, out, _ = run(capsys, "check-ineq", "--probs", "1/2,1/2", "--radix", radix)
+    assert status == 0
+    assert out.splitlines()[0] == "group product = inf, holds: True, tight: False"
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]])
+def test_check_ineq_probability_beyond_the_float_range(machine, capsys):
+    status, out, err = run(capsys, "check-ineq", "--probs", "1e400,1", *machine)
+    assert (status, out) == (2, "")
+    assert err == "error: group probabilities sum to more than 2**512, beyond floating-point evaluation"
 
 
 # --- parse and input errors ---

@@ -1,6 +1,7 @@
 """Sources: exact probabilities, entropy, extensions, and sampling."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -218,6 +219,21 @@ def test_extension_order_is_refused_before_the_power_is_built():
             extend_source(src, p, max_symbols=8)
     # one symbol has one block of every order
     assert extend_source(make_source("a", [1]), 50, max_symbols=8).probs == (F(1),)
+
+
+def test_extension_multiplies_integer_masses_not_fractions():
+    # one symbol's blocks are never capped, so p = 2*10**6 is a product of 2*10**6 masses
+    p = 2 * 10**6
+    start = time.perf_counter()
+    ext = extend_source(make_source("a", [1]), p)
+    elapsed = time.perf_counter() - start
+    assert (ext.symbols, ext.probs) == ((("a",) * p,), (F(1),))
+    assert elapsed < 1.5, f"{elapsed:.2f} s"
+    # a block's probability is the product of its symbols' probabilities, in lowest terms
+    src = make_source("abc", ["1/3", "1/6", "1/2"])
+    ext = extend_source(src, 3)
+    for block, prob in zip(ext.symbols, ext.probs):
+        assert prob == math.prod(map(src.prob_of, block))
 
 
 def test_extension_entropy_additivity_dyadic_oracle():
