@@ -362,7 +362,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     trace = empirical_acl(src, code, policy, args.t, args.seed)
     # the floor is each symbol's shortest codeword, on the same stream
     shortest = [words[0].length for words in map(minimal_reduction(code).codewords, src.symbols)]
-    steps = zip(trace.symbol_indices, trace.step_lengths())
+    steps = zip(trace.symbol_indices, trace.lengths)
     violations = sum(1 for excess in accumulate(n - shortest[i] for i, n in steps) if excess < 0)
     exact = acl_exact(src, code, policy)
     final = trace.acl_values[-1]
@@ -454,8 +454,8 @@ def _cmd_check_ineq(args: argparse.Namespace) -> tuple[int, str]:
     pp = check_pp_inequalities(probs, args.radix)
 
     # integer oracle on the same group, scaled by the common denominator; its
-    # integers are below (r*F)**F, so it is skipped past 13,000 bits: what it
-    # prints then stays within Python's default int-to-str limit of 4,300 digits
+    # integers are below (r*F)**F, so it is skipped past 13,000 bits, which
+    # bounds the oracle's work and the size of what it prints
     _, freqs = _integer_masses(probs)
     F = sum(freqs)
     small = F * (args.radix * F).bit_length() <= 13_000
@@ -564,13 +564,22 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    # an exact fraction can have more digits than Python converts to text by
+    # default (4,300 from 3.10.7 on), so the handler runs with no limit; the
+    # old one is restored for in-process callers
+    old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = _parser().parse_args(argv)
+        if old_limit is not None:
+            sys.set_int_max_str_digits(0)
         status, report = args.handler(args)
     except (CodecertError, ValueError) as e:
         status, report = 2, f"error: {e}"
     except (MemoryError, RecursionError) as e:
         status, report = 3, f"error: out of memory or recursion depth: {e!r}"
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
     print(report, file=sys.stderr if status >= 2 else sys.stdout)
     return status
 

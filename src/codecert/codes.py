@@ -2,10 +2,9 @@
 
 A code maps each source symbol to a nonempty set of codewords over the
 digit alphabet {0..r-1}. The usual one-codeword-per-symbol case is the
-special case card f(s) = 1; the general case needs either an encoding
-policy (exact rational choice probabilities per symbol) or an arbitrary
-per-step chooser, and then average codeword length comes in three
-flavors:
+special case card f(s) = 1; the general case needs an encoding policy
+(exact rational choice probabilities per symbol), and then average
+codeword length comes in three flavors:
 
   * acl(src, code)            - expectation sum p_i * l_i (singleton codes)
   * acl(src, code, policy)    - expectation over policy choices too
@@ -30,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
     DigitOutOfRange,
@@ -259,42 +258,32 @@ def minimal_reduction(code: Code) -> Code:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Per-step record of one encoding run and its running ACL sequence."""
+    """Per-step record of one encoding run: the symbol drawn, the codeword
+    emitted, its digits, and the running ACL sequence."""
 
-    source: Source
-    code: Code
     symbol_indices: tuple[int, ...]
     codeword_indices: tuple[int, ...]
+    lengths: tuple[int, ...]
     acl_values: tuple[float, ...]
-
-    def step_lengths(self) -> list[int]:
-        """Digits emitted at each step."""
-        out = []
-        for i, u in zip(self.symbol_indices, self.codeword_indices):
-            out.append(self.code.codewords(self.source.symbols[i])[u].length)
-        return out
-
-
-Chooser = Callable[[Any, int, tuple[Codeword, ...]], int]
 
 
 def empirical_acl(
     src: Source,
     code: Code,
-    chooser: EncodingPolicy | Chooser | None,
+    policy: EncodingPolicy | None,
     t: int,
     seed: int,
 ) -> SimulationTrace:
     """Encode t sampled symbols, recording the running ACL_t = digits/t.
 
-    `chooser` selects among a symbol's codewords: an EncodingPolicy
-    draws per its weights from a choice stream derived from the seed, a
-    callable gets (symbol, step-number, codewords) and returns an index,
-    and None is allowed for codes with one codeword per symbol.
+    A symbol with several codewords is encoded by drawing one per the
+    policy's weights, from a choice stream derived from the seed; None is
+    allowed for codes with one codeword per symbol, and otherwise raises
+    MissingPolicy at the first such symbol drawn.
 
     The symbol stream depends only on (src, t, seed) -- codeword choices
     consume a separate derived stream -- so traces of different codes or
-    choosers on the same seed see the identical symbol sequence.
+    policies on the same seed see the identical symbol sequence.
     """
     if t < 1:
         raise ValueError("simulation needs t >= 1")
@@ -304,35 +293,30 @@ def empirical_acl(
     if missing:
         raise MissingSymbol(f"code does not cover symbols {missing!r}")
 
+    table = {s: (i, code.codewords(s)) for i, s in enumerate(src.symbols)}
     stream = sample_stream(src, t, seed)
     choice_rng = SplitMix64(derived_seed(seed, _CHOICE_SALT))
     thresholds: dict[Any, tuple[int, list[int]]] = {}  # policy symbol -> (D, bounds)
 
     sym_idx: list[int] = []
     cw_idx: list[int] = []
+    lengths: list[int] = []
     acl_values: list[float] = []
     digits = 0
     for z, symbol in enumerate(stream, start=1):
-        words = code.codewords(symbol)
-        if len(words) == 1:
-            u = 0
-        elif isinstance(chooser, EncodingPolicy):
+        i, words = table[symbol]
+        u = 0
+        if len(words) > 1:
             if symbol not in thresholds:
-                denom, masses = _integer_masses(_policy_weights(chooser, symbol, words))
+                denom, masses = _integer_masses(_policy_weights(policy, symbol, words))
                 thresholds[symbol] = denom, list(itertools.accumulate(masses))
             denom, bounds = thresholds[symbol]
             u = bisect_right(bounds, choice_rng.randbelow(denom))
-        elif callable(chooser):
-            u = chooser(symbol, z, words)
-            if not 0 <= u < len(words):
-                raise ValueError(f"chooser returned invalid index {u} at step {z}")
-        else:
-            raise MissingPolicy(
-                f"symbol {symbol!r} has {len(words)} codewords; pass a policy or chooser"
-            )
-        sym_idx.append(src.index_of(symbol))
+        n = words[u].length
+        sym_idx.append(i)
         cw_idx.append(u)
-        digits += words[u].length
+        lengths.append(n)
+        digits += n
         acl_values.append(digits / z)
 
-    return SimulationTrace(src, code, tuple(sym_idx), tuple(cw_idx), tuple(acl_values))
+    return SimulationTrace(tuple(sym_idx), tuple(cw_idx), tuple(lengths), tuple(acl_values))

@@ -146,9 +146,6 @@ class Source:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in source") from None
 
-    def index_of(self, symbol) -> int:
-        return self._index[symbol]
-
 
 def make_source(symbols: Sequence, probs: Sequence) -> Source:
     """Validate and build a Source; probabilities are stored exactly."""

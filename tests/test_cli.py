@@ -88,6 +88,29 @@ def test_kraft_from_lengths(capsys):
     assert "exceeds 1" in out
 
 
+@pytest.mark.parametrize("flags", [[], ["--machine"]])
+def test_kraft_prints_a_fraction_past_the_int_to_str_limit(capsys, flags):
+    # the exact sum 1/2^20000 has a 6,021-digit denominator, more than the
+    # 4,300 digits Python converts to text by default
+    status, out, err = run(capsys, "kraft", "--lengths", "20000", *flags)
+    assert (status, err) == (0, "")
+    denominator = re.search(r"1/(\d+)", out).group(1)
+    assert len(denominator) == 6021
+    assert denominator[-100:] == str(pow(2, 20000, 10**100)).zfill(100)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize("lengths, expected", [("20000", 0), ("x", 2)])
+def test_main_restores_the_int_to_str_limit(capsys, lengths, expected):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, "kraft", "--lengths", lengths)[0] == expected
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_kraft_needs_exactly_one_input(tmp_path, capsys):
     status, _, err = run(capsys, "kraft")
     assert status == 2
@@ -287,6 +310,16 @@ def test_simulate_with_policy(tmp_path, capsys):
     lines = dict(line.split("=", 1) for line in out.splitlines())
     assert lines["bound_violations"] == "0"
     assert abs(float(lines["acl_t"]) - 1.75) < 0.1
+
+
+@pytest.mark.parametrize("code_text", ["radix 2\na 0,1 @\nb 10\n", "radix 2\na 0,1\nb 10\n"])
+@pytest.mark.parametrize("flags", [[], ["--machine"]])
+def test_simulate_multi_codeword_code_without_weights(tmp_path, capsys, code_text, flags):
+    src = write(tmp_path, "s.txt", POLICY_SRC)
+    code = write(tmp_path, "c.txt", code_text)
+    status, out, err = run(capsys, "simulate", src, code, *flags)
+    assert (status, out) == (2, "")
+    assert err == "error: symbol 'a' has 2 codewords but no policy was given"
 
 
 # Reports recorded when simulate still encoded the stream a second time,

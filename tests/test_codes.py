@@ -256,14 +256,17 @@ def test_empirical_acl_names_every_missing_symbol():
 
 
 def test_empirical_acl_matches_running_average():
-    src = dyadic_abc()
-    trace = empirical_acl(src, code_abc(), None, 500, 9)
-    lengths = trace.step_lengths()
-    acc = 0
-    for k, l in enumerate(lengths, start=1):
-        acc += l
-        assert trace.acl_values[k - 1] == acc / k
-    assert len(trace.symbol_indices) == 500
+    src3 = make_source("abc", ["1/2", "1/3", "1/6"])
+    multi = make_code(3, {"a": ["0", "10", "11"], "b": ["2", "12"], "c": ["20", "21", "220", "221"]})
+    policy = make_policy({"a": ["1/7", "2/7", "4/7"], "b": ["5/11", "6/11"], "c": ["1/10", "1/5", "3/10", "2/5"]})
+    for src, code, pol in ((dyadic_abc(), code_abc(), None), (src3, multi, policy)):
+        trace = empirical_acl(src, code, pol, 500, 9)
+        steps = list(zip(trace.symbol_indices, trace.codeword_indices))
+        assert list(trace.lengths) == [code.codewords(src.symbols[i])[u].length for i, u in steps]
+        assert len(trace.lengths) == len(trace.acl_values) == 500
+        for k in range(1, 501):
+            assert trace.acl_values[k - 1] == sum(trace.lengths[:k]) / k
+    assert len(set(trace.lengths)) > 1 and max(trace.codeword_indices) > 0
 
 
 def test_empirical_acl_converges():
@@ -280,18 +283,16 @@ def test_empirical_acl_policy_draws_converge():
     assert abs(trace.acl_values[-1] - 1.75) < 0.05
 
 
-def test_empirical_acl_chooser_callable():
-    src = make_source("a", ["1"])
-    code = make_code(2, {"a": ["0", "11"]})
-    with pytest.raises(MissingPolicy):
+def test_empirical_acl_needs_a_policy_for_several_codewords():
+    src = make_source("ab", ["1/2", "1/2"])
+    code = make_code(2, {"a": ["0", "11"], "b": "10"})
+    with pytest.raises(MissingPolicy, match="symbol 'a' has 2 codewords but no policy was given"):
         empirical_acl(src, code, None, 10, 1)
-    longest = empirical_acl(src, code, lambda sym, z, words: len(words) - 1, 100, 1)
-    shortest = empirical_acl(src, code, lambda sym, z, words: 0, 100, 1)
-    assert longest.symbol_indices == shortest.symbol_indices
-    assert longest.acl_values[-1] == 2.0
-    assert shortest.acl_values[-1] == 1.0
-    with pytest.raises(ValueError):
-        empirical_acl(src, code, lambda sym, z, words: 7, 10, 1)
+    with pytest.raises(MissingPolicy, match="policy does not cover symbol 'a' with 2 weights"):
+        empirical_acl(src, code, make_policy({"a": ["1"]}), 10, 1)
+    # a code with one codeword per symbol needs no policy
+    floor = empirical_acl(src, minimal_reduction(code), None, 10, 1)
+    assert floor.lengths == tuple(2 if i else 1 for i in floor.symbol_indices)
 
 
 def test_empirical_pathwise_floor():

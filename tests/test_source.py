@@ -131,7 +131,6 @@ def test_source_lookup():
     src = dyadic_abc()
     assert len(src) == 3
     assert src.prob_of("b") == F(1, 4)
-    assert src.index_of("c") == 2
     with pytest.raises(ValueError):
         src.prob_of("z")
 
