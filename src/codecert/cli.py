@@ -35,7 +35,8 @@ across runs for fixed inputs and seed.
 Source files hold one `<symbol> <probability>` pair per line, where the
 probability is a rational like 3/10 or a finite decimal; `#` starts a
 comment line. Numerals in files, --lengths, --probs, --tol and the integer
-options (--radix, --max-len, --seed, --t, --trials) are ASCII, no `_`;
+options (--radix, --max-len, --seed, --t, --trials) are ASCII, no `_`, and
+each has at most 4,300 digits, an exponent counting as that many zeros;
 --tol is a finite number.
 Code files start with `radix <r>`, then per line
 `<symbol> <codeword>[,<codeword>...]`, optionally followed by
@@ -55,6 +56,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import accumulate
+from operator import sub
 
 from .codes import (
     Code,
@@ -84,7 +86,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _integer_masses, entropy, parse_rational
+from .source import REFERENCE_SEED, Source, _check_numeral, _integer_masses, entropy, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -137,6 +139,7 @@ def _code_header(text: str) -> int:
     tokens = text.split()
     if len(tokens) != 2 or tokens[0] != "radix" or not (tokens[1].isascii() and tokens[1].isdigit()):
         raise ValueError(f"expected header 'radix <r>', got {text!r}")
+    _check_numeral(tokens[1])
     r = int(tokens[1])
     _check_code_radix(r)
     return r
@@ -176,6 +179,10 @@ def _integer(text: str) -> int:
     """An integer in ASCII digits; int() also reads '_' and other scripts' digits."""
     if text.isascii() and "_" not in text:
         try:
+            _check_numeral(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        try:
             return int(text)
         except ValueError:
             pass
@@ -211,8 +218,11 @@ def _finite(text: str) -> float:
 
 
 def _parse_lengths(text: str) -> list[int]:
+    parts = text.split(",")
+    for part in parts:
+        _check_numeral(part)
     try:
-        return [_integer(part) for part in text.split(",")]
+        return list(map(_integer, parts))
     except argparse.ArgumentTypeError:
         raise ParseError(f"lengths must be comma-separated integers, got {text!r}") from None
 
@@ -362,8 +372,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     trace = empirical_acl(src, code, policy, args.t, args.seed)
     # the floor is each symbol's shortest codeword, on the same stream
     shortest = [words[0].length for words in map(minimal_reduction(code).codewords, src.symbols)]
-    steps = zip(trace.symbol_indices, trace.lengths)
-    violations = sum(1 for excess in accumulate(n - shortest[i] for i, n in steps) if excess < 0)
+    excess = accumulate(map(sub, trace.lengths, map(shortest.__getitem__, trace.symbol_indices)))
+    violations = sum(map((0).__gt__, excess))
     exact = acl_exact(src, code, policy)
     final = trace.acl_values[-1]
     status = 0 if violations == 0 else 1
@@ -566,7 +576,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     # an exact fraction can have more digits than Python converts to text by
     # default (4,300 from 3.10.7 on), so the handler runs with no limit; the
-    # old one is restored for in-process callers
+    # old one is restored for in-process callers. Input numerals stay within
+    # that many digits (source._check_numeral), so none takes quadratic time.
     old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = _parser().parse_args(argv)

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import truediv
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -38,7 +39,7 @@ from .errors import (
     MissingSymbol,
 )
 from .rng import SplitMix64, _check_seed, derived_seed
-from .source import Source, _as_fraction, _check_entries, _integer_masses, sample_stream
+from .source import Source, _as_fraction, _check_entries, _check_numeral, _integer_masses, sample_stream
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -61,6 +62,9 @@ class Codeword:
         parts = text.removesuffix(".").split(".") if "." in text else text
         if not parts or not text.isascii() or not all(map(str.isdigit, parts)):
             raise ValueError(f"not a codeword: {text!r}")
+        if "." in text:  # each dotted digit is a numeral
+            for part in parts:
+                _check_numeral(part)
         return Codeword(tuple(map(int, parts)))
 
     @property
@@ -293,30 +297,20 @@ def empirical_acl(
     if missing:
         raise MissingSymbol(f"code does not cover symbols {missing!r}")
 
-    table = {s: (i, code.codewords(s)) for i, s in enumerate(src.symbols)}
-    stream = sample_stream(src, t, seed)
-    choice_rng = SplitMix64(derived_seed(seed, _CHOICE_SALT))
-    thresholds: dict[Any, tuple[int, list[int]]] = {}  # policy symbol -> (D, bounds)
-
-    sym_idx: list[int] = []
-    cw_idx: list[int] = []
-    lengths: list[int] = []
-    acl_values: list[float] = []
-    digits = 0
-    for z, symbol in enumerate(stream, start=1):
-        i, words = table[symbol]
-        u = 0
-        if len(words) > 1:
-            if symbol not in thresholds:
-                denom, masses = _integer_masses(_policy_weights(policy, symbol, words))
-                thresholds[symbol] = denom, list(itertools.accumulate(masses))
-            denom, bounds = thresholds[symbol]
-            u = bisect_right(bounds, choice_rng.randbelow(denom))
-        n = words[u].length
-        sym_idx.append(i)
-        cw_idx.append(u)
-        lengths.append(n)
-        digits += n
-        acl_values.append(digits / z)
+    index = {s: i for i, s in enumerate(src.symbols)}
+    words_of = [code.codewords(s) for s in src.symbols]
+    sym_idx = list(map(index.__getitem__, sample_stream(src, t, seed)))
+    # (D, cumulative masses) of each symbol with several codewords, built in
+    # first-draw order so that the first such symbol drawn raises MissingPolicy
+    thresholds: list[tuple[int, list[int]] | None] = [None] * len(words_of)
+    for i in dict.fromkeys(sym_idx):
+        if len(words_of[i]) > 1:
+            denom, masses = _integer_masses(_policy_weights(policy, src.symbols[i], words_of[i]))
+            thresholds[i] = denom, list(itertools.accumulate(masses))
+    randbelow = SplitMix64(derived_seed(seed, _CHOICE_SALT)).randbelow
+    cw_idx = [bisect_right(th[1], randbelow(th[0])) if (th := thresholds[i]) else 0 for i in sym_idx]
+    word_lengths = [[w.length for w in words] for words in words_of]
+    lengths = [word_lengths[i][u] for i, u in zip(sym_idx, cw_idx)]
+    acl_values = map(truediv, itertools.accumulate(lengths), range(1, t + 1))
 
     return SimulationTrace(tuple(sym_idx), tuple(cw_idx), tuple(lengths), tuple(acl_values))

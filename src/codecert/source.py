@@ -21,9 +21,9 @@ the seed alone.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -46,19 +46,51 @@ REFERENCE_SEED = 1
 #: Default cap on the alphabet size a source extension may produce.
 DEFAULT_EXTENSION_CAP = 10**6
 
+#: Most digits a numeral may have: Python's default limit on int/str
+#: conversion, which `cli.main` lifts so that long exact results print.
+MAX_NUMERAL_DIGITS = 4300
+
+
+def _check_numeral(text: str) -> None:
+    """Reject, before it is converted, a numeral (or either side of 'a/b')
+    written with more than MAX_NUMERAL_DIGITS digits, an exponent counting
+    as that many zeros.
+
+    Converting such text takes time quadratic in its length; the error
+    gives the count, not the digits.
+    """
+    if len(text) <= MAX_NUMERAL_DIGITS and "e" not in text and "E" not in text:
+        return
+    for numeral in text.split("/"):
+        mantissa, e, exponent = numeral.lower().partition("e")
+        digits = sum(map(str.isdigit, mantissa))
+        if e and exponent.lstrip("+-").isdigit():
+            exponent = exponent.lstrip("+-").lstrip("0")
+            if len(exponent) > 9:
+                raise ValueError(
+                    f"numeral with a {len(exponent):,}-digit exponent exceeds the limit of {MAX_NUMERAL_DIGITS:,} digits"
+                )
+            digits += int(exponent or 0)
+        if digits > MAX_NUMERAL_DIGITS:
+            raise ValueError(f"numeral of {digits:,} digits exceeds the limit of {MAX_NUMERAL_DIGITS:,}")
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b', an integer, or a finite decimal into an exact Fraction.
 
     Decimal text is converted exactly ('0.25' -> 1/4), never through a
-    binary float. Digits are ASCII, without '_' (Fraction accepts both).
+    binary float. Digits are ASCII, without '_' (Fraction accepts both),
+    and each numeral has at most MAX_NUMERAL_DIGITS of them.
     """
     if text.isascii():
         # 'a/b' and 'a' in plain digits skip Fraction's regular expression
         num, slash, den = text.partition("/")
         if num.isdigit() and (not slash or den.isdigit() and den.strip("0")):
+            if len(text) > MAX_NUMERAL_DIGITS:
+                _check_numeral(text)
             return Fraction(int(num), int(den) if slash else 1)
         if "_" not in text:
+            _check_numeral(text)
             try:
                 return Fraction(text.strip())
             except (ValueError, ZeroDivisionError):
@@ -213,10 +245,6 @@ def sample_stream(src: Source, t: int, seed: int) -> list:
     if len(src) == 1:
         return [src.symbols[0]] * t
     # bisect_right(bounds, u) for u uniform below D picks i with probability m_i/D
-    denom, bounds = src.denominator, list(itertools.accumulate(src.masses))
-    rng = SplitMix64(seed)
-    out = []
-    for _ in range(t):
-        u = rng.randbelow(denom)
-        out.append(src.symbols[bisect.bisect_right(bounds, u)])
-    return out
+    draws = SplitMix64(seed).draws(src.denominator, t)
+    picks = map(bisect_right, itertools.repeat(list(itertools.accumulate(src.masses))), draws)
+    return list(map(src.symbols.__getitem__, picks))

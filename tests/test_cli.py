@@ -831,6 +831,45 @@ def test_numerals_are_ascii_only(tmp_path, capsys):
     assert (status, err) == (2, "error: bad probability list: not a rational number: '1_0/20'")
 
 
+# with the int-to-str limit lifted for output, converting a long numeral
+# would take quadratic time; each is rejected first, by its length
+LONG = "1" + "0" * 199_999
+LONG_NUMERAL_CASES = [
+    pytest.param("entropy {path}", f"a 1/{LONG}\n", "200,000", id="source"),
+    pytest.param("entropy {path}", "a 1e-100000\nb 1\n", "100,001", id="exponent"),
+    pytest.param("check-prefix {path}", f"radix 2\na 0,1 @ 1/2,{LONG}\n", "200,000", id="weights"),
+    pytest.param("check-prefix {path}", f"radix {LONG}\na 0\n", "200,000", id="radix"),
+    pytest.param("check-prefix {path}", f"radix 2\na {LONG}.\n", "200,000", id="codeword"),
+    pytest.param(f"check-ineq --probs 1/2,1/{LONG}", None, "200,000", id="probs"),
+    pytest.param(f"kraft --lengths 1,{LONG}", None, "200,000", id="lengths"),
+]
+
+
+@pytest.mark.parametrize("command,text,digits", LONG_NUMERAL_CASES)
+def test_long_numerals_are_rejected_by_their_length(command, text, digits, tmp_path, capsys):
+    path = write(tmp_path, "input.txt", text) if text else None
+    status, out, err = run(capsys, *command.format(path=path).split())
+    assert (status, out) == (2, "")
+    assert f"numeral of {digits} digits exceeds the limit of 4,300" in err
+    assert len(err) < 200
+
+
+def test_long_integer_options_are_rejected_by_their_length(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fuzz", "--trials", LONG])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --trials: numeral of 200,000 digits exceeds the limit of 4,300" in err
+    assert len(err) < 500
+
+
+def test_numerals_at_the_limit_are_read(tmp_path, capsys):
+    d = "1" + "0" * 4299
+    src = write(tmp_path, "s.txt", f"a 1/{d}\nb {int(d) - 1}/{d}\n")
+    assert run(capsys, "entropy", src, "--machine")[0] == 0
+    assert run(capsys, "check-ineq", "--probs", "1e-4299,1", "--machine")[0] == 0
+
+
 # int() reads '1_0' and '١٠' as 10; every integer option reads ASCII digits only
 INTEGER_OPTION_CASES = [
     ("kraft --lengths 1,1 --radix 1_0", "--radix", "1_0"),

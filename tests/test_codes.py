@@ -1,5 +1,6 @@
 """Codes, codewords, Kraft sums, ACL in its three flavors."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -314,6 +315,16 @@ def test_empirical_acl_policy_stream_pinned():
     trace = empirical_acl(src, code, policy, 24, 2026)
     assert trace.symbol_indices == (1, 1, 1, 0, 0, 2, 1, 0, 0, 0, 1, 0, 1, 2, 0, 1, 1, 2, 2, 1, 0, 2, 0, 2)
     assert trace.codeword_indices == (0, 1, 1, 2, 2, 0, 1, 2, 1, 2, 1, 2, 0, 3, 2, 1, 0, 0, 3, 1, 2, 2, 2, 1)
+
+
+def test_empirical_acl_policy_trace_pinned_over_many_blocks():
+    # recorded with one randbelow call per draw, over the whole trace of 50,000 steps
+    src = make_source("abc", ["1/2", "1/3", "1/6"])
+    code = make_code(3, {"a": ["0", "10", "11"], "b": ["2", "12"], "c": ["20", "21", "220", "221"]})
+    policy = make_policy({"a": ["1/7", "2/7", "4/7"], "b": ["5/11", "6/11"], "c": ["1/10", "1/5", "3/10", "2/5"]})
+    trace = empirical_acl(src, code, policy, 50_000, 2026)
+    text = repr((trace.symbol_indices, trace.codeword_indices, trace.lengths, trace.acl_values))
+    assert hashlib.sha256(text.encode()).hexdigest() == "1a7c9e443f7ac8e341cc2ba7d4350c6cbae7ff6722534bc410864827ddd5e3c5"
 
 
 def test_empirical_acl_seed_reproducibility():

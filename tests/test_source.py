@@ -1,5 +1,6 @@
 """Sources: exact probabilities, entropy, extensions, and sampling."""
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -257,6 +258,18 @@ def test_sample_stream_deterministic():
     assert sample_stream(src, 50, 7) == sample_stream(src, 50, 7)
     assert sample_stream(src, 50, 7) != sample_stream(src, 50, 8)
     assert sample_stream(src, 0, 7) == []
+
+
+def test_sample_stream_pinned_over_many_blocks():
+    # recorded with one randbelow call per draw: 100,000 draws below a
+    # 40-bit denominator read hundreds of 256-output blocks, with rejections
+    d = 3 * 2**38 + 7
+    masses = [d // 3, d // 5, d // 7, d // 11, d // 13]
+    src = make_source("abcdef", [F(m, d) for m in masses + [d - sum(masses)]])
+    assert src.denominator == d
+    index = {s: i for i, s in enumerate(src.symbols)}
+    stream = bytes(map(index.__getitem__, sample_stream(src, 100_000, 2014)))
+    assert hashlib.sha256(stream).hexdigest() == "2271cdaa8b69e6cd01e402e1f669d9131e6c888647e3e1636a5817e5ca4e9414"
 
 
 def test_sample_stream_prefix_property():
