@@ -86,7 +86,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _check_numeral, _integer_masses, entropy, parse_rational
+from .source import REFERENCE_SEED, Source, _check_numeral, _integer_masses, _quote, entropy, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -122,7 +122,7 @@ def _at(path: str, line: int | list[int] | None, parse, *args):
 def _source_entry(text: str) -> tuple[str, Fraction]:
     tokens = text.split()
     if len(tokens) != 2:
-        raise ValueError(f"expected '<symbol> <probability>', got {text!r}")
+        raise ValueError(f"expected '<symbol> <probability>', got {_quote(text)}")
     return tokens[0], parse_rational(tokens[1])
 
 
@@ -138,7 +138,7 @@ def parse_source_file(path: str) -> Source:
 def _code_header(text: str) -> int:
     tokens = text.split()
     if len(tokens) != 2 or tokens[0] != "radix" or not (tokens[1].isascii() and tokens[1].isdigit()):
-        raise ValueError(f"expected header 'radix <r>', got {text!r}")
+        raise ValueError(f"expected header 'radix <r>', got {_quote(text)}")
     _check_numeral(tokens[1])
     r = int(tokens[1])
     _check_code_radix(r)
@@ -149,7 +149,7 @@ def _code_entry(text: str) -> tuple[str, tuple[Codeword, ...], tuple[Fraction, .
     body, _, weight_text = text.partition("@")
     tokens = body.split()
     if len(tokens) != 2:
-        raise ValueError(f"expected '<symbol> <codewords> [@ weights]', got {text!r}")
+        raise ValueError(f"expected '<symbol> <codewords> [@ weights]', got {_quote(text)}")
     symbol, words_text = tokens
     words = tuple(Codeword.parse(w) for w in words_text.split(","))
     if not weight_text.strip():
@@ -186,7 +186,7 @@ def _integer(text: str) -> int:
             return int(text)
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    raise argparse.ArgumentTypeError(f"not an integer: {_quote(text)}")
 
 
 def _budget(text: str) -> int:
@@ -204,9 +204,13 @@ def _budget(text: str) -> int:
 
 
 def _finite(text: str) -> float:
-    """A finite number in ASCII; float() also reads '_', other scripts' digits,
-    'inf' and 'nan'."""
+    """A finite number in ASCII of at most MAX_NUMERAL_DIGITS digits; float()
+    also reads '_', other scripts' digits, 'inf' and 'nan'."""
     if text.isascii() and "_" not in text:
+        try:
+            _check_numeral(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
         try:
             value = float(text)
         except ValueError:
@@ -214,7 +218,7 @@ def _finite(text: str) -> float:
         else:
             if math.isfinite(value):
                 return value
-    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a finite number: {_quote(text)}")
 
 
 def _parse_lengths(text: str) -> list[int]:
@@ -224,7 +228,7 @@ def _parse_lengths(text: str) -> list[int]:
     try:
         return list(map(_integer, parts))
     except argparse.ArgumentTypeError:
-        raise ParseError(f"lengths must be comma-separated integers, got {text!r}") from None
+        raise ParseError(f"lengths must be comma-separated integers, got {_quote(text)}") from None
 
 
 # --- report helpers ---

@@ -24,6 +24,7 @@ decipherability and tree layers reject it in any other position.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -39,7 +40,12 @@ from .errors import (
     MissingSymbol,
 )
 from .rng import SplitMix64, _check_seed, derived_seed
-from .source import Source, _as_fraction, _check_entries, _check_numeral, _integer_masses, sample_stream
+from .source import Source, _as_fraction, _check_entries, _check_numeral, _integer_masses, _quote, sample_stream
+
+#: Most bits of the Kraft sum's common denominator r^max(length). Its cost
+#: grows with that size, and printing the exact sum in decimal grows with
+#: its square.
+MAX_KRAFT_BITS = 300_000
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -61,7 +67,7 @@ class Codeword:
         # without a dot, each character is one digit
         parts = text.removesuffix(".").split(".") if "." in text else text
         if not parts or not text.isascii() or not all(map(str.isdigit, parts)):
-            raise ValueError(f"not a codeword: {text!r}")
+            raise ValueError(f"not a codeword: {_quote(text)}")
         if "." in text:  # each dotted digit is a numeral
             for part in parts:
                 _check_numeral(part)
@@ -204,6 +210,8 @@ def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
     """The exact rational sum of r^(-l) over the length multiset.
 
     Radix 1 is admitted: every term is 1, so the sum counts the lengths.
+    A common denominator r^max(length) above 2^MAX_KRAFT_BITS is refused
+    before it is built.
     """
     _check_code_radix(r)
     counts = Counter(lengths)
@@ -213,6 +221,10 @@ def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
         return Fraction(0)
     # one integer sum over the common denominator r^top
     top = max(counts)
+    # r^top has about top*log2(r) bits; top > MAX_KRAFT_BITS decides first
+    # for a length too large to multiply as a float
+    if r > 1 and (top > MAX_KRAFT_BITS or top * math.log2(r) > MAX_KRAFT_BITS):
+        raise ValueError(f"the Kraft sum's denominator r^max(length) would exceed 2^{MAX_KRAFT_BITS:,}")
     return Fraction(sum(k * r ** (top - l) for l, k in counts.items()), r**top)
 
 

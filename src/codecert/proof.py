@@ -15,10 +15,11 @@ exactly when the group has r members of equal probability.
 The chain merges, deepest level first, every internal node of the
 compacted tree, and within a level the nodes in lexicographic path
 order; this is the order the reference operations find_sibling_group
-and reduce_group pick one merge at a time, rebuilding the tree and the
-source after each. certify never builds that tree. It works on the
-leaves' digit paths in digit order: the canonical words of the code's
-lengths, then one stack pass that drops the digits of only-child nodes.
+and reduce_group(tree, group) pick one merge at a time, rebuilding the
+tree and its source after each. certify never builds that tree. It
+works on the leaves' digit paths in digit order: the canonical words of
+the code's lengths, then one stack pass that drops the digits of
+only-child nodes.
 Then it merges one level at a time, from the deepest up: that level's
 leaves and the nodes merged one level below, in path order, fall into
 runs of siblings, and each run is one merge whose parent joins the next
@@ -78,9 +79,6 @@ class MergedSymbol:
     """Placeholder symbol standing for a merged group of leaves."""
 
     members: tuple[Any, ...]
-
-    def __str__(self) -> str:
-        return "(" + "+".join(str(m) for m in self.members) + ")"
 
 
 @dataclass(frozen=True)
@@ -229,16 +227,14 @@ def reduction_step(group: SiblingGroup, masses: tuple[int, ...], denominator: in
     )
 
 
-def reduce_group(
-    src: Source, tree: CodeTree, group: SiblingGroup
-) -> tuple[Source, CodeTree, ReductionStep]:
+def reduce_group(tree: CodeTree, group: SiblingGroup) -> tuple[Source, CodeTree, ReductionStep]:
     """Merge a sibling-leaf group into its parent.
 
-    The reference form of one merge, which builds the reduced tree and
-    source; certify's one-pass chain never calls it. Returns the reduced
-    source, the reduced tree, and the step record.
-    The reduced source lists the reduced tree's leaves in digit order,
-    so repeated steps keep source and tree aligned.
+    The reference form of one merge; certify's one-pass chain never calls
+    it. The group's probabilities are read off the tree's leaves, so the
+    tree is the whole input. Returns the reduced source, which lists the
+    reduced tree's leaves in digit order, the reduced tree, and the step
+    record; repeated steps take the returned tree.
     """
     span = _below(tree, group.parent)
     if tree.paths[span] != group.members or any(len(p) != len(group.parent) + 1 for p in group.members):

@@ -18,6 +18,10 @@ from .rng import SplitMix64, _check_seed, derived_seed
 from .source import Source, _check_radix
 from .tree import CodeTree, TreeNode
 
+#: A random code's tree grows 0..EXTRA_NODES more internal nodes than the
+#: fewest that give it n leaves, so some leaves are left unused.
+EXTRA_NODES = 3
+
 
 def trial_rng(master_seed: int, k: int) -> SplitMix64:
     """Independent generator for trial k of a batch keyed by master_seed."""
@@ -65,19 +69,17 @@ def _grow_leaf_paths(rng: SplitMix64, r: int, z: int) -> list[tuple[int, ...]]:
     return paths
 
 
-def random_kraft_lengths(rng: SplitMix64, r: int, n: int, extra: int = 3) -> list[int]:
+def random_kraft_lengths(rng: SplitMix64, r: int, n: int) -> list[int]:
     """n codeword lengths whose Kraft sum is at most 1, by construction.
 
     Takes the depths of n distinct leaves of a random full tree, which
     is exactly the prefix-free case of the Kraft bound.
     """
-    paths = _random_leaf_paths(rng, r, n, extra)
+    paths = _random_leaf_paths(rng, r, n)
     return [len(p) for p in paths]
 
 
-def _random_leaf_paths(
-    rng: SplitMix64, r: int, n: int, extra: int = 3
-) -> list[tuple[int, ...]]:
+def _random_leaf_paths(rng: SplitMix64, r: int, n: int) -> list[tuple[int, ...]]:
     if n < 1:
         raise ValueError(f"need at least one codeword, got {n}")
     _check_radix(r)
@@ -87,15 +89,15 @@ def _random_leaf_paths(
             return [()]
         paths = _grow_leaf_paths(rng, r, 1 + rng.randbelow(3))
     else:
-        z = -(-(n - 1) // (r - 1)) + rng.randbelow(extra + 1)
+        z = -(-(n - 1) // (r - 1)) + rng.randbelow(EXTRA_NODES + 1)
         paths = _grow_leaf_paths(rng, r, z)
     picked = rng.sample_distinct(len(paths), min(n, len(paths)))
     return [paths[i] for i in picked]
 
 
-def random_prefix_code(rng: SplitMix64, r: int, n: int, extra: int = 3) -> Code:
+def random_prefix_code(rng: SplitMix64, r: int, n: int) -> Code:
     """A prefix-free code with n codewords for symbols s1..sn."""
-    paths = _random_leaf_paths(rng, r, n, extra)
+    paths = _random_leaf_paths(rng, r, n)
     mapping = tuple(
         (f"s{i + 1}", (Codeword(path),)) for i, path in enumerate(paths)
     )

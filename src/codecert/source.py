@@ -75,6 +75,20 @@ def _check_numeral(text: str) -> None:
             raise ValueError(f"numeral of {digits:,} digits exceeds the limit of {MAX_NUMERAL_DIGITS:,}")
 
 
+#: Longest text an error message quotes in full; longer text is shown as
+#: its first MAX_QUOTED_CHARS characters and its length.
+MAX_QUOTED_CHARS = 40
+
+
+def _quote(text: str) -> str:
+    """repr(text) for an error message about text from outside the program,
+    cut to a prefix and the length when it is long, so an error stays one
+    short line whatever the input."""
+    if len(text) <= MAX_QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:MAX_QUOTED_CHARS]!r}... ({len(text):,} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b', an integer, or a finite decimal into an exact Fraction.
 
@@ -95,7 +109,7 @@ def parse_rational(text: str) -> Fraction:
                 return Fraction(text.strip())
             except (ValueError, ZeroDivisionError):
                 pass
-    raise ValueError(f"not a rational number: {text!r}")
+    raise ValueError(f"not a rational number: {_quote(text)}")
 
 
 def _as_fraction(value) -> Fraction:

@@ -15,9 +15,12 @@ leaves, which is the unit the proof engine merges.
 A CodeTree stores its leaves' paths in digit order and their leaf nodes.
 Digits are below the radix, so the leaves at or below path p are the
 range [p, p + (radix,)), found by two bisects; a merge replaces that
-range by one leaf. Compacting is one stack pass (_compact_paths), and
-walk, dump_tree and tree_stats read the internal nodes off the list as
-the leaves' proper prefixes.
+range by one leaf. Compacting is one stack pass (_compact_paths). The
+internal nodes are the leaves' proper prefixes and are never stored.
+
+certify takes only SiblingGroup and _compact_paths from here. The rest
+is the reference tree route, which the tests replay against certify's
+one-pass chain.
 """
 
 from __future__ import annotations
@@ -54,20 +57,6 @@ class CodeTree:
         """(path, leaf) pairs in depth-first digit order."""
         return list(zip(self.paths, self.nodes))
 
-    def walk(self) -> list[tuple[tuple[int, ...], TreeNode | None]]:
-        """(path, leaf) pairs of every node in preorder, children in digit
-        order, with None as the leaf of an internal node.
-
-        The internal nodes are the leaves' proper prefixes: leaf k adds
-        those deeper than the depth where it parts from leaf k-1. Preorder
-        is the lexicographic order of the paths.
-        """
-        out = []
-        for path, part, leaf in zip(self.paths, [-1, *_parts(self.paths)], self.nodes):
-            out.extend((path[:depth], None) for depth in range(part + 1, len(path)))
-            out.append((path, leaf))
-        return out
-
 
 @dataclass(frozen=True)
 class SiblingGroup:
@@ -79,13 +68,6 @@ class SiblingGroup:
     @property
     def s(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class TreeStats:
-    n: int
-    z: int
-    is_full: bool
 
 
 def to_tree(code: Code, src: Source | None = None) -> CodeTree:
@@ -210,15 +192,6 @@ def find_sibling_group(tree: CodeTree) -> SiblingGroup:
     return SiblingGroup(parent, tree.paths[_below(tree, parent)])
 
 
-def tree_stats(tree: CodeTree) -> TreeStats:
-    """n leaves and z internal nodes, each with 1..r children and n + z - 1
-    in all, so the tree is full iff that is z*r. Leaf k adds the ancestors
-    below its part with leaf k-1."""
-    n = len(tree.paths)
-    z = sum(len(path) - part - 1 for path, part in zip(tree.paths, [-1, *_parts(tree.paths)]))
-    return TreeStats(n, z, n + z - 1 == z * tree.radix)
-
-
 def replace_group_with_leaf(
     tree: CodeTree, group: SiblingGroup, symbol, prob: Fraction | None
 ) -> CodeTree:
@@ -230,16 +203,3 @@ def replace_group_with_leaf(
     paths = tree.paths[: span.start] + (group.parent,) + tree.paths[span.stop :]
     nodes = tree.nodes[: span.start] + (TreeNode(symbol, prob),) + tree.nodes[span.stop :]
     return CodeTree(tree.radix, paths, nodes)
-
-
-def dump_tree(tree: CodeTree) -> str:
-    """Indented text dump, one node per line: '<digit-path> [symbol p=a/b]'."""
-    lines = []
-    for path, node in tree.walk():
-        label = str(Codeword(path))
-        if node is not None and node.symbol is not None:
-            label += f" {node.symbol}"
-            if node.prob is not None:
-                label += f" p={node.prob}"
-        lines.append("  " * len(path) + label)
-    return "\n".join(lines)

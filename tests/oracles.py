@@ -178,3 +178,10 @@ def tree_nodes_oracle(paths):
         if node:
             children[node[:-1]] += 1
     return [(node, children[node]) for node in sorted(nodes)]
+
+
+def tree_shape_oracle(paths, r):
+    """(leaves, internal nodes, whether every internal node has r children)
+    of the tree with these leaf paths, read off tree_nodes_oracle."""
+    internal = [count for _, count in tree_nodes_oracle(paths) if count]
+    return len(paths), len(internal), all(count == r for count in internal)

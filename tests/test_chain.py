@@ -22,7 +22,6 @@ from codecert import (
     certify,
     compact_standalone,
     construct_instantaneous,
-    dump_tree,
     entropy,
     equality_condition,
     find_sibling_group,
@@ -40,19 +39,17 @@ from codecert import (
     reduction_step,
     reversed_code,
     to_tree,
-    tree_source,
-    tree_stats,
 )
-from oracles import compacted_paths_oracle, prefix_free_oracle
+from oracles import compacted_paths_oracle, prefix_free_oracle, tree_nodes_oracle, tree_shape_oracle
 
 
 def reference_chain(src, code):
     """The chain certify's pass must equal, one find_sibling_group and
     reduce_group at a time on the tree certify builds."""
     tree = compact_standalone(to_tree(code, src))
-    cur, steps = tree_source(tree), []
-    while len(tree.leaves()) > 1:
-        cur, tree, step = reduce_group(cur, tree, find_sibling_group(tree))
+    steps = []
+    while len(tree.paths) > 1:
+        _, tree, step = reduce_group(tree, find_sibling_group(tree))
         steps.append(step)
     return steps
 
@@ -141,22 +138,26 @@ def test_certify_raises_when_exact_checks_disagree(monkeypatch):
 
 
 def walk_chain(tree, src):
-    """The chain of a compact tree by one preorder walk: every internal node,
-    deepest level first and each level in walk order, its children's masses
-    summed bottom-up. Linear in the tree, so it reaches deep codes that
-    reference_chain, one tree rebuild per merge, cannot."""
+    """The chain of a compact tree read off tree_nodes_oracle and the leaves'
+    payloads: every internal node, deepest level first and each level in
+    lexicographic order, its children's masses summed bottom-up. Only the
+    step records come from the package (reduction_step). Linear in the
+    tree, so it reaches deep codes that reference_chain, one tree rebuild
+    per merge, cannot."""
     mass_of = dict(zip(src.symbols, src.masses))
-    walk = tree.walk()
-    children = {path: [] for path, leaf in walk if leaf is None}  # (digit, mass), last digit first
-    for path, leaf in reversed(walk):
-        if path:
-            mass = mass_of[leaf.symbol] if leaf is not None else sum(m for _, m in children[path])
-            children[path[:-1]].append((path[-1], mass))
+    mass = {path: mass_of[leaf.symbol] for path, leaf in zip(tree.paths, tree.nodes)}
+    nodes = tree_nodes_oracle(tree.paths)
+    children = {node: [] for node, count in nodes if count}  # in lexicographic order
     steps = []
-    for path in sorted(children, key=len, reverse=True):
-        digits, masses = zip(*reversed(children[path]))
-        group = SiblingGroup(path, tuple(path + (d,) for d in digits))
-        steps.append(reduction_step(group, masses, src.denominator, tree.radix))
+    for node, count in sorted(nodes, key=lambda entry: len(entry[0]), reverse=True):
+        if count:  # every child is one level deeper, so it was met already
+            masses = tuple(map(mass.get, children[node]))
+            assert len(masses) == count
+            mass[node] = sum(masses)
+            group = SiblingGroup(node, tuple(children[node]))
+            steps.append(reduction_step(group, masses, src.denominator, tree.radix))
+        if node:
+            children[node[:-1]].append(node)
     return steps
 
 
@@ -240,6 +241,17 @@ def test_certify_matches_tree_route_on_deep_combs(r, depth):
     cert = assert_matches_tree_route(src, code, deep=True)
     assert cert.verdict == "Equality" and len(cert.steps) == depth
     assert [s.l_red for s in cert.steps] == list(range(depth - 1, -1, -1))
+
+
+def test_certify_matches_tree_route_on_a_deep_comb_of_unequal_masses():
+    # siblings differ in mass at every level, so each step's masses are
+    # checked in member order, which the dyadic combs cannot show
+    src, code = comb(2, 1100)
+    n = len(src)
+    unequal = make_source(src.symbols, [F(2 * (i + 1), n * (n + 1)) for i in range(n)])
+    cert = assert_matches_tree_route(unequal, code, deep=True)
+    assert cert.verdict == "StrictInequality" and len(cert.steps) == 1100
+    assert all(len(set(step.masses)) == 2 for step in cert.steps)
 
 
 def test_certify_builds_no_code_and_no_tree(monkeypatch):
@@ -350,8 +362,9 @@ def test_deep_tree_walks_and_huffman():
     tree = to_tree(code, src)
     assert is_compact(tree)
     assert from_tree(compact_standalone(tree)).mapping == code.mapping
-    assert tree_stats(tree) == tree_module.TreeStats(1100, 1099, True)
-    assert len(dump_tree(tree).splitlines()) == 2199
+    nodes = tree_nodes_oracle(tree.paths)
+    assert [path for path, count in nodes if not count] == [path for path, _ in tree.leaves()]
+    assert len(nodes) == 2199 and tree_shape_oracle(tree.paths, 2) == (1100, 1099, True)
     assert sorted(huffman(src, 2).lengths()) == sorted(code.lengths())
 
 

@@ -4,6 +4,7 @@ import argparse
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -868,6 +869,51 @@ def test_numerals_at_the_limit_are_read(tmp_path, capsys):
     src = write(tmp_path, "s.txt", f"a 1/{d}\nb {int(d) - 1}/{d}\n")
     assert run(capsys, "entropy", src, "--machine")[0] == 0
     assert run(capsys, "check-ineq", "--probs", "1e-4299,1", "--machine")[0] == 0
+
+
+def test_long_tol_is_rejected_by_its_length(capsys):
+    for tol, digits in (("0." + "0" * 5000 + "1", "5,002"), ("1e-100000", "100,001")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--trials", "1", "--tol", tol])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --tol: numeral of {digits} digits exceeds the limit of 4,300" in err
+
+
+# a rejected token from outside the program is quoted by a prefix and its length
+HUGE = "x" * 100_000
+HUGE_TOKEN_CASES = [
+    pytest.param(f"fuzz --tol {HUGE}", None, "100,000", id="tol"),
+    pytest.param(f"kraft --lengths 1,{HUGE}", None, "100,002", id="lengths"),
+    pytest.param(f"kraft --lengths 1 --radix {HUGE}", None, "100,000", id="integer-option"),
+    pytest.param("entropy {path}", f"a 1/2 {HUGE}\n", "100,006", id="source-line"),
+    pytest.param("check-prefix {path}", f"radix 2\na {HUGE}\n", "100,000", id="codeword"),
+    pytest.param("check-prefix {path}", f"radix {HUGE}\na 0\n", "100,006", id="code-header"),
+    pytest.param("check-prefix {path}", f"radix 2\na 0 1 {HUGE}\n", "100,006", id="code-line"),
+    pytest.param("entropy {path}", f"a {'½' * 100_000}\n", "100,000", id="non-ascii-probability"),
+]
+
+
+@pytest.mark.parametrize("command,text,length", HUGE_TOKEN_CASES)
+def test_huge_tokens_are_quoted_by_their_length(command, text, length, tmp_path, capsys):
+    path = write(tmp_path, "input.txt", text) if text else None
+    try:
+        status = main(command.format(path=path).split())
+    except SystemExit as e:  # argparse rejects an option's value itself
+        status = e.code
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (2, "")
+    assert f"... ({length} characters)" in captured.err
+    assert len(captured.err.encode()) < 300
+
+
+@pytest.mark.parametrize("command", ["kraft", "build-code"])
+def test_kraft_sum_refuses_a_huge_denominator_before_building_it(command, capsys):
+    start = time.perf_counter()
+    status, out, err = run(capsys, command, "--lengths", "1,3000000")
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (2, "")
+    assert err == "error: the Kraft sum's denominator r^max(length) would exceed 2^300,000"
 
 
 # int() reads '1_0' and '١٠' as 10; every integer option reads ASCII digits only

@@ -54,7 +54,7 @@ SKEWED_CODE = make_code(2, [("a", "0"), ("b", "10"), ("c", "110"), ("d", "111")]
 def test_step_tight_pair():
     tree = to_tree(DYADIC_CODE, DYADIC)
     group = find_sibling_group(tree)
-    reduced_src, reduced_tree, step = reduce_group(DYADIC, tree, group)
+    reduced_src, reduced_tree, step = reduce_group(tree, group)
     assert step.p_red == F(1, 2)
     assert step.delta == 0.0
     assert step.is_tight
@@ -62,13 +62,13 @@ def test_step_tight_pair():
     assert step.l_red == 1
     assert (1,) in reduced_tree.paths
     assert reduced_src.probs == (F(1, 2), F(1, 2))
-    assert str(reduced_src.symbols[1]) == "(b+c)"
+    assert reduced_src.symbols[1] == MergedSymbol(("b", "c"))
 
 
 def test_step_uneven_pair_defect():
     src = make_source("abc", [F(3, 5), F(3, 10), F(1, 10)])
     tree = to_tree(make_code(2, {"a": "0", "b": "10", "c": "11"}), src)
-    _, _, step = reduce_group(src, tree, find_sibling_group(tree))
+    _, _, step = reduce_group(tree, find_sibling_group(tree))
     assert step.p_red == F(2, 5)
     assert step.delta == pytest.approx(-0.0754887, abs=1e-6)
     assert abs(step.delta - float(delta_oracle((F(3, 10), F(1, 10)), 2))) <= 1e-12
@@ -79,7 +79,7 @@ def test_step_uneven_pair_defect():
 def test_step_small_group_in_larger_radix():
     src = make_source("abc", [F(1, 2), F(1, 4), F(1, 4)])
     tree = to_tree(make_code(3, {"a": "0", "b": "10", "c": "11"}), src)
-    _, _, step = reduce_group(src, tree, find_sibling_group(tree))
+    _, _, step = reduce_group(tree, find_sibling_group(tree))
     assert step.p_red == F(1, 2)
     assert step.delta == pytest.approx(-0.1845351, abs=1e-6)
     assert abs(step.delta - float(delta_oracle((F(1, 4), F(1, 4)), 3))) <= 1e-12
@@ -90,7 +90,7 @@ def test_step_increment_identities():
     src = make_source("abcd", [F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
     tree = to_tree(SKEWED_CODE, src)
     code = from_tree(tree)
-    reduced_src, reduced_tree, step = reduce_group(src, tree, find_sibling_group(tree))
+    reduced_src, reduced_tree, step = reduce_group(tree, find_sibling_group(tree))
     reduced_code = from_tree(reduced_tree)
 
     h_before = entropy(tree_source(tree), 2)
@@ -105,20 +105,20 @@ def test_step_increment_identities():
 def test_step_rejects_invalid_groups():
     tree = to_tree(DYADIC_CODE, DYADIC)
     with pytest.raises(InvalidGroup):
-        reduce_group(DYADIC, tree, SiblingGroup((5,), ((5, 0),)))
+        reduce_group(tree, SiblingGroup((5,), ((5, 0),)))
     with pytest.raises(InvalidGroup):
-        reduce_group(DYADIC, tree, SiblingGroup((1,), ((1, 0),)))
+        reduce_group(tree, SiblingGroup((1,), ((1, 0),)))
     with pytest.raises(InvalidGroup):
-        reduce_group(DYADIC, tree, SiblingGroup((), ((0,), (1,))))  # (1,) internal
+        reduce_group(tree, SiblingGroup((), ((0,), (1,))))  # (1,) internal
     bare = to_tree(make_code(2, {"a": "0"}))
     with pytest.raises(InvalidGroup):
-        reduce_group(DYADIC, bare, SiblingGroup((), ((0,),)))  # group of one
+        reduce_group(bare, SiblingGroup((), ((0,),)))  # group of one
     ternary = to_tree(make_code(3, DYADIC_CODE.mapping), DYADIC)
     with pytest.raises(InvalidGroup):  # every leaf below the root, but (1, 0) and (1, 1) are grandchildren
-        reduce_group(DYADIC, ternary, SiblingGroup((), ((0,), (1, 0), (1, 1))))
+        reduce_group(ternary, SiblingGroup((), ((0,), (1, 0), (1, 1))))
     no_probs = to_tree(DYADIC_CODE)
     with pytest.raises(InvalidGroup):
-        reduce_group(DYADIC, no_probs, find_sibling_group(no_probs))
+        reduce_group(no_probs, find_sibling_group(no_probs))
 
 
 def test_reduction_step_record_and_errors():
@@ -496,11 +496,6 @@ def test_format_certificate_stable():
     lines = first.splitlines()
     assert lines[0].startswith("step 1: merge parent=11 s=2 p_red=3/10 ")
     assert lines[-1].endswith("verdict=StrictInequality")
-
-
-def test_merged_symbol_str():
-    assert str(MergedSymbol(("a", "b"))) == "(a+b)"
-    assert str(MergedSymbol((MergedSymbol(("a", "b")), "c"))) == "((a+b)+c)"
 
 
 # --- seeded population properties ---

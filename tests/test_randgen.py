@@ -5,10 +5,10 @@ import hashlib
 
 import pytest
 
-from codecert import InvalidRadix, SplitMix64, format_certificate, grow_full_tree, random_prefix_code, tree_stats
-from codecert import cli
+from codecert import InvalidRadix, SplitMix64, format_certificate, grow_full_tree, random_prefix_code
+from codecert import cli, randgen
 from codecert.randgen import _grow_leaf_paths, _random_leaf_paths
-from oracles import grow_leaf_paths_oracle
+from oracles import grow_leaf_paths_oracle, tree_shape_oracle
 
 # sha256 of every trial k < 100 of `fuzz --seed S`: the instance (r, n,
 # probabilities, codewords, reversed or not), its certificate text and the
@@ -62,8 +62,7 @@ GROWN = [(seed, r, z) for seed in range(4) for r in (2, 3, 5) for z in (0, 1, 2,
 @pytest.mark.parametrize("seed, r, z", GROWN)
 def test_grow_full_tree_shape_and_draws(seed, r, z):
     tree = grow_full_tree(SplitMix64(seed), r, z)
-    stats = tree_stats(tree)
-    assert (stats.z, stats.n, stats.is_full) == (z, z * (r - 1) + 1, True)
+    assert tree_shape_oracle(tree.paths, r) == (z * (r - 1) + 1, z, True)
     leaves = tree.leaves()
     assert all(leaf.symbol is None and leaf.prob is None for _, leaf in leaves)
     paths = [path for path, _ in leaves]
@@ -85,9 +84,10 @@ def test_random_codes_need_radix_two(n):
             random_prefix_code(SplitMix64(seed), 1, n)
 
 
-def test_deep_leaf_path_list_pinned():
+def test_deep_leaf_path_list_pinned(monkeypatch):
     # 2,000 internal nodes: the leaves drawn by the node-by-node growth
-    paths = _random_leaf_paths(SplitMix64(7), 2, 2001, 0)
+    monkeypatch.setattr(randgen, "EXTRA_NODES", 0)
+    paths = _random_leaf_paths(SplitMix64(7), 2, 2001)
     assert len(paths) == 2001
     digest = hashlib.sha256(repr(paths).encode()).hexdigest()
     assert digest == "9cf9a25c4e4b0c367a6abf4afa4d7599dd9534cd4ec28eb2e9b2b08aae4e9137"

@@ -15,10 +15,8 @@ from codecert import (
     NotPrefixFree,
     SiblingGroup,
     TreeNode,
-    TreeStats,
     TreeTooSmall,
     compact_standalone,
-    dump_tree,
     find_sibling_group,
     from_tree,
     grow_full_tree,
@@ -30,9 +28,8 @@ from codecert import (
     trial_rng,
     to_tree,
     tree_source,
-    tree_stats,
 )
-from oracles import compacted_paths_oracle, tree_nodes_oracle
+from oracles import compacted_paths_oracle, tree_nodes_oracle, tree_shape_oracle
 
 
 def abc_tree(with_src=True):
@@ -72,8 +69,7 @@ def test_single_empty_codeword_tree():
     tree = to_tree(make_code(2, {"a": "-"}))
     assert tree.paths == ((),)
     assert tree.nodes[0].symbol == "a"
-    stats = tree_stats(tree)
-    assert (stats.n, stats.z) == (1, 0)
+    assert tree_nodes_oracle(tree.paths) == [((), 0)]
 
 
 def test_leaves_depth_first_digit_order():
@@ -186,17 +182,16 @@ def test_group_members_can_be_fewer_than_radix():
     assert group.s == 2
 
 
-# --- stats and merges ---
+# --- shape and merges ---
 
 
 def test_tree_stats_full_identity():
-    stats = tree_stats(abc_tree())
-    assert (stats.n, stats.z, stats.is_full) == (3, 2, True)
-    assert stats.n == stats.z * (2 - 1) + 1
+    n, z, full = tree_shape_oracle(abc_tree().paths, 2)
+    assert (n, z, full) == (3, 2, True)
+    assert n == z * (2 - 1) + 1
 
-    partial = tree_stats(compact_standalone(to_tree(make_code(3, {"a": "0", "b": "1"}))))
-    assert partial.is_full is False
-    assert (partial.n, partial.z) == (2, 1)
+    partial = compact_standalone(to_tree(make_code(3, {"a": "0", "b": "1"})))
+    assert tree_shape_oracle(partial.paths, 3) == (2, 1, False)
 
 
 def test_replace_group_with_leaf():
@@ -231,9 +226,8 @@ def test_leaf_list_operations_build_no_nested_view():
     src = make_source("abcde", [F(1, 5)] * 5)
     tree = compact_standalone(to_tree(make_code(3, {"a": "0", "b": "10", "c": "12", "d": "200", "e": "201"}), src))
     assert is_compact(tree)
-    cur = tree_source(tree)
     while len(tree.leaves()) > 1:
-        cur, tree, _ = reduce_group(cur, tree, find_sibling_group(tree))
+        cur, tree, _ = reduce_group(tree, find_sibling_group(tree))
         assert from_tree(tree).symbols == cur.symbols
     assert tree.paths == ((),)
     grown = grow_full_tree(trial_rng(7, 0), 3, 4)
@@ -244,16 +238,18 @@ def test_leaf_list_operations_build_no_nested_view():
 
 
 def assert_readers_match_nodes_oracle(tree):
+    """leaves, is_compact and find_sibling_group against the nodes the
+    leaf paths imply."""
     nodes = tree_nodes_oracle(tree.paths)
-    leaf_of = dict(tree.leaves())
-    assert [path for path, count in nodes if not count] == list(tree.paths)
-    assert tree.walk() == [(path, leaf_of.get(path)) for path, _ in nodes]
-    internal = [count for _, count in nodes if count]
-    full = all(count == tree.radix for count in internal)
-    assert tree_stats(tree) == TreeStats(len(tree.paths), len(internal), full)
-    lines = dump_tree(tree).splitlines()
-    assert [line.split()[0] for line in lines] == [str(Codeword(path)) for path, _ in nodes]
-    assert [len(line) - len(line.lstrip()) for line in lines] == [2 * len(path) for path, _ in nodes]
+    assert [path for path, count in nodes if not count] == [path for path, _ in tree.leaves()]
+    compact = 1 not in [count for _, count in nodes]  # no node is an only child
+    assert is_compact(tree) == compact
+    if compact and len(tree.paths) > 1:
+        # the deepest internal nodes' children are leaves; the least one is picked
+        deepest = max(len(path) for path, count in nodes if count)
+        parent = next(path for path, count in nodes if count and len(path) == deepest)
+        members = tuple(path for path, _ in nodes if path[:-1] == parent and len(path) == deepest + 1)
+        assert find_sibling_group(tree) == SiblingGroup(parent, members)
 
 
 def random_paths(rng, r):
@@ -286,19 +282,4 @@ def test_flat_readers_on_a_deep_comb():
     paths += [(r - 1,) * (depth - 1) + (d,) for d in range(r)]
     tree = CodeTree(r, tuple(sorted(paths)), (TreeNode(),) * len(paths))
     assert_readers_match_nodes_oracle(tree)
-    assert tree_stats(tree) == TreeStats(len(paths), depth, True)
-
-
-# --- dump ---
-
-
-def test_dump_tree_text():
-    assert dump_tree(abc_tree()) == "\n".join(
-        [
-            "-",
-            "  0 a p=1/2",
-            "  1",
-            "    10 b p=1/4",
-            "    11 c p=1/4",
-        ]
-    )
+    assert tree_shape_oracle(tree.paths, r) == (len(paths), depth, True)
