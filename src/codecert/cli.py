@@ -62,7 +62,6 @@ from .codes import (
     Code,
     Codeword,
     EncodingPolicy,
-    _check_code_radix,
     acl_exact,
     empirical_acl,
     kraft_sum,
@@ -86,7 +85,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _check_numeral, _integer_masses, _quote, entropy, parse_rational
+from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, entropy, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -98,7 +97,9 @@ def _significant_lines(path: str) -> list[tuple[int, str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.readlines()
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:  # the OS's message, its path quoted by _quote
+        raise ParseError(f"[Errno {e.errno}] {e.strerror}: {_quote(path)}") from None
+    except UnicodeDecodeError as e:
         raise ParseError(str(e), path=path) from None
     out = []
     for lineno, line in enumerate(raw, start=1):
@@ -141,7 +142,7 @@ def _code_header(text: str) -> int:
         raise ValueError(f"expected header 'radix <r>', got {_quote(text)}")
     _check_numeral(tokens[1])
     r = int(tokens[1])
-    _check_code_radix(r)
+    _check_radix(r, 1)
     return r
 
 

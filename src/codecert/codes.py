@@ -35,12 +35,11 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
     DigitOutOfRange,
-    InvalidRadix,
     MissingPolicy,
     MissingSymbol,
 )
 from .rng import SplitMix64, _check_seed, derived_seed
-from .source import Source, _as_fraction, _check_entries, _check_numeral, _integer_masses, _quote, sample_stream
+from .source import Source, _as_fraction, _check_entries, _check_numeral, _check_radix, _integer_masses, _quote, sample_stream
 
 #: Most bits of the Kraft sum's common denominator r^max(length). Its cost
 #: grows with that size, and printing the exact sum in decimal grows with
@@ -95,21 +94,16 @@ def _as_codeword(value) -> Codeword:
     return Codeword(tuple(value))
 
 
-def _check_code_radix(radix) -> None:
-    if not isinstance(radix, int) or isinstance(radix, bool) or radix < 1:
-        raise InvalidRadix(f"radix must be an integer >= 1, got {radix!r}")
-
-
 def _check_codewords(radix: int, symbol, words: tuple[Codeword, ...]) -> None:
     """The invariants of one symbol's codeword set in a radix-`radix` code."""
     if not words:
-        raise ValueError(f"symbol {symbol!r} has an empty codeword set")
+        raise ValueError(f"symbol {_quote(symbol)} has an empty codeword set")
     for w in words:
         if w.digits and not (0 <= min(w.digits) and max(w.digits) < radix):
             d = next(d for d in w.digits if not 0 <= d < radix)
             raise DigitOutOfRange(f"digit {d} >= radix {radix}" if d >= 0 else f"negative digit {d}")
     if len(words) > 1 and len(set(words)) != len(words):
-        raise ValueError(f"symbol {symbol!r} repeats a codeword")
+        raise ValueError(f"symbol {_quote(symbol)} repeats a codeword")
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ class Code:
     mapping: tuple[tuple[Any, tuple[Codeword, ...]], ...]
 
     def __post_init__(self):
-        _check_code_radix(self.radix)
+        _check_radix(self.radix, 1)
         _check_entries(self.mapping, partial(_check_codewords, self.radix))
 
     @cached_property
@@ -135,7 +129,7 @@ class Code:
         try:
             return self._index[symbol]
         except KeyError:
-            raise MissingSymbol(f"code does not cover symbol {symbol!r}") from None
+            raise MissingSymbol(f"code does not cover symbol {_quote(symbol)}") from None
 
     def pooled(self) -> list[Codeword]:
         """All codewords across all symbols, in mapping order (may repeat)."""
@@ -167,11 +161,11 @@ def make_code(radix: int, mapping: Mapping | Iterable) -> Code:
 def _check_weights(symbol, qs: tuple[Fraction, ...]) -> None:
     """The invariants of one symbol's choice weights in an EncodingPolicy."""
     if not qs:
-        raise ValueError(f"empty weight list for {symbol!r}")
+        raise ValueError(f"empty weight list for {_quote(symbol)}")
     if any(q <= 0 for q in qs):
-        raise ValueError(f"weights for {symbol!r} must be strictly positive")
+        raise ValueError(f"weights for {_quote(symbol)} must be strictly positive")
     if sum(qs, Fraction(0)) != 1:
-        raise ValueError(f"weights for {symbol!r} must sum to exactly 1")
+        raise ValueError(f"weights for {_quote(symbol)} must sum to exactly 1")
 
 
 @dataclass(frozen=True)
@@ -213,7 +207,7 @@ def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
     A common denominator r^max(length) above 2^MAX_KRAFT_BITS is refused
     before it is built.
     """
-    _check_code_radix(r)
+    _check_radix(r, 1)
     counts = Counter(lengths)
     if any(l < 0 for l in counts):
         raise ValueError("codeword lengths are non-negative")
@@ -231,10 +225,10 @@ def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
 def _policy_weights(policy: EncodingPolicy | None, symbol, words: tuple[Codeword, ...]) -> tuple[Fraction, ...]:
     """The policy's weights over a symbol with several codewords."""
     if policy is None:
-        raise MissingPolicy(f"symbol {symbol!r} has {len(words)} codewords but no policy was given")
+        raise MissingPolicy(f"symbol {_quote(symbol)} has {len(words)} codewords but no policy was given")
     qs = policy.weights_for(symbol)
     if qs is None or len(qs) != len(words):
-        raise MissingPolicy(f"policy does not cover symbol {symbol!r} with {len(words)} weights")
+        raise MissingPolicy(f"policy does not cover symbol {_quote(symbol)} with {len(words)} weights")
     return qs
 
 
@@ -307,7 +301,7 @@ def empirical_acl(
     have = set(code.symbols)
     missing = [s for s in src.symbols if s not in have]
     if missing:
-        raise MissingSymbol(f"code does not cover symbols {missing!r}")
+        raise MissingSymbol(f"code does not cover symbols [{', '.join(map(_quote, missing))}]")
 
     index = {s: i for i, s in enumerate(src.symbols)}
     words_of = [code.codewords(s) for s in src.symbols]

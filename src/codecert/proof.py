@@ -60,7 +60,7 @@ from .errors import (
     RadixOneUnsupported,
     ZeroOrNegativeProbability,
 )
-from .source import Source, _as_fraction, _check_radix, _integer_masses, _log, entropy
+from .source import MAX_QUOTED_CHARS, Source, _as_fraction, _check_radix, _integer_masses, _log, _quote, entropy
 from .tree import (
     CodeTree,
     SiblingGroup,
@@ -250,15 +250,20 @@ def reduce_group(tree: CodeTree, group: SiblingGroup) -> tuple[Source, CodeTree,
     return tree_source(reduced_tree), reduced_tree, step
 
 
+def _names(symbols) -> str:
+    """The symbols as str() shows them, in sorted order; a long one by its
+    quoted prefix and length (source._quote)."""
+    names = sorted(str(s) for s in symbols)
+    return ", ".join(t if len(t) <= MAX_QUOTED_CHARS else _quote(t) for t in names)
+
+
 def _check_alignment(src: Source, code: Code) -> None:
     have = set(code.symbols)
     want = set(src.symbols)
     if want - have:
-        missing = sorted(str(s) for s in want - have)
-        raise MissingSymbol(f"code has no codeword for {', '.join(missing)}")
+        raise MissingSymbol(f"code has no codeword for {_names(want - have)}")
     if have - want:
-        extra = sorted(str(s) for s in have - want)
-        raise MissingSymbol(f"code maps symbols outside the source: {', '.join(extra)}")
+        raise MissingSymbol(f"code maps symbols outside the source: {_names(have - want)}")
 
 
 def certify(src: Source, code: Code) -> ReductionCertificate:

@@ -15,17 +15,16 @@ Bounded draws take bits little-endian from the concatenated 64-bit
 outputs: randbelow(n) reads bit_length(n-1) bits and rejection-samples
 until the value is below n, which is exact for arbitrary-precision n.
 
-Many draws below one bound go through a block path that makes the same
-stream faster. `_outputs` computes 256 consecutive outputs at once: lane j
-of one big integer, 128 bits wide, holds state + (j+1)*gamma, and the mix
-runs as a dozen whole-integer operations, each masked back to the low 64
-bits of every lane (a lane's product fits its 128 bits, so lanes never
-carry into each other). `SplitMix64.draws(n, count)` then reads that
-stream as consecutive k-bit windows, k = bit_length(n-1), because each
-rejection attempt of randbelow(n) reads exactly the next k bits. It keeps
-the windows below n, and it leaves the generator exactly where count
-calls of randbelow(n) would: streams, values and the state afterwards are
-bit for bit those of the scalar path.
+Many draws below one bound from a fresh seed go through a block path that
+makes the same stream faster. `_outputs` computes 256 consecutive outputs
+at once: lane j of one big integer, 128 bits wide, holds state + (j+1)*gamma,
+and the mix runs as a dozen whole-integer operations, each masked back to
+the low 64 bits of every lane (a lane's product fits its 128 bits, so lanes
+never carry into each other). `draws(seed, n, count)` reads that stream
+from the seed's state as consecutive k-bit windows, k = bit_length(n-1),
+because each rejection attempt of randbelow(n) reads exactly the next k
+bits, and keeps the first count windows below n: bit for bit the values of
+count randbelow(n) calls on a new SplitMix64(seed).
 """
 
 _MASK64 = (1 << 64) - 1
@@ -84,6 +83,36 @@ def _outputs(state: int) -> int:
     return int.from_bytes(lanes[::2].tobytes(), "little")
 
 
+def draws(seed: int, n: int, count: int) -> list[int]:
+    """The values of count randbelow(n) calls on a new SplitMix64(seed), made
+    through the block path.
+
+    Whole blocks of outputs form one bit stream, read in pieces of up to 64
+    k-bit windows (k words) and at most one block, or one window where a
+    window is wider.
+    """
+    if n <= 0:
+        raise ValueError("randbelow requires n >= 1")
+    if n == 1:
+        return [0] * count
+    k = (n - 1).bit_length()
+    span = k * max(1, min(64, _BLOCK_BITS // k))  # bits per piece
+    offsets = range(0, span, k)
+    window, piece_mask = (1 << k) - 1, (1 << span) - 1
+    stream, have, state = 0, 0, seed & _MASK64
+    out: list[int] = []
+    while len(out) < count:
+        while have < span:
+            stream |= _outputs(state) << have
+            state = (state + _BLOCK_STEP) & _MASK64
+            have += _BLOCK_BITS
+        piece = stream & piece_mask
+        out += [x for shift in offsets if (x := piece >> shift & window) < n]
+        stream >>= span
+        have -= span
+    return out[:count]
+
+
 class SplitMix64:
     """Streaming splitmix64 with a little-endian bit buffer."""
 
@@ -117,56 +146,6 @@ class SplitMix64:
             x = self.bits(k)
             if x < n:
                 return x
-
-    def draws(self, n: int, count: int) -> list[int]:
-        """`[self.randbelow(n) for _ in range(count)]`, made through the block path.
-
-        The unread buffer, then whole blocks of outputs, form one bit
-        stream, read in pieces of up to 64 k-bit windows (k words) and at
-        most one block, or one window where a window is wider. After the
-        count-th window below n, the state is rewound to the words that
-        count randbelow calls would have pulled, and the rest of the last
-        word becomes the buffer.
-        """
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
-        if n == 1 or count <= 0:
-            return [0] * count
-        k = (n - 1).bit_length()
-        span = k * max(1, min(64, _BLOCK_BITS // k))  # bits per piece
-        offsets = range(0, span, k)
-        window, piece_mask = (1 << k) - 1, (1 << span) - 1
-        start_state, start_buffered = self._state, self._buffered
-        stream, have, state = self._buffer, start_buffered, start_state
-        read = 0  # stream bits before the current piece
-        out: list[int] = []
-        while True:
-            while have < span:
-                stream |= _outputs(state) << have
-                state = (state + _BLOCK_STEP) & _MASK64
-                have += _BLOCK_BITS
-            piece = stream & piece_mask
-            before = len(out)
-            out += [x for shift in offsets if (x := piece >> shift & window) < n]
-            if len(out) >= count:
-                break
-            stream >>= span
-            have -= span
-            read += span
-        # the piece's windows up to and including the count-th acceptance
-        need = count - before
-        for shift in offsets:
-            if piece >> shift & window < n:
-                need -= 1
-                if not need:
-                    break
-        del out[count:]
-        used = read + shift + k  # stream bits the attempts read
-        words = max(0, -(-(used - start_buffered) // 64))
-        self._state = (start_state + words * _GOLDEN) & _MASK64
-        self._buffered = start_buffered + 64 * words - used
-        self._buffer = (stream >> (shift + k)) & ((1 << self._buffered) - 1)
-        return out
 
     def randrange(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi)."""

@@ -38,7 +38,7 @@ from .errors import (
     ProbabilitySumNotOne,
     ZeroOrNegativeProbability,
 )
-from .rng import SplitMix64, _check_seed
+from .rng import _check_seed, draws
 
 #: Seed used by reproducibility-sensitive tests and documentation.
 REFERENCE_SEED = 1
@@ -80,12 +80,13 @@ def _check_numeral(text: str) -> None:
 MAX_QUOTED_CHARS = 40
 
 
-def _quote(text: str) -> str:
-    """repr(text) for an error message about text from outside the program,
-    cut to a prefix and the length when it is long, so an error stays one
-    short line whatever the input."""
+def _quote(value) -> str:
+    """repr(value) for an error message about a token, a symbol or a path from
+    outside the program, cut to a prefix of its text and the length when that
+    is long, so an error stays one short line whatever the input."""
+    text = str(value)
     if len(text) <= MAX_QUOTED_CHARS:
-        return repr(text)
+        return repr(value)
     return f"{text[:MAX_QUOTED_CHARS]!r}... ({len(text):,} characters)"
 
 
@@ -130,7 +131,7 @@ def _check_entries(entries: Iterable[tuple[Any, Any]], check: Callable[[Any, Any
     seen = set()
     for symbol, value in entries:
         if symbol in seen:
-            raise DuplicateSymbol(f"symbol {symbol!r} listed twice")
+            raise DuplicateSymbol(f"symbol {_quote(symbol)} listed twice")
         seen.add(symbol)
         try:
             check(symbol, value)
@@ -142,9 +143,9 @@ def _check_entries(entries: Iterable[tuple[Any, Any]], check: Callable[[Any, Any
 def _check_probability(symbol, p: Fraction) -> None:
     """The invariant of one symbol's probability in a Source."""
     if not isinstance(p, Rational):
-        raise ZeroOrNegativeProbability(f"p({symbol!r}) = {p!r} is not an exact rational")
+        raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) = {p!r} is not an exact rational")
     if p.numerator <= 0:  # the denominator of a Rational is positive
-        raise ZeroOrNegativeProbability(f"p({symbol!r}) = {p} is not strictly positive")
+        raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) = {p} is not strictly positive")
 
 
 def _integer_masses(probs: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
@@ -190,7 +191,7 @@ class Source:
         try:
             return self.probs[self._index[symbol]]
         except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in source") from None
+            raise ValueError(f"symbol {_quote(symbol)} not in source") from None
 
 
 def make_source(symbols: Sequence, probs: Sequence) -> Source:
@@ -198,9 +199,10 @@ def make_source(symbols: Sequence, probs: Sequence) -> Source:
     return Source(tuple(symbols), tuple(_as_fraction(p) for p in probs))
 
 
-def _check_radix(r) -> int:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 2:
-        raise InvalidRadix(f"radix must be an integer >= 2, got {r!r}")
+def _check_radix(r, least: int = 2) -> int:
+    """A radix is an integer of at least 2, or 1 where a code admits the unit radix."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < least:
+        raise InvalidRadix(f"radix must be an integer >= {least}, got {r!r}")
     return r
 
 
@@ -256,9 +258,7 @@ def sample_stream(src: Source, t: int, seed: int) -> list:
     if t < 0:
         raise ValueError("stream length must be >= 0")
     _check_seed(seed)
-    if len(src) == 1:
-        return [src.symbols[0]] * t
-    # bisect_right(bounds, u) for u uniform below D picks i with probability m_i/D
-    draws = SplitMix64(seed).draws(src.denominator, t)
-    picks = map(bisect_right, itertools.repeat(list(itertools.accumulate(src.masses))), draws)
+    # bisect_right(bounds, u) for u uniform below D picks i with probability m_i/D (D = 1: only u = 0)
+    us = draws(seed, src.denominator, t)
+    picks = map(bisect_right, itertools.repeat(list(itertools.accumulate(src.masses))), us)
     return list(map(src.symbols.__getitem__, picks))

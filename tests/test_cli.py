@@ -891,14 +891,22 @@ HUGE_TOKEN_CASES = [
     pytest.param("check-prefix {path}", f"radix {HUGE}\na 0\n", "100,006", id="code-header"),
     pytest.param("check-prefix {path}", f"radix 2\na 0 1 {HUGE}\n", "100,006", id="code-line"),
     pytest.param("entropy {path}", f"a {'½' * 100_000}\n", "100,000", id="non-ascii-probability"),
+    pytest.param("entropy {path}", f"{HUGE} 1/2\n{HUGE} 1/2\n", "100,000", id="duplicate-symbol"),
+    pytest.param("entropy {path}", f"{HUGE} 0\nb 1\n", "100,000", id="zero-probability"),
+    pytest.param("check-prefix {path}", f"radix 2\n{HUGE} 0,0\n", "100,000", id="repeated-codeword"),
+    pytest.param("acl {src} {code}", {"src": f"{HUGE} 1\n", "code": "radix 2\nb 0\n"}, "100,000", id="acl-missing-symbol"),
+    pytest.param("certify {src} {code}", {"src": f"{HUGE} 1\n", "code": "radix 2\nb 0\n"}, "100,000", id="certify-missing-symbol"),
+    pytest.param(f"entropy {HUGE}", None, "100,000", id="path"),
 ]
 
 
 @pytest.mark.parametrize("command,text,length", HUGE_TOKEN_CASES)
 def test_huge_tokens_are_quoted_by_their_length(command, text, length, tmp_path, capsys):
-    path = write(tmp_path, "input.txt", text) if text else None
+    # text is one input file's, or {name: text} for several
+    files = text if isinstance(text, dict) else {"path": text} if text else {}
+    paths = {name: write(tmp_path, f"{name}.txt", body) for name, body in files.items()}
     try:
-        status = main(command.format(path=path).split())
+        status = main(command.format(**paths).split())
     except SystemExit as e:  # argparse rejects an option's value itself
         status = e.code
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ exactly, or recorded seeds stop reproducing old runs."""
 import pytest
 
 from codecert.randgen import trial_rng
-from codecert.rng import SplitMix64, _outputs, derived_seed, mix64
+from codecert.rng import SplitMix64, _outputs, derived_seed, draws, mix64
 
 # first outputs of the reference implementation for seed 0
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -114,27 +114,15 @@ def test_block_outputs_are_the_next_256_outputs(seed):
     assert _outputs(seed) == sum(w << 64 * j for j, w in enumerate(words))
 
 
-def _generator_state(g):
-    return g._state, g._buffer, g._buffered
-
-
 # draws reads k = bit_length(n - 1) bits per attempt: k from 1 to past one
 # 16,384-bit block, on both sides of powers of two and of 2^64
 DRAW_BOUNDS = [2, 3, 2**8 - 1, 2**8, 2**8 + 1, 2**40 - 87, 3 * 2**38 + 7, 2**64, 2**64 + 1, 2**129 + 5]
 WIDE_BOUNDS = [2**16384 + 3, 2**20000 + 1]
-# earlier randbelow calls of other bounds leave 0 to 63 bits in the buffer
-PRIOR_BOUNDS = [(), (7,), (7, 2**40 + 1), (7, 2**40 + 1, 2**70)]
 
 
 def _check_draws(n, count, seed):
-    for prior in PRIOR_BOUNDS:
-        scalar, block = SplitMix64(seed), SplitMix64(seed)
-        for m in prior:
-            assert scalar.randbelow(m) == block.randbelow(m)
-        assert block.draws(n, count) == [scalar.randbelow(n) for _ in range(count)]
-        assert _generator_state(block) == _generator_state(scalar)
-        after = [block.randbelow(n), block.bits(77), block.next_u64()]
-        assert after == [scalar.randbelow(n), scalar.bits(77), scalar.next_u64()]
+    scalar = SplitMix64(seed)
+    assert draws(seed, n, count) == [scalar.randbelow(n) for _ in range(count)]
 
 
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, "3 blocks"])
@@ -152,11 +140,7 @@ def test_draws_wider_than_a_block(n, count):
 
 
 def test_draws_below_one_read_nothing():
-    g = SplitMix64(5)
-    g.randbelow(1000)
-    before = _generator_state(g)
-    assert g.draws(1, 50) == [0] * 50
-    assert g.draws(10, 0) == []
-    assert _generator_state(g) == before
+    assert draws(5, 1, 50) == [0] * 50
+    assert draws(5, 10, 0) == []
     with pytest.raises(ValueError, match="randbelow requires n >= 1"):
-        g.draws(0, 3)
+        draws(5, 0, 3)
