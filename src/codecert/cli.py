@@ -344,8 +344,9 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, str]:
     code, _ = parse_code_file(args.code)
     try:
         cert = certify(src, code)
-    except NotUniquelyDecipherable:
-        witness = ud_counterexample(minimal_reduction(code), args.max_len)
+    except NotUniquelyDecipherable as e:
+        # certify found the shortest witness; --max-len only caps what is shown
+        witness = str(Codeword(e.witness)) if len(e.witness) <= args.max_len else None
         if args.machine:
             return 1, _kv([("ud", False), ("witness", witness)])
         tail = f"; ambiguous digit string: {witness}" if witness is not None else ""

@@ -31,15 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import truediv
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
-from .errors import (
-    DigitOutOfRange,
-    MissingPolicy,
-    MissingSymbol,
-)
+from .errors import DigitOutOfRange, MissingPolicy, MissingSymbol
 from .rng import SplitMix64, _check_seed, derived_seed
-from .source import Source, _as_fraction, _check_entries, _check_numeral, _check_radix, _integer_masses, _quote, sample_stream
+from .source import Source, sample_stream
+from .source import _as_fraction, _check_entries, _check_numeral, _check_radix, _integer_masses, _quote, _quote_list
 
 #: Most bits of the Kraft sum's common denominator r^max(length). Its cost
 #: grows with that size, and printing the exact sum in decimal grows with
@@ -232,11 +229,20 @@ def _policy_weights(policy: EncodingPolicy | None, symbol, words: tuple[Codeword
     return qs
 
 
+def _covering(src: Source, code: Code) -> list[tuple[Codeword, ...]]:
+    """Each source symbol's codeword set, in source order; a code that lacks
+    source symbols raises one MissingSymbol naming them (a bounded list)."""
+    words_of = list(map(code._index.get, src.symbols))
+    if None in words_of:
+        missing = [s for s, words in zip(src.symbols, words_of) if words is None]
+        raise MissingSymbol(f"code does not cover symbols {_quote_list(missing)}")
+    return words_of
+
+
 def acl_exact(src: Source, code: Code, policy: EncodingPolicy | None = None) -> Fraction:
     """Average codeword length as an exact rational: sum m_i * l_i / D."""
     total = 0  # an int until a symbol with several codewords adds a Fraction
-    for symbol, m in zip(src.symbols, src.masses):
-        words = code.codewords(symbol)
+    for symbol, m, words in zip(src.symbols, src.masses, _covering(src, code)):
         if len(words) == 1:
             total += m * words[0].length
         else:
@@ -298,14 +304,8 @@ def empirical_acl(
     if t < 1:
         raise ValueError("simulation needs t >= 1")
     _check_seed(seed)
-    have = set(code.symbols)
-    missing = [s for s in src.symbols if s not in have]
-    if missing:
-        raise MissingSymbol(f"code does not cover symbols [{', '.join(map(_quote, missing))}]")
-
-    index = {s: i for i, s in enumerate(src.symbols)}
-    words_of = [code.codewords(s) for s in src.symbols]
-    sym_idx = list(map(index.__getitem__, sample_stream(src, t, seed)))
+    words_of = _covering(src, code)
+    sym_idx = list(map(src._index.__getitem__, sample_stream(src, t, seed)))
     # (D, cumulative masses) of each symbol with several codewords, built in
     # first-draw order so that the first such symbol drawn raises MissingPolicy
     thresholds: list[tuple[int, list[int]] | None] = [None] * len(words_of)

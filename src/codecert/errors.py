@@ -71,7 +71,12 @@ class InvalidGroup(CodecertError):
 # --- proof engine ---
 
 class NotUniquelyDecipherable(CodecertError):
-    pass
+    """A code that some digit string decodes two ways; `witness` holds the
+    digits of the shortest such string, or None when they were not sought."""
+
+    def __init__(self, message, witness=None):
+        self.witness = witness
+        super().__init__(message)
 
 
 class RadixOneUnsupported(CodecertError):

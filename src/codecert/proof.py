@@ -49,8 +49,8 @@ from functools import cached_property
 from itertools import groupby
 from typing import Any
 
-from .codes import Code, Codeword, minimal_reduction
-from .decipher import _canonical_paths, is_uniquely_decipherable
+from .codes import Code, Codeword, _covering, minimal_reduction
+from .decipher import _canonical_paths, _witness
 from .errors import (
     ExactnessCheckFailed,
     GroupLargerThanRadix,
@@ -60,7 +60,7 @@ from .errors import (
     RadixOneUnsupported,
     ZeroOrNegativeProbability,
 )
-from .source import MAX_QUOTED_CHARS, Source, _as_fraction, _check_radix, _integer_masses, _log, _quote, entropy
+from .source import Source, _as_fraction, _check_radix, _integer_masses, _log, _quote_list, entropy
 from .tree import (
     CodeTree,
     SiblingGroup,
@@ -250,22 +250,6 @@ def reduce_group(tree: CodeTree, group: SiblingGroup) -> tuple[Source, CodeTree,
     return tree_source(reduced_tree), reduced_tree, step
 
 
-def _names(symbols) -> str:
-    """The symbols as str() shows them, in sorted order; a long one by its
-    quoted prefix and length (source._quote)."""
-    names = sorted(str(s) for s in symbols)
-    return ", ".join(t if len(t) <= MAX_QUOTED_CHARS else _quote(t) for t in names)
-
-
-def _check_alignment(src: Source, code: Code) -> None:
-    have = set(code.symbols)
-    want = set(src.symbols)
-    if want - have:
-        raise MissingSymbol(f"code has no codeword for {_names(want - have)}")
-    if have - want:
-        raise MissingSymbol(f"code maps symbols outside the source: {_names(have - want)}")
-
-
 def certify(src: Source, code: Code) -> ReductionCertificate:
     """Build the full merge chain from code down to the empty-word code.
 
@@ -275,9 +259,15 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     only-child node of their tree is spliced, recording the exact ACL
     decrease; the bound for the original code follows a fortiori. Both
     steps work on the leaves' digit paths, and neither builds a Code or
-    a tree; canonical_code and certified_code are built when read.
+    a tree; canonical_code and certified_code are built when read. A code
+    that is not uniquely decipherable raises NotUniquelyDecipherable with
+    the digits of its shortest ambiguous string.
     """
-    _check_alignment(src, code)
+    _covering(src, code)
+    # every source symbol has one entry, so any further entry is outside the source
+    if len(code.mapping) > len(src):
+        outside = [s for s in code.symbols if s not in src._index]
+        raise MissingSymbol(f"code maps symbols outside the source: {_quote_list(outside)}")
     reduced = minimal_reduction(code)
     r = code.radix
 
@@ -305,8 +295,9 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
             witness=EqualityWitness(0, (0,)) if equal else None,
         )
 
-    if not is_uniquely_decipherable(reduced):
-        raise NotUniquelyDecipherable("no decoder can invert this code")
+    ambiguity = _witness(reduced)
+    if ambiguity is not None:
+        raise NotUniquelyDecipherable("no decoder can invert this code", ambiguity)
 
     d = src.denominator
     length_of = {s: words[0].length for s, words in reduced.mapping}
@@ -378,9 +369,8 @@ def equality_condition(src: Source, code: Code) -> tuple[bool, EqualityWitness |
     satisfies n = z*(r-1) + 1 and the witness carries z and the
     exponents in source order. No floating point is involved.
     """
-    reduced = minimal_reduction(code)
     r = code.radix
-    lengths = [reduced.codewords(s)[0].length for s in src.symbols]
+    lengths = [min(w.length for w in words) for words in _covering(src, code)]
 
     if r == 1:
         if len(src) == 1 and lengths[0] == 0:

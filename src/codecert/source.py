@@ -90,6 +90,19 @@ def _quote(value) -> str:
     return f"{text[:MAX_QUOTED_CHARS]!r}... ({len(text):,} characters)"
 
 
+#: Most items an error message lists in full; a longer list is shown as its
+#: first MAX_QUOTED_ITEMS items and its count.
+MAX_QUOTED_ITEMS = 3
+
+
+def _quote_list(values: Sequence) -> str:
+    """The values' _quote as a list, cut to MAX_QUOTED_ITEMS and the count."""
+    shown = ", ".join(map(_quote, values[:MAX_QUOTED_ITEMS]))
+    if len(values) <= MAX_QUOTED_ITEMS:
+        return f"[{shown}]"
+    return f"[{shown}, ...] ({len(values):,} in all)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b', an integer, or a finite decimal into an exact Fraction.
 
@@ -155,6 +168,11 @@ def _integer_masses(probs: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(p.numerator * (denom // p.denominator) for p in probs)
 
 
+#: Most bits of a common denominator whose wrong sum an error prints exactly;
+#: reducing and printing a longer sum can take longer than the lcm that found it.
+MAX_SHOWN_SUM_BITS = 128
+
+
 @dataclass(frozen=True)
 class Source:
     """An ordered alphabet with exact, strictly positive probabilities summing to 1.
@@ -176,7 +194,11 @@ class Source:
         denom, masses = _integer_masses(self.probs)
         total = sum(masses)
         if total != denom:
-            raise ProbabilitySumNotOne(f"probabilities sum to {Fraction(total, denom)}, not 1")
+            bits = denom.bit_length()
+            if bits <= MAX_SHOWN_SUM_BITS:
+                raise ProbabilitySumNotOne(f"probabilities sum to {Fraction(total, denom)}, not 1")
+            side = "more" if total > denom else "less"
+            raise ProbabilitySumNotOne(f"probabilities sum to {side} than 1 (over a common denominator of {bits:,} bits)")
         object.__setattr__(self, "denominator", denom)
         object.__setattr__(self, "masses", masses)
 

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
 import argparse
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 import codecert
 import codecert.cli as cli
 import codecert.codes as codes
+import codecert.decipher as decipher
 from codecert.cli import main, parse_code_file
 from codecert.source import _check_probability
 
@@ -265,6 +267,18 @@ def test_certify_non_ud(tmp_path, capsys):
     code = write(tmp_path, "c.txt", "radix 2\na 0\nb 01\nc 10\n")
     status, out, _ = run(capsys, "certify", src, code, "--machine")
     assert (status, out) == (1, "ud=False\nwitness=010")
+
+
+def test_certify_searches_for_the_witness_once(tmp_path, capsys, monkeypatch):
+    search, calls = decipher._shortest_ambiguity, []
+    monkeypatch.setattr(decipher, "_shortest_ambiguity", lambda code: calls.append(code) or search(code))
+    src = write(tmp_path, "s.txt", DYADIC_SRC)
+    code = write(tmp_path, "c.txt", "radix 2\na 0\nb 01\nc 10\n")
+    assert run(capsys, "certify", src, code) == (1, "not uniquely decipherable, no certificate; ambiguous digit string: 010", "")
+    assert len(calls) == 1
+    # --max-len caps the witness shown, not the search
+    assert run(capsys, "certify", src, code, "--max-len", "2", "--machine") == (1, "ud=False\nwitness=None", "")
+    assert len(calls) == 2
 
 
 def test_certify_notes_for_rebuilt_code(tmp_path, capsys):
@@ -913,6 +927,46 @@ def test_huge_tokens_are_quoted_by_their_length(command, text, length, tmp_path,
     assert (status, captured.out) == (2, "")
     assert f"... ({length} characters)" in captured.err
     assert len(captured.err.encode()) < 300
+
+
+# a list of symbols in an error shows its first few and the count
+MANY = "".join(f"s{i} 1/20000\n" for i in range(20_000))
+LONG_LIST_CASES = [
+    pytest.param("certify", MANY, "radix 2\ns0 0\n", "does not cover symbols", "19,999", id="certify-missing"),
+    pytest.param("acl", MANY, "radix 2\ns0 0\n", "does not cover symbols", "19,999", id="acl-missing"),
+    pytest.param("simulate", MANY, "radix 2\ns0 0\n", "does not cover symbols", "19,999", id="simulate-missing"),
+    pytest.param(
+        "certify",
+        "a 1\n",
+        "radix 2\na -\n" + "".join(f"x{i} 0\n" for i in range(20_000)),
+        "maps symbols outside the source",
+        "20,000",
+        id="certify-outside",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,src_text,code_text,message,count", LONG_LIST_CASES)
+def test_long_symbol_lists_are_cut_to_their_count(command, src_text, code_text, message, count, tmp_path, capsys):
+    src = write(tmp_path, "s.txt", src_text)
+    code = write(tmp_path, "c.txt", code_text)
+    status, out, err = run(capsys, command, src, code)
+    assert (status, out) == (2, "")
+    assert message in err and f", ...] ({count} in all)" in err
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("side,share", [("more", 19), ("less", 21)])
+def test_a_long_wrong_sum_is_reported_by_its_side_and_size(side, share, tmp_path, capsys):
+    # 20 probabilities just under 1/share over random 13,000-bit denominators:
+    # their exact sum would take longer to reduce and print than to find
+    rng = random.Random(13_000)
+    denominators = [rng.getrandbits(13_000) | 1 << 12_999 for _ in range(20)]
+    src = write(tmp_path, "s.txt", "".join(f"s{i} {d // share}/{d}\n" for i, d in enumerate(denominators)))
+    status, out, err = run(capsys, "entropy", src)
+    assert (status, out) == (2, "")
+    assert re.fullmatch(rf"error: {re.escape(src)}: probabilities sum to {side} than 1 \(over a common denominator of [\d,]+ bits\)", err)
+    assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("command", ["kraft", "build-code"])

@@ -183,6 +183,24 @@ def test_acl_missing_symbol():
         acl_exact(src, make_code(2, {"a": "0", "b": "1"}))
 
 
+def test_acl_names_missing_symbols_before_asking_for_a_policy():
+    # 'a' has two codewords and no policy, but the code lacks 'c' as a whole
+    code = make_code(2, {"a": ["0", "11"], "b": "10"})
+    with pytest.raises(MissingSymbol, match=r"^code does not cover symbols \['c'\]$"):
+        acl_exact(dyadic_abc(), code)
+    with pytest.raises(MissingPolicy):
+        acl_exact(make_source("ab", ["1/2", "1/2"]), code)
+
+
+def test_missing_symbols_are_listed_in_source_order_up_to_a_bound():
+    src = make_source([f"s{i}" for i in range(6)], ["1/6"] * 6)
+    code = make_code(2, {"s5": "0", "s1": "1"})
+    with pytest.raises(MissingSymbol, match=r"^code does not cover symbols \['s0', 's2', 's3', \.\.\.\] \(4 in all\)$"):
+        acl_exact(src, code)
+    with pytest.raises(MissingSymbol, match=r"^code does not cover symbols \['s0', 's2', 's3', \.\.\.\] \(4 in all\)$"):
+        empirical_acl(src, code, None, 5, 1)
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         make_policy({"a": ["1/2", "1/3"]})

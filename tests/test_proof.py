@@ -249,6 +249,15 @@ def test_certify_rejects_undecipherable():
         certify(src, make_code(2, {"a": "0", "b": "01", "c": "10"}))
 
 
+def test_alignment_errors_list_symbols_in_source_and_code_order():
+    with pytest.raises(MissingSymbol, match=r"^code does not cover symbols \['c', 'b'\]$"):
+        certify(make_source("acb", [F(1, 2), F(1, 4), F(1, 4)]), make_code(2, {"a": "0"}))
+    with pytest.raises(MissingSymbol, match=r"^code maps symbols outside the source: \['z', 'y'\]$"):
+        certify(make_source("a", [1]), make_code(2, {"z": "0", "a": "-", "y": "1"}))
+    with pytest.raises(MissingSymbol, match=r"^code does not cover symbols \['b'\]$"):
+        equality_condition(DYADIC, make_code(2, {"a": "0", "c": "11"}))
+
+
 def test_certify_alignment_errors():
     with pytest.raises(MissingSymbol):
         certify(DYADIC, make_code(2, {"a": "0", "b": "1"}))

@@ -110,6 +110,17 @@ def test_source_masses_over_one_denominator():
         make_source("ab", ["1/2", "1/3"])
 
 
+def test_a_wrong_sum_over_a_long_denominator_is_not_printed():
+    # D = 2 * 3**100 has 160 bits, past the 128 whose sums are printed exactly
+    with pytest.raises(ProbabilitySumNotOne, match=r"^probabilities sum to less than 1 \(over a common denominator of 160 bits\)$"):
+        make_source("ab", [F(1, 3**100), F(1, 2)])
+    with pytest.raises(ProbabilitySumNotOne, match=r"^probabilities sum to more than 1 \(over a common denominator of 160 bits\)$"):
+        make_source("abc", [F(1, 3**100), F(1, 2), F(1, 2)])
+    # D = 4 * 3**75 has 121 bits
+    with pytest.raises(ProbabilitySumNotOne, match=rf"^probabilities sum to {F(3, 4) + F(1, 3**75)}, not 1$"):
+        make_source("ab", [F(1, 3**75), F(3, 4)])
+
+
 def test_source_rejects_inexact_probabilities():
     with pytest.raises(ZeroOrNegativeProbability, match="not an exact rational"):
         Source(("a", "b"), (0.5, 0.5))
