@@ -85,7 +85,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, entropy, parse_rational
+from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, entropy, make_source, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -133,7 +133,7 @@ def parse_source_file(path: str) -> Source:
     if not entries:
         raise ParseError("no source entries found", path=path)
     symbols, probs = zip(*entries)
-    return _at(path, [lineno for lineno, _ in lines], Source, symbols, probs)
+    return _at(path, [lineno for lineno, _ in lines], make_source, symbols, probs)
 
 
 def _code_header(text: str) -> int:

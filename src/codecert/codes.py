@@ -35,13 +35,8 @@ from typing import Any, Iterable, Mapping
 
 from .errors import DigitOutOfRange, MissingPolicy, MissingSymbol
 from .rng import SplitMix64, _check_seed, derived_seed
-from .source import Source, sample_stream
+from .source import MAX_DENOMINATOR_BITS, Source, sample_stream
 from .source import _as_fraction, _check_entries, _check_numeral, _check_radix, _integer_masses, _quote, _quote_list
-
-#: Most bits of the Kraft sum's common denominator r^max(length). Its cost
-#: grows with that size, and printing the exact sum in decimal grows with
-#: its square.
-MAX_KRAFT_BITS = 300_000
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -201,7 +196,7 @@ def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
     """The exact rational sum of r^(-l) over the length multiset.
 
     Radix 1 is admitted: every term is 1, so the sum counts the lengths.
-    A common denominator r^max(length) above 2^MAX_KRAFT_BITS is refused
+    A common denominator r^max(length) above 2^MAX_DENOMINATOR_BITS is refused
     before it is built.
     """
     _check_radix(r, 1)
@@ -212,10 +207,10 @@ def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
         return Fraction(0)
     # one integer sum over the common denominator r^top
     top = max(counts)
-    # r^top has about top*log2(r) bits; top > MAX_KRAFT_BITS decides first
+    # r^top has about top*log2(r) bits; top > MAX_DENOMINATOR_BITS decides first
     # for a length too large to multiply as a float
-    if r > 1 and (top > MAX_KRAFT_BITS or top * math.log2(r) > MAX_KRAFT_BITS):
-        raise ValueError(f"the Kraft sum's denominator r^max(length) would exceed 2^{MAX_KRAFT_BITS:,}")
+    if r > 1 and (top > MAX_DENOMINATOR_BITS or top * math.log2(r) > MAX_DENOMINATOR_BITS):
+        raise ValueError(f"the Kraft sum's denominator r^max(length) would exceed 2^{MAX_DENOMINATOR_BITS:,}")
     return Fraction(sum(k * r ** (top - l) for l, k in counts.items()), r**top)
 
 

@@ -304,9 +304,9 @@ def brute_force_ud(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> bool:
     return True
 
 
-def construct_instantaneous(lengths: Sequence[int], r: int, symbols: Sequence | None = None) -> Code:
+def construct_instantaneous(lengths: Sequence[int], r: int) -> Code:
     """Kraft's constructive direction: a canonical prefix-free code with
-    exactly the requested lengths.
+    exactly the requested lengths, on the symbols s1..sn.
 
     Lengths are processed in ascending order (stable over the input
     order) and codewords are assigned in lexicographic order, skipping
@@ -318,15 +318,11 @@ def construct_instantaneous(lengths: Sequence[int], r: int, symbols: Sequence | 
     total = kraft_sum(lengths, r)
     if total > 1:
         raise KraftViolated(f"sum of r^-l is {total} > 1; no prefix-free code exists")
-    if symbols is None:
-        symbols = [f"s{i + 1}" for i in range(len(lengths))]
-    if len(symbols) != len(lengths):
-        raise ValueError("symbols and lengths must have equal length")
 
     order = sorted(range(len(lengths)), key=lambda i: lengths[i])
     paths, _ = _canonical_paths([lengths[i] for i in order], r)
     words = dict(zip(order, map(Codeword, paths)))
-    return Code(r, tuple((symbols[i], (words[i],)) for i in range(len(lengths))))
+    return Code(r, tuple((f"s{i + 1}", (words[i],)) for i in range(len(lengths))))
 
 
 def _canonical_paths(lengths: Sequence[int], r: int) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -11,6 +11,7 @@ order, one draw per internal node, which is the form a CodeTree stores.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .codes import Code, Codeword
@@ -39,13 +40,14 @@ def random_source(rng: SplitMix64, n: int, max_den: int = 64) -> Source:
     if max_den < n:
         raise ValueError(f"max_den {max_den} cannot host {n} positive parts")
     if n == 1:
-        return Source(("s1",), (Fraction(1),))
+        return Source(("s1",), (1,), 1)
     denom = rng.randrange(n, max_den + 1)
     cuts = rng.sample_distinct(denom - 1, n - 1)
     bounds = [0] + [c + 1 for c in cuts] + [denom]
-    probs = tuple(Fraction(b - a, denom) for a, b in zip(bounds, bounds[1:]))
+    parts = [b - a for a, b in zip(bounds, bounds[1:])]
+    g = math.gcd(denom, *parts)  # a Source holds its masses in lowest terms
     symbols = tuple(f"s{i + 1}" for i in range(n))
-    return Source(symbols, probs)
+    return Source(symbols, tuple(m // g for m in parts), denom // g)
 
 
 def grow_full_tree(rng: SplitMix64, r: int, z: int) -> CodeTree:

@@ -1,22 +1,21 @@
 """Finite stationary memoryless sources.
 
-A source is an ordered alphabet together with an exact rational
-probability for each symbol. Validation derives the one internal form
-of probability mass: a common denominator D = lcm of the denominators
-and integer masses m_i = p_i*D, which sum to exactly D. Every exact
-computation (ACL, Huffman merges, merge-chain masses, the equality
-test, sampling) runs on these integers; `probs` is the Fraction view of
-the same values for the API. Only entropy and the per-merge defects are
-floating-point surfaces, and they read m/D, which rounds exactly as
-float(Fraction) does. Exactness is what lets the proof engine decide
+A source is an ordered alphabet with an exact rational probability for
+each symbol, held as positive integer masses m_i over their least common
+denominator D (p_i = m_i/D, sum m_i = D); `make_source` derives them
+from rationals. Every exact computation (ACL, Huffman merges, merge-chain
+masses, the equality test, sampling) runs on these integers; `probs` is
+their Fraction view, built when read. Only entropy and the per-merge
+defects are floating-point surfaces, and they read m/D, which rounds
+exactly as float(Fraction) does. Exactness lets the proof engine decide
 the equality case p_i = r^(-l_i) with no tolerance at all.
 
 Every symbol table (Source, Code, EncodingPolicy) checks each entry once,
 through `_check_entries`, which also rejects a symbol listed twice.
 
-Sampling is deterministic: a seed is an integer in [0, 2^64) that keys
-a splitmix64 stream (see codecert.rng), so a stream is reproducible from
-the seed alone.
+Sampling is deterministic: a seed in [0, 2^64) keys a splitmix64 stream
+(see codecert.rng) of draws below the least D, so a stream is
+reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from numbers import Rational
 from typing import Any, Callable, Iterable, Sequence
 
@@ -134,7 +133,7 @@ def _as_fraction(value) -> Fraction:
         )
     if isinstance(value, str):
         return parse_rational(value)
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _check_entries(entries: Iterable[tuple[Any, Any]], check: Callable[[Any, Any], None]) -> None:
@@ -153,18 +152,29 @@ def _check_entries(entries: Iterable[tuple[Any, Any]], check: Callable[[Any, Any
             raise
 
 
-def _check_probability(symbol, p: Fraction) -> None:
-    """The invariant of one symbol's probability in a Source."""
-    if not isinstance(p, Rational):
-        raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) = {p!r} is not an exact rational")
-    if p.numerator <= 0:  # the denominator of a Rational is positive
-        raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) = {p} is not strictly positive")
+def _check_probability(d: int, symbol, m) -> None:
+    """The invariant of one symbol's probability m/d in a Source: a positive int mass m."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) has mass {_quote(m)}, not an integer")
+    if m <= 0:
+        raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) = {Fraction(m, d)} is not strictly positive")
+
+
+#: Most bits of the lcm of a source's denominators; the Kraft sum's common
+#: denominator r^max(length) is capped at 2^MAX_DENOMINATOR_BITS. The work
+#: on such a number grows with its size, and printing it with the square.
+MAX_DENOMINATOR_BITS = 300_000
 
 
 def _integer_masses(probs: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
-    """The common denominator D = lcm of the denominators and the integer
-    masses m_i = probs[i]*D, so probs[i] == Fraction(m_i, D) exactly."""
-    denom = math.lcm(*(p.denominator for p in probs))
+    """The least common denominator D = lcm of the denominators and the
+    integer masses m_i = probs[i]*D, so probs[i] == Fraction(m_i, D) exactly.
+    The lcm is refused as soon as it has more than MAX_DENOMINATOR_BITS bits."""
+    denom = 1
+    for d in {p.denominator for p in probs}:
+        denom = math.lcm(denom, d)
+        if denom.bit_length() > MAX_DENOMINATOR_BITS:
+            raise ValueError(f"the probabilities' common denominator has more than {MAX_DENOMINATOR_BITS:,} bits")
     return denom, tuple(p.numerator * (denom // p.denominator) for p in probs)
 
 
@@ -177,30 +187,36 @@ MAX_SHOWN_SUM_BITS = 128
 class Source:
     """An ordered alphabet with exact, strictly positive probabilities summing to 1.
 
-    Validation derives the integer masses[i] = probs[i] * denominator.
+    They are int masses over their least common denominator: probs[i] == masses[i] / denominator.
     """
 
     symbols: tuple[Any, ...]
-    probs: tuple[Fraction, ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    masses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masses: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self):
+        d = self.denominator
         if len(self.symbols) == 0:
             raise ValueError("a source needs at least one symbol")
-        if len(self.symbols) != len(self.probs):
-            raise ValueError("symbols and probs must have equal length")
-        _check_entries(zip(self.symbols, self.probs), _check_probability)
-        denom, masses = _integer_masses(self.probs)
-        total = sum(masses)
-        if total != denom:
-            bits = denom.bit_length()
+        if len(self.symbols) != len(self.masses):
+            raise ValueError("symbols and masses must have equal length")
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise ValueError(f"denominator {_quote(d)} is not a positive integer")
+        _check_entries(zip(self.symbols, self.masses), partial(_check_probability, d))
+        total = sum(self.masses)
+        if total != d:
+            bits = d.bit_length()
             if bits <= MAX_SHOWN_SUM_BITS:
-                raise ProbabilitySumNotOne(f"probabilities sum to {Fraction(total, denom)}, not 1")
-            side = "more" if total > denom else "less"
+                raise ProbabilitySumNotOne(f"probabilities sum to {Fraction(total, d)}, not 1")
+            side = "more" if total > d else "less"
             raise ProbabilitySumNotOne(f"probabilities sum to {side} than 1 (over a common denominator of {bits:,} bits)")
-        object.__setattr__(self, "denominator", denom)
-        object.__setattr__(self, "masses", masses)
+        if math.gcd(d, *self.masses) != 1:  # a draw is below D, so a seeded stream needs the least D
+            raise ValueError("the masses and the denominator share a factor: they are not in lowest terms")
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The probabilities, masses[i] / denominator."""
+        return tuple(Fraction(m, self.denominator) for m in self.masses)
 
     @cached_property
     def _index(self) -> dict:
@@ -211,14 +227,15 @@ class Source:
 
     def prob_of(self, symbol) -> Fraction:
         try:
-            return self.probs[self._index[symbol]]
+            return Fraction(self.masses[self._index[symbol]], self.denominator)
         except KeyError:
             raise ValueError(f"symbol {_quote(symbol)} not in source") from None
 
 
 def make_source(symbols: Sequence, probs: Sequence) -> Source:
-    """Validate and build a Source; probabilities are stored exactly."""
-    return Source(tuple(symbols), tuple(_as_fraction(p) for p in probs))
+    """The Source of exact rationals (a float is refused): masses over the lcm of their denominators."""
+    denominator, masses = _integer_masses(tuple(map(_as_fraction, probs)))
+    return Source(tuple(symbols), masses, denominator)
 
 
 def _check_radix(r, least: int = 2) -> int:
@@ -255,7 +272,7 @@ def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP)
     """The product source of p-symbol blocks, with product probabilities.
 
     Symbols of the extension are p-tuples of the original symbols, and a
-    block's probability is its integer masses' product over D**p.
+    block's mass is the product of its symbols' masses, over D**p.
     """
     if p < 1:
         raise ValueError("extension order must be >= 1")
@@ -263,11 +280,10 @@ def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP)
     # n**p has about p bits, so for n >= 2 refuse p past the cap's bit length first
     if (n >= 2 and p > max_symbols.bit_length()) or n**p > max_symbols:
         raise ExtensionTooLarge(f"{n}^{p} symbols exceeds the cap of {max_symbols}")
-    blocks = list(itertools.product(range(n), repeat=p))
-    symbols = tuple(tuple(src.symbols[i] for i in block) for block in blocks)
-    denominator = src.denominator**p
-    probs = tuple(Fraction(math.prod(src.masses[i] for i in block), denominator) for block in blocks)
-    return Source(symbols, probs)
+    symbols = tuple(itertools.product(src.symbols, repeat=p))
+    masses = tuple(map(math.prod, itertools.product(src.masses, repeat=p)))
+    # D**p is least: each prime of D misses some m_j, so it misses m_j**p
+    return Source(symbols, masses, src.denominator**p)
 
 
 def sample_stream(src: Source, t: int, seed: int) -> list:

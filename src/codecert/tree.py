@@ -33,7 +33,7 @@ from typing import Any
 from .codes import Code, Codeword
 from .decipher import is_prefix_free
 from .errors import InvalidGroup, NotCompact, NotPrefixFree, TreeTooSmall
-from .source import Source
+from .source import Source, make_source
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def tree_source(tree: CodeTree) -> Source:
     for path, leaf in tree.leaves():
         if leaf.prob is None:
             raise ValueError(f"leaf at {path} carries no probability")
-    return Source(_symbols(tree), tuple(leaf.prob for leaf in tree.nodes))
+    return make_source(_symbols(tree), [leaf.prob for leaf in tree.nodes])
 
 
 def _symbols(tree: CodeTree) -> tuple:

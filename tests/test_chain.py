@@ -94,8 +94,8 @@ def test_one_pass_chain_equals_reference_chain(r):
 def test_chain_level_takes_leaves_and_merged_nodes_in_path_order():
     # compacted to 00, 01, 100, 101, 11: at depth 2 the node 10, merged from
     # depth 3, lies between the leaves 01 and 11
-    src = make_source("abcde", [F(1, 5)] * 5)
-    cert = certify(src, construct_instantaneous([2, 2, 3, 3, 4], 2, "abcde"))
+    src = make_source([f"s{i}" for i in range(1, 6)], [F(1, 5)] * 5)
+    cert = certify(src, construct_instantaneous([2, 2, 3, 3, 4], 2))
     assert cert.certified_paths == ((0, 0), (0, 1), (1, 0, 0), (1, 0, 1), (1, 1))
     assert [(step.group.parent, step.group.members, step.masses) for step in cert.steps] == [
         ((1, 0), ((1, 0, 0), (1, 0, 1)), (1, 1)),
@@ -167,7 +167,8 @@ def assert_matches_tree_route(src, code, deep=False):
     chain (walk_chain for deep codes), acl_exact and equality_condition."""
     r = code.radix
     reduced = minimal_reduction(code)
-    canonical = construct_instantaneous([w.length for w in reduced.pooled()], r, symbols=reduced.symbols)
+    kraft = construct_instantaneous([w.length for w in reduced.pooled()], r)
+    canonical = Code(r, tuple((s, words) for s, (_, words) in zip(reduced.symbols, kraft.mapping)))
     tree = compact_standalone(to_tree(canonical, src))
     certified = from_tree(tree)
     steps = walk_chain(tree, src) if deep else reference_chain(src, canonical)

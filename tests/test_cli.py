@@ -969,6 +969,20 @@ def test_a_long_wrong_sum_is_reported_by_its_side_and_size(side, share, tmp_path
     assert len(err.encode()) < 300
 
 
+def test_a_common_denominator_past_the_cap_is_refused_as_it_is_built(tmp_path, capsys):
+    # 100 probabilities over random odd 13,000-bit denominators: their lcm has
+    # about 1.3 million bits, and it is refused once it passes 300,000
+    rng = random.Random(100)
+    denominators = [rng.getrandbits(13_000) | 1 << 12_999 | 1 for _ in range(100)]
+    src = write(tmp_path, "s.txt", "".join(f"s{i} {d // 99}/{d}\n" for i, d in enumerate(denominators)))
+    start = time.perf_counter()
+    status, out, err = run(capsys, "entropy", src)
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (2, "")
+    assert err == f"error: {src}: the probabilities' common denominator has more than 300,000 bits"
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("command", ["kraft", "build-code"])
 def test_kraft_sum_refuses_a_huge_denominator_before_building_it(command, capsys):
     start = time.perf_counter()

@@ -283,11 +283,11 @@ def test_construct_worked_instances():
 
 
 def test_construct_respects_input_order():
-    code = construct_instantaneous([3, 1, 2], 2, symbols="abc")
+    code = construct_instantaneous([3, 1, 2], 2)
     assert code.lengths() == [3, 1, 2]
-    assert str(code.codewords("b")[0]) == "0"
-    assert str(code.codewords("c")[0]) == "10"
-    assert str(code.codewords("a")[0]) == "110"
+    assert str(code.codewords("s2")[0]) == "0"
+    assert str(code.codewords("s3")[0]) == "10"
+    assert str(code.codewords("s1")[0]) == "110"
 
 
 def test_construct_stable_on_ties():
@@ -300,11 +300,6 @@ def test_construct_zero_length():
     assert code.pooled()[0].length == 0
     with pytest.raises(KraftViolated):
         construct_instantaneous([0, 1], 2)
-
-
-def test_construct_symbol_validation():
-    with pytest.raises(ValueError):
-        construct_instantaneous([1, 2], 2, symbols=["only"])
 
 
 @given(

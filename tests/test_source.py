@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -11,17 +13,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codecert import (
+    CodecertError,
     DuplicateSymbol,
     ExtensionTooLarge,
     InvalidRadix,
     ProbabilitySumNotOne,
     Source,
+    SplitMix64,
     ZeroOrNegativeProbability,
+    compact_standalone,
     entropy,
     extend_source,
+    find_sibling_group,
     make_source,
     parse_rational,
+    random_prefix_code,
+    random_source,
+    reduce_group,
     sample_stream,
+    to_tree,
+    tree_source,
 )
 from codecert.source import _log
 from oracles import entropy_oracle
@@ -121,9 +132,47 @@ def test_a_wrong_sum_over_a_long_denominator_is_not_printed():
         make_source("ab", [F(1, 3**75), F(3, 4)])
 
 
+def test_common_denominator_cap_boundary():
+    # 2^299,999 has 300,000 bits and 2^300,000 one more
+    assert make_source("ab", [F(1, 2**299_999), 1 - F(1, 2**299_999)]).denominator == 2**299_999
+    with pytest.raises(ValueError, match=r"^the probabilities' common denominator has more than 300,000 bits$"):
+        make_source("ab", [F(1, 2**300_000), 1 - F(1, 2**300_000)])
+
+
 def test_source_rejects_inexact_probabilities():
-    with pytest.raises(ZeroOrNegativeProbability, match="not an exact rational"):
-        Source(("a", "b"), (0.5, 0.5))
+    with pytest.raises(ZeroOrNegativeProbability, match=r"^p\('a'\) has mass 0\.5, not an integer$"):
+        Source(("a", "b"), (0.5, 0.5), 1)
+
+
+@pytest.mark.parametrize(
+    "masses,denominator,error,message",
+    [
+        ((F(1, 2), F(1, 2)), 1, ZeroOrNegativeProbability, r"^p\('a'\) has mass Fraction\(1, 2\), not an integer$"),
+        ((1, 0.5), 2, ZeroOrNegativeProbability, r"^p\('b'\) has mass 0\.5, not an integer$"),
+        ((True,), 1, ZeroOrNegativeProbability, r"^p\('a'\) has mass True, not an integer$"),
+        ((1, -1), 2, ZeroOrNegativeProbability, r"^p\('b'\) = -1/2 is not strictly positive$"),
+        ((0, 1), 1, ZeroOrNegativeProbability, r"^p\('a'\) = 0 is not strictly positive$"),
+        ((1, 1), 2.0, ValueError, r"^denominator 2\.0 is not a positive integer$"),
+        ((1, 1), F(2), ValueError, r"^denominator Fraction\(2, 1\) is not a positive integer$"),
+        ((1, 1), "2", ValueError, r"^denominator '2' is not a positive integer$"),
+        ((1, 1), None, ValueError, r"^denominator None is not a positive integer$"),
+        ((1,), True, ValueError, r"^denominator True is not a positive integer$"),
+        ((1, 1), 0, ValueError, r"^denominator 0 is not a positive integer$"),
+        ((1, 1), -2, ValueError, r"^denominator -2 is not a positive integer$"),
+        ((2, 2), 4, ValueError, r"not in lowest terms$"),
+        ((3,), 3, ValueError, r"not in lowest terms$"),
+        ((2, 4), 6, ValueError, r"not in lowest terms$"),
+        ((1, 2), 4, ProbabilitySumNotOne, r"^probabilities sum to 3/4, not 1$"),
+        ((1, 1), 3, ProbabilitySumNotOne, r"^probabilities sum to 2/3, not 1$"),
+        ((1,), 1 << 200, ProbabilitySumNotOne, r"^probabilities sum to less than 1 \(over a common denominator of 201 bits\)$"),
+    ],
+)
+def test_source_refuses_malformed_masses_without_a_type_error(masses, denominator, error, message):
+    # a TypeError is neither a CodecertError nor a ValueError, so it would escape this check
+    with pytest.raises((CodecertError, ValueError)) as info:
+        Source(("a", "b")[: len(masses)], masses, denominator)
+    assert isinstance(info.value, error)
+    assert re.search(message, str(info.value))
 
 
 def test_log_reduces_masses_below_the_float_range():
@@ -184,7 +233,7 @@ def test_entropy_radix_validation():
 def test_entropy_bounds_and_oracle(numerators, r):
     total = sum(numerators)
     probs = [F(k, total) for k in numerators]
-    src = Source(tuple(range(len(probs))), tuple(probs))
+    src = make_source(range(len(probs)), probs)
     h = entropy(src, r)
     assert -1e-12 <= h <= math.log(len(probs), r) + 1e-12
     assert h == pytest.approx(entropy_oracle(probs, r), abs=1e-10)
@@ -245,6 +294,69 @@ def test_extension_multiplies_integer_masses_not_fractions():
     ext = extend_source(src, 3)
     for block, prob in zip(ext.symbols, ext.probs):
         assert prob == math.prod(map(src.prob_of, block))
+
+
+# --- every builder hands over the least denominator ---
+
+
+def as_triple(src):
+    return src.symbols, src.masses, src.denominator
+
+
+def fraction_source(seed):
+    """A seeded source of one to four symbols over mixed, often coprime denominators."""
+    rng = random.Random(seed)
+    weights = [F(rng.randint(1, 40), rng.choice((1, 2, 3, 5, 7, 9, 11, 16, 25))) for _ in range(rng.randint(1, 4))]
+    total = sum(weights)
+    return make_source([f"x{i}" for i in range(len(weights))], [w / total for w in weights])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_extension_equals_make_source_of_its_fractions(p):
+    sources = [fraction_source(seed) for seed in range(100)]
+    sources += [make_source("abc", ["1/3", "1/5", "7/15"]), make_source("ab", ["1/4", "3/4"]), make_source("a", [1])]
+    for src in sources:
+        ext = extend_source(src, p)
+        probs = [math.prod(map(src.prob_of, block)) for block in ext.symbols]
+        assert as_triple(ext) == as_triple(make_source(ext.symbols, probs))
+
+
+def fraction_random_source(rng, n, max_den):
+    """random_source's draws as Fractions through make_source, with the drawn denominator."""
+    if n == 1:
+        return make_source(["s1"], [1]), 1
+    denom = rng.randrange(n, max_den + 1)
+    cuts = rng.sample_distinct(denom - 1, n - 1)
+    bounds = [0] + [c + 1 for c in cuts] + [denom]
+    parts = [F(b - a, denom) for a, b in zip(bounds, bounds[1:])]
+    return make_source([f"s{i + 1}" for i in range(n)], parts), denom
+
+
+def test_random_source_equals_make_source_of_its_fractions():
+    shared = 0
+    for seed in range(150):
+        for n in range(1, 13):
+            for max_den in (12, 64):
+                src = random_source(SplitMix64(seed), n, max_den)
+                expected, denom = fraction_random_source(SplitMix64(seed), n, max_den)
+                assert as_triple(src) == as_triple(expected)
+                shared += expected.denominator < denom
+    assert shared > 100  # the parts shared a factor with the drawn denominator
+
+
+def test_tree_source_equals_make_source_of_its_leaves():
+    # a merge can shrink the least denominator: 1/6 + 1/3 = 1/2
+    rng = SplitMix64(19)
+    for _ in range(150):
+        r, n = 2 + rng.randbelow(4), 1 + rng.randbelow(12)
+        src = make_source([f"s{i + 1}" for i in range(n)], fraction_random_source(rng, n, 36)[0].probs)
+        tree = compact_standalone(to_tree(random_prefix_code(rng, r, n), src))
+        while True:
+            expected = make_source([leaf.symbol for leaf in tree.nodes], [leaf.prob for leaf in tree.nodes])
+            assert as_triple(tree_source(tree)) == as_triple(expected)
+            if len(tree.paths) == 1:
+                break
+            _, tree, _ = reduce_group(tree, find_sibling_group(tree))
 
 
 def test_extension_entropy_additivity_dyadic_oracle():
