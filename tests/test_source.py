@@ -349,7 +349,7 @@ def test_tree_source_equals_make_source_of_its_leaves():
     rng = SplitMix64(19)
     for _ in range(150):
         r, n = 2 + rng.randbelow(4), 1 + rng.randbelow(12)
-        src = make_source([f"s{i + 1}" for i in range(n)], fraction_random_source(rng, n, 36)[0].probs)
+        src, _ = fraction_random_source(rng, n, 36)
         tree = compact_standalone(to_tree(random_prefix_code(rng, r, n), src))
         while True:
             expected = make_source([leaf.symbol for leaf in tree.nodes], [leaf.prob for leaf in tree.nodes])
