@@ -2,16 +2,16 @@
 The inequalities behind the per-step defect
 ===========================================
 
-Three independent checks that each merge step's defect is <= 0: a
-log-space evaluation, an exact big-integer form on scaled frequencies,
-and a pair of power-product bounds. Rational inputs approaching an
-irrational point show the exact form is dense enough to close the gap.
+Three independent checks that each merge step's defect is <= 0, all on
+the same rationals: a log-space evaluation, an exact big-integer form on
+their integer masses, and a pair of power-product bounds. Rational
+inputs approaching an irrational point show the exact form is dense
+enough to close the gap.
 """
 
 from fractions import Fraction as F
 
 from codecert import (
-    RationalWeights,
     check_group_inequality,
     check_pp_inequalities,
     check_rational_ghm,
@@ -22,8 +22,9 @@ group = [F(3, 10), F(1, 10)]
 result = check_group_inequality(group, 2)
 print(f"group value {result.value:.6f}  holds={result.holds}  tight={result.tight}")
 
-# the same group scaled to integers, checked without any floats
-ghm = check_rational_ghm(RationalWeights((3, 1), 2))
+# the same group on its integer masses over their common denominator (3, 1),
+# checked without any floats
+ghm = check_rational_ghm(group, 2)
 print(f"integer form: {ghm.lhs} >= {ghm.rhs}  holds={ghm.holds}")
 
 pp = check_pp_inequalities(group, 2)

@@ -77,7 +77,6 @@ from .decipher import (
 )
 from .errors import CodecertError, KraftViolated, NotUniquelyDecipherable, ParseError
 from .proof import (
-    RationalWeights,
     certify,
     check_group_inequality,
     check_pp_inequalities,
@@ -429,7 +428,7 @@ def run_fuzz_trial(master_seed: int, k: int, tol: float) -> list[str]:
 
     probs, freqs = random_group(rng, r)
     group = check_group_inequality(probs, r)
-    ghm = check_rational_ghm(RationalWeights(tuple(freqs), r))
+    ghm = check_rational_ghm(freqs, r)
     pp = check_pp_inequalities(probs, r)
     if not group.holds:
         bad.append(f"group inequality failed: value={group.value!r}")
@@ -469,13 +468,12 @@ def _cmd_check_ineq(args: argparse.Namespace) -> tuple[int, str]:
     group = check_group_inequality(probs, args.radix)
     pp = check_pp_inequalities(probs, args.radix)
 
-    # integer oracle on the same group, scaled by the common denominator; its
-    # integers are below (r*F)**F, so it is skipped past 13,000 bits, which
-    # bounds the oracle's work and the size of what it prints
-    _, freqs = _integer_masses(probs)
-    F = sum(freqs)
-    small = F * (args.radix * F).bit_length() <= 13_000
-    ghm = check_rational_ghm(RationalWeights(tuple(freqs), args.radix)) if small else None
+    # integer oracle on the same group's masses over their least common
+    # denominator; its integers are below (r*M)**M for their sum M, so it is
+    # skipped past 13,000 bits, which bounds its work and what it prints
+    M = sum(_integer_masses(probs)[1])
+    small = M * (args.radix * M).bit_length() <= 13_000
+    ghm = check_rational_ghm(probs, args.radix) if small else None
 
     all_hold = group.holds and pp.ineq_a and pp.ineq_b is not False
     if ghm is not None:

@@ -60,7 +60,7 @@ from .errors import (
     RadixOneUnsupported,
     ZeroOrNegativeProbability,
 )
-from .source import Source, _as_fraction, _check_radix, _integer_masses, _log, _quote_list, entropy
+from .source import Source, _as_fraction, _check_radix, _cut, _integer_masses, _log, _quote_list, entropy
 from .tree import (
     CodeTree,
     SiblingGroup,
@@ -156,34 +156,6 @@ class GroupInequalityResult:
 
 
 @dataclass(frozen=True)
-class RationalWeights:
-    """A probability group scaled to integer frequencies f_k over F = sum."""
-
-    frequencies: tuple[int, ...]
-    radix: int
-
-    def __post_init__(self):
-        if not self.frequencies:
-            raise ValueError("need at least one frequency")
-        for f in self.frequencies:
-            if not isinstance(f, int) or isinstance(f, bool) or f <= 0:
-                raise ValueError(f"frequencies must be positive integers, got {f!r}")
-        _check_radix(self.radix)
-        if len(self.frequencies) > self.radix:
-            raise GroupLargerThanRadix(
-                f"group of {len(self.frequencies)} exceeds radix {self.radix}"
-            )
-
-    @property
-    def s(self) -> int:
-        return len(self.frequencies)
-
-    @property
-    def F(self) -> int:
-        return sum(self.frequencies)
-
-
-@dataclass(frozen=True)
 class GhmResult:
     lhs: Fraction
     rhs: Fraction
@@ -259,9 +231,13 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     only-child node of their tree is spliced, recording the exact ACL
     decrease; the bound for the original code follows a fortiori. Both
     steps work on the leaves' digit paths, and neither builds a Code or
-    a tree; canonical_code and certified_code are built when read. A code
-    that is not uniquely decipherable raises NotUniquelyDecipherable with
-    the digits of its shortest ambiguous string.
+    a tree; canonical_code and certified_code are built when read.
+
+    Decipherability is decided for the minimal reduction only: when it
+    is not uniquely decipherable, NotUniquelyDecipherable is raised with
+    the digits of its shortest ambiguous string. A code whose further
+    codewords make it ambiguous (a: 0 or 1, b: 10, c: 11) is certified
+    all the same, as its bound follows from its reduction's.
     """
     _covering(src, code)
     # every source symbol has one entry, so any further entry is outside the source
@@ -393,21 +369,25 @@ def _equality_witness(src: Source, lengths: list[int], r: int) -> EqualityWitnes
     return EqualityWitness((n - 1) // (r - 1), tuple(lengths))
 
 
-def _group_masses(probs, r: int) -> tuple[int, tuple[int, ...]]:
+def _group_masses(probs, r: int, *, within_radix: bool = True) -> tuple[int, tuple[int, ...]]:
     """Check the radix and the probabilities of a closing-inequality check,
-    read as make_source reads them (a float is rejected); returns them as
-    integer masses over their common denominator. Their total P is capped
-    at 2**512, where the float sums of P*log(P) and P*log(r) stay finite."""
+    read as make_source reads them (a float or a bool is rejected), and
+    with within_radix that there are at most r of them; returns them as
+    integer masses over their least common denominator. Their total P is
+    capped at 2**512, where the float sums of P*log(P) and P*log(r) stay
+    finite."""
     _check_radix(r)
     probs = tuple(map(_as_fraction, probs))
     if not probs:
         raise ValueError("need at least one probability")
-    for p in probs:
-        if p <= 0:
-            raise ZeroOrNegativeProbability(f"group probabilities must be positive, got {p}")
     d, masses = _integer_masses(probs)
+    for m in masses:
+        if m <= 0:
+            raise ZeroOrNegativeProbability(f"group probabilities must be positive, got {_cut(Fraction(m, d))}")
     if sum(masses) > d << 512:
         raise ValueError("group probabilities sum to more than 2**512, beyond floating-point evaluation")
+    if within_radix and len(masses) > r:
+        raise GroupLargerThanRadix(f"group of {len(masses)} exceeds radix {r}")
     return d, masses
 
 
@@ -419,37 +399,35 @@ def check_group_inequality(probs, r: int) -> GroupInequalityResult:
     the value check cross-validates.
     """
     d, masses = _group_masses(probs, r)
-    s = len(masses)
-    if s > r:
-        raise GroupLargerThanRadix(f"group of {s} exceeds radix {r}")
-
     log_r, log_total = math.log(r), _log(sum(masses), d)
     log_value = math.fsum(m / d * (log_r + _log(m, d) - log_total) for m in masses)
     value = math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
     return GroupInequalityResult(
         value=value,
         holds=value >= 1.0 - LOG_SLACK,
-        tight=(s == r and len(set(masses)) == 1),
+        tight=(len(masses) == r and len(set(masses)) == 1),
     )
 
 
-def check_rational_ghm(w: RationalWeights) -> GhmResult:
-    """Exact integer form of the per-merge inequality.
+def check_rational_ghm(probs, r: int) -> GhmResult:
+    """Exact integer form of the per-merge inequality for s <= r.
 
-    For frequencies f_k over F = sum f_k verifies
+    For the probabilities' integer masses m_k over their least common
+    denominator, with M = sum m_k, verifies
 
-        prod_k (r*f_k / F)**f_k  >=  (r/s)**F  >=  1
+        prod_k (r*m_k / M)**m_k  >=  (r/s)**M  >=  1
 
     entirely in big-integer arithmetic. This grounds the log-space
-    checker: means of the F-term sequence holding f_k copies of r*f_k/F
+    checker: means of the M-term sequence holding m_k copies of r*m_k/M
     compare geometric against harmonic, and the harmonic mean is r/s.
     """
-    r, F, s = w.radix, w.F, w.s
+    _, masses = _group_masses(probs, r)
+    s, total = len(masses), sum(masses)
     lhs_num = 1
-    for f in w.frequencies:
-        lhs_num *= (r * f) ** f
-    lhs = Fraction(lhs_num, F**F)
-    rhs = Fraction(r**F, s**F)
+    for m in masses:
+        lhs_num *= (r * m) ** m
+    lhs = Fraction(lhs_num, total**total)
+    rhs = Fraction(r**total, s**total)
     return GhmResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs >= 1)
 
 
@@ -460,7 +438,7 @@ def check_pp_inequalities(probs, r: int) -> PpResult:
     (reported honestly either way). ineq_b: prod_k p_k**p_k >= 1/s,
     evaluated only when the probabilities sum to exactly 1.
     """
-    d, masses = _group_masses(probs, r)
+    d, masses = _group_masses(probs, r, within_radix=False)
     s = len(masses)
     total = sum(masses)
 

@@ -83,9 +83,14 @@ def _quote(value) -> str:
     """repr(value) for an error message about a token, a symbol or a path from
     outside the program, cut to a prefix of its text and the length when that
     is long, so an error stays one short line whatever the input."""
+    return repr(value) if len(str(value)) <= MAX_QUOTED_CHARS else _cut(value)
+
+
+def _cut(value) -> str:
+    """str(value), or its first MAX_QUOTED_CHARS characters and its length when longer."""
     text = str(value)
     if len(text) <= MAX_QUOTED_CHARS:
-        return repr(value)
+        return text
     return f"{text[:MAX_QUOTED_CHARS]!r}... ({len(text):,} characters)"
 
 
@@ -126,9 +131,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
+    if isinstance(value, (float, bool)):
         raise ZeroOrNegativeProbability(
-            f"float probability {value!r} rejected: pass a Fraction or a string "
+            f"{type(value).__name__} probability {value!r} rejected: pass a Fraction or a string "
             f"like '3/10' so the value stays exact"
         )
     if isinstance(value, str):
@@ -157,7 +162,7 @@ def _check_probability(d: int, symbol, m) -> None:
     if not isinstance(m, int) or isinstance(m, bool):
         raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) has mass {_quote(m)}, not an integer")
     if m <= 0:
-        raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) = {Fraction(m, d)} is not strictly positive")
+        raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) = {_cut(Fraction(m, d))} is not strictly positive")
 
 
 #: Most bits of the lcm of a source's denominators; the Kraft sum's common

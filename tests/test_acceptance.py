@@ -12,7 +12,6 @@ import pytest
 
 from codecert import (
     REFERENCE_SEED,
-    RationalWeights,
     acl_exact,
     brute_force_ud,
     certify,
@@ -250,7 +249,7 @@ def test_criterion_7_closing_inequalities(criterion_report):
         r = 2 + rng.randbelow(3)
         probs, freqs = random_group(rng, r)
         group = check_group_inequality(probs, r)
-        ghm = check_rational_ghm(RationalWeights(tuple(freqs), r))
+        ghm = check_rational_ghm(freqs, r)
         pp = check_pp_inequalities(probs, r)
         if not (group.holds and ghm.holds and pp.ineq_a):
             failures += 1

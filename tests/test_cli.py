@@ -269,6 +269,16 @@ def test_certify_non_ud(tmp_path, capsys):
     assert (status, out) == (1, "ud=False\nwitness=010")
 
 
+def test_certify_decides_the_minimal_reduction_not_the_code(tmp_path, capsys):
+    # a's second word 1 makes 10 parse as "b" and as "a a", yet the reduction
+    # {0, 10, 11} is prefix-free, and the code's bound follows from its reduction's
+    src = write(tmp_path, "s.txt", DYADIC_SRC)
+    code = write(tmp_path, "c.txt", "radix 2\na 0,1\nb 10\nc 11\n")
+    assert run(capsys, "check-ud", code, "--machine") == (1, "ud=False\nwitness=10", "")
+    status, out, _ = run(capsys, "certify", src, code, "--machine")
+    assert (status, out.split("\n")[0]) == (0, "verdict=Equality")
+
+
 def test_certify_searches_for_the_witness_once(tmp_path, capsys, monkeypatch):
     search, calls = decipher._shortest_ambiguity, []
     monkeypatch.setattr(decipher, "_shortest_ambiguity", lambda code: calls.append(code) or search(code))
@@ -911,6 +921,8 @@ HUGE_TOKEN_CASES = [
     pytest.param("acl {src} {code}", {"src": f"{HUGE} 1\n", "code": "radix 2\nb 0\n"}, "100,000", id="acl-missing-symbol"),
     pytest.param("certify {src} {code}", {"src": f"{HUGE} 1\n", "code": "radix 2\nb 0\n"}, "100,000", id="certify-missing-symbol"),
     pytest.param(f"entropy {HUGE}", None, "100,000", id="path"),
+    pytest.param("entropy {path}", f"a 1/2\nb -1/{'7' * 4299}\n", "4,302", id="negative-probability"),
+    pytest.param(f"check-ineq --probs 1/2,-1/{'7' * 4299}", None, "4,302", id="negative-group-probability"),
 ]
 
 

@@ -20,6 +20,7 @@ from codecert import (
     brute_force_ud,
     construct_instantaneous,
     entropy,
+    extend_source,
     huffman,
     is_prefix_free,
     is_uniquely_decipherable,
@@ -28,7 +29,7 @@ from codecert import (
     make_source,
     ud_counterexample,
 )
-from oracles import heap_huffman_oracle, ud_witness_oracle
+from oracles import entropy_oracle, heap_huffman_oracle, ud_witness_oracle
 
 
 def singleton(words, r=2):
@@ -394,6 +395,19 @@ def test_huffman_within_one_of_entropy():
         code = huffman(src, r)
         h = entropy(src, r)
         assert h - 1e-12 <= float(acl_exact(src, code)) < h + 1
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("probs", [(F(9, 10), F(1, 10)), (F(1, 2), F(1, 3), F(1, 6)), (F(2, 5), F(3, 10), F(1, 5), F(1, 10))])
+def test_huffman_of_block_extensions_meets_the_noiseless_coding_theorem(probs, r):
+    # H <= ACL(S^p)/p < H + 1/p: the exact ACL of the Huffman code of each
+    # block extension against the entropy per symbol, taken with mpmath
+    src = make_source(range(len(probs)), probs)
+    h = entropy_oracle(probs, r)
+    for p in range(1, 6):
+        ext = extend_source(src, p)
+        per_symbol = acl_exact(ext, huffman(ext, r)) / p
+        assert h <= per_symbol < h + F(1, p), (p, per_symbol - F(h))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 16, 36])

@@ -14,7 +14,6 @@ from codecert import (
     MissingSymbol,
     NotUniquelyDecipherable,
     RadixOneUnsupported,
-    RationalWeights,
     SiblingGroup,
     ZeroOrNegativeProbability,
     acl,
@@ -395,38 +394,40 @@ def test_inequality_checks_below_the_smallest_float():
 
 
 def test_ghm_worked_instances():
-    result = check_rational_ghm(RationalWeights((1, 1), 2))
+    result = check_rational_ghm((1, 1), 2)
     assert (result.lhs, result.rhs, result.holds) == (F(1), F(1), True)
 
-    result = check_rational_ghm(RationalWeights((1, 2), 2))
+    result = check_rational_ghm((1, 2), 2)
     assert result.lhs == F(32, 27)
     assert result.rhs == F(1)
     assert result.holds
 
-    result = check_rational_ghm(RationalWeights((1, 1), 3))
+    result = check_rational_ghm((1, 1), 3)
     assert result.lhs == F(9, 4)
     assert result.rhs == F(9, 4)
     assert result.holds  # GM equals HM on the boundary
 
+    # rationals are read as their integer masses over the least common denominator
+    assert check_rational_ghm([F(1, 6), F(1, 3)], 2) == check_rational_ghm((1, 2), 2)
+
 
 def test_ghm_weights_validation():
-    w = RationalWeights((3, 5), 4)
-    assert (w.s, w.F) == (2, 8)
+    assert check_rational_ghm((3, 5), 4).rhs == F(2) ** 8  # (r/s)**M with s = 2, M = 8
     with pytest.raises(GroupLargerThanRadix):
-        RationalWeights((1, 1, 1), 2)
+        check_rational_ghm((1, 1, 1), 2)
     with pytest.raises(ValueError):
-        RationalWeights((), 2)
-    with pytest.raises(ValueError):
-        RationalWeights((0, 1), 2)
-    with pytest.raises(ValueError):
-        RationalWeights((1, -2), 2)
-    with pytest.raises(ValueError):
-        RationalWeights((True, 1), 2)
+        check_rational_ghm((), 2)
+    with pytest.raises(ZeroOrNegativeProbability):
+        check_rational_ghm((0, 1), 2)
+    with pytest.raises(ZeroOrNegativeProbability):
+        check_rational_ghm((1, -2), 2)
+    with pytest.raises(ZeroOrNegativeProbability):
+        check_rational_ghm((True, 1), 2)
 
 
 def test_ghm_grounds_log_space_checker():
     for freqs, r in (((1, 2), 2), ((3, 5), 3), ((7, 7, 7), 3), ((1, 30), 2)):
-        exact = check_rational_ghm(RationalWeights(freqs, r))
+        exact = check_rational_ghm(freqs, r)
         logspace = check_group_inequality([F(f) for f in freqs], r)
         assert exact.holds == logspace.holds
         assert logspace.value == pytest.approx(float(exact.lhs), rel=1e-9)

@@ -21,10 +21,13 @@ from codecert import (
     Source,
     SplitMix64,
     ZeroOrNegativeProbability,
+    check_group_inequality,
+    check_pp_inequalities,
     compact_standalone,
     entropy,
     extend_source,
     find_sibling_group,
+    make_policy,
     make_source,
     parse_rational,
     random_prefix_code,
@@ -92,6 +95,21 @@ def test_make_source_accepts_strings_ints_fractions():
 def test_make_source_rejects_floats():
     with pytest.raises(ZeroOrNegativeProbability, match="float"):
         make_source("ab", [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_source("a", [True]),
+        lambda: make_policy({"a": [True]}),
+        lambda: check_group_inequality([True, True], 2),
+        lambda: check_pp_inequalities([True], 2),
+    ],
+    ids=["make_source", "make_policy", "group", "pp"],
+)
+def test_a_bool_is_refused_wherever_a_float_is(build):
+    with pytest.raises(ZeroOrNegativeProbability, match=r"^bool probability True rejected"):
+        build()
 
 
 def test_source_invariants():
