@@ -13,6 +13,7 @@ from codecert import (
     acl_exact,
     construct_instantaneous,
     entropy,
+    format_codeword,
     huffman,
     kraft_sum,
     make_source,
@@ -23,7 +24,7 @@ print("kraft sum:", kraft_sum(lengths, 2))
 
 code = construct_instantaneous(lengths, 2)
 for symbol, (word,) in code.mapping:
-    print(f"  {symbol} -> {word}")
+    print(f"  {symbol} -> {format_codeword(word)}")
 
 # infeasible lengths are rejected rather than silently truncated
 try:
@@ -34,7 +35,7 @@ except KraftViolated as exc:
 # Huffman on a skewed source; ACL lands within one digit of entropy
 src = make_source("abcd", [F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
 best = huffman(src, 2)
-print("huffman words:", {s: str(ws[0]) for s, ws in best.mapping})
+print("huffman words:", {s: format_codeword(ws[0]) for s, ws in best.mapping})
 print("ACL:", acl_exact(src, best), " H:", round(entropy(src, 2), 6))
 
 # ternary trees pad with zero-weight slots so every merge is full

@@ -60,12 +60,13 @@ from operator import sub
 
 from .codes import (
     Code,
-    Codeword,
     EncodingPolicy,
     acl_exact,
     empirical_acl,
+    format_codeword,
     kraft_sum,
     minimal_reduction,
+    parse_codeword,
 )
 from .decipher import (
     DEFAULT_UD_BUDGET,
@@ -145,13 +146,13 @@ def _code_header(text: str) -> int:
     return r
 
 
-def _code_entry(text: str) -> tuple[str, tuple[Codeword, ...], tuple[Fraction, ...]]:
+def _code_entry(text: str) -> tuple[str, tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
     body, _, weight_text = text.partition("@")
     tokens = body.split()
     if len(tokens) != 2:
         raise ValueError(f"expected '<symbol> <codewords> [@ weights]', got {_quote(text)}")
     symbol, words_text = tokens
-    words = tuple(Codeword.parse(w) for w in words_text.split(","))
+    words = tuple(map(parse_codeword, words_text.split(",")))
     if not weight_text.strip():
         return symbol, words, ()
     qs = tuple(parse_rational(q) for q in weight_text.split(","))
@@ -239,10 +240,8 @@ def _kv(pairs) -> str:
 
 
 def _code_text(code: Code) -> str:
-    lines = [f"radix {code.radix}"]
-    for symbol, words in code.mapping:
-        lines.append(f"{symbol} {','.join(str(w) for w in words)}")
-    return "\n".join(lines)
+    lines = [f"{symbol} {','.join(map(format_codeword, words))}" for symbol, words in code.mapping]
+    return "\n".join([f"radix {code.radix}", *lines])
 
 
 def _frac(q: Fraction) -> str:
@@ -297,7 +296,7 @@ def _cmd_check_ud(args: argparse.Namespace) -> tuple[int, str]:
         if args.machine:
             return 0, _kv([("ud", True), ("budget", args.max_len)])
         return 0, f"no ambiguous digit string within {args.max_len} digits"
-    if Codeword.parse(witness).length > args.max_len:
+    if len(parse_codeword(witness)) > args.max_len:
         witness = None
     if args.machine:
         return 1, _kv([("ud", False), ("witness", witness)])
@@ -332,7 +331,7 @@ def _cmd_huffman(args: argparse.Namespace) -> tuple[int, str]:
     h = entropy(src, args.radix)
     if args.machine:
         pairs = [("radix", code.radix)]
-        pairs += [(f"code.{s}", str(words[0])) for s, words in code.mapping]
+        pairs += [(f"code.{s}", format_codeword(words[0])) for s, words in code.mapping]
         pairs += [("ACL", repr(float(exact))), ("ACL_exact", _frac(exact)), ("H", repr(h))]
         return 0, _kv(pairs)
     return 0, _code_text(code) + f"\n# ACL = {_frac(exact)} = {float(exact)!r}\n# H = {h!r}"
@@ -345,7 +344,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, str]:
         cert = certify(src, code)
     except NotUniquelyDecipherable as e:
         # certify found the shortest witness; --max-len only caps what is shown
-        witness = str(Codeword(e.witness)) if len(e.witness) <= args.max_len else None
+        witness = format_codeword(e.witness) if len(e.witness) <= args.max_len else None
         if args.machine:
             return 1, _kv([("ud", False), ("witness", witness)])
         tail = f"; ambiguous digit string: {witness}" if witness is not None else ""
@@ -376,7 +375,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     code, policy = parse_code_file(args.code)
     trace = empirical_acl(src, code, policy, args.t, args.seed)
     # the floor is each symbol's shortest codeword, on the same stream
-    shortest = [words[0].length for words in map(minimal_reduction(code).codewords, src.symbols)]
+    shortest = [len(words[0]) for words in map(minimal_reduction(code).codewords, src.symbols)]
     excess = accumulate(map(sub, trace.lengths, map(shortest.__getitem__, trace.symbol_indices)))
     violations = sum(map((0).__gt__, excess))
     exact = acl_exact(src, code, policy)

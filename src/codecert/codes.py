@@ -1,10 +1,13 @@
 """r-ary codes, with possibly several codewords per symbol.
 
 A code maps each source symbol to a nonempty set of codewords over the
-digit alphabet {0..r-1}. The usual one-codeword-per-symbol case is the
-special case card f(s) = 1; the general case needs an encoding policy
-(exact rational choice probabilities per symbol), and then average
-codeword length comes in three flavors:
+digit alphabet {0..r-1}. A codeword is the tuple of its int digits, the
+form every layer builds and reads; parse_codeword and format_codeword
+are the one place that knows its text (`0110`, `3.11`, `-`). The usual
+one-codeword-per-symbol case is the special case card f(s) = 1; the
+general case needs an encoding policy (exact rational choice
+probabilities per symbol), and then average codeword length comes in
+three flavors:
 
   * acl(src, code)            - expectation sum p_i * l_i (singleton codes)
   * acl(src, code, policy)    - expectation over policy choices too
@@ -14,7 +17,8 @@ Exact ACL is computed on the source's integer masses m_i over its
 denominator D and returned as a Fraction, the API view.
 
 A Code checks each symbol's codeword set, and an EncodingPolicy each
-symbol's weights, once, through the entry validator that Source uses.
+symbol's weights, once, through the entry validator that Source uses;
+a digit that is not an int below the radix is refused.
 
 The empty codeword (written '-') is representable; it is only ever
 useful as the sole codeword of a one-symbol code, and the
@@ -43,59 +47,60 @@ from .source import _as_fraction, _check_entries, _check_numeral, _check_radix, 
 _CHOICE_SALT = 0xC0DE00C4015E
 
 
-@dataclass(frozen=True, order=True)
-class Codeword:
-    """A finite digit string over {0..r-1}; the empty word has length 0."""
-
-    digits: tuple[int, ...]
-
-    @staticmethod
-    def parse(text: str) -> "Codeword":
-        """Parse the text `str` writes: '-' is the empty word, '0110' one
-        digit per character, and '3.11' or '10.' dot-separated digits."""
-        if text == "-":
-            return Codeword(())
-        # without a dot, each character is one digit
-        parts = text.removesuffix(".").split(".") if "." in text else text
-        if not parts or not text.isascii() or not all(map(str.isdigit, parts)):
-            raise ValueError(f"not a codeword: {_quote(text)}")
-        if "." in text:  # each dotted digit is a numeral
-            for part in parts:
-                _check_numeral(part)
-        return Codeword(tuple(map(int, parts)))
-
-    @property
-    def length(self) -> int:
-        return len(self.digits)
-
-    def __str__(self) -> str:
-        if not self.digits:
-            return "-"
-        if max(self.digits) <= 9:
-            return "".join(str(d) for d in self.digits)
-        # a trailing dot keeps the one-digit word (10,) apart from '10' = (1, 0)
-        text = ".".join(str(d) for d in self.digits)
-        return text + "." if len(self.digits) == 1 else text
+def parse_codeword(text: str) -> tuple[int, ...]:
+    """The digits of a codeword's text: '-' is the empty word, '0110' one
+    digit per character, and '3.11' or '10.' dot-separated digits."""
+    if text == "-":
+        return ()
+    # without a dot, each character is one digit
+    parts = text.removesuffix(".").split(".") if "." in text else text
+    if not parts or not text.isascii() or not all(map(str.isdigit, parts)):
+        raise ValueError(f"not a codeword: {_quote(text)}")
+    if "." in text:  # each dotted digit is a numeral
+        for part in parts:
+            _check_numeral(part)
+    return tuple(map(int, parts))
 
 
-def _as_codeword(value) -> Codeword:
-    if isinstance(value, Codeword):
-        return value
-    if isinstance(value, str):
-        return Codeword.parse(value)
-    return Codeword(tuple(value))
+def format_codeword(digits: tuple[int, ...]) -> str:
+    """The text parse_codeword reads back as these digits."""
+    if not digits:
+        return "-"
+    if max(digits) <= 9:
+        return "".join(map(str, digits))
+    # a trailing dot keeps the one-digit word (10,) apart from '10' = (1, 0)
+    return ".".join(map(str, digits)) + ("." if len(digits) == 1 else "")
 
 
-def _check_codewords(radix: int, symbol, words: tuple[Codeword, ...]) -> None:
-    """The invariants of one symbol's codeword set in a radix-`radix` code."""
+def _check_codewords(symbol, words: tuple[tuple[int, ...], ...]) -> None:
+    """The invariants of one symbol's codeword set: nonempty, with no repeat."""
     if not words:
         raise ValueError(f"symbol {_quote(symbol)} has an empty codeword set")
-    for w in words:
-        if w.digits and not (0 <= min(w.digits) and max(w.digits) < radix):
-            d = next(d for d in w.digits if not 0 <= d < radix)
-            raise DigitOutOfRange(f"digit {d} >= radix {radix}" if d >= 0 else f"negative digit {d}")
     if len(words) > 1 and len(set(words)) != len(words):
         raise ValueError(f"symbol {_quote(symbol)} repeats a codeword")
+
+
+def _check_codewords_and_digits(radix: int, symbol, words) -> None:
+    """_check_codewords, after each codeword is checked to be a tuple of int
+    digits in 0..radix-1."""
+    for w in words:
+        if type(w) is not tuple:
+            raise DigitOutOfRange(f"codeword {_quote(w)} of {_quote(symbol)} is not a tuple of digits")
+        for d in w:
+            if type(d) is not int:
+                raise DigitOutOfRange(f"digit {_quote(d)} is not an int")
+            if not 0 <= d < radix:
+                raise DigitOutOfRange(f"digit {d} >= radix {radix}" if d >= 0 else f"negative digit {d}")
+    _check_codewords(symbol, words)
+
+
+def _are_digit_tuples(radix: int, words: list) -> bool:
+    """Whether every word is a tuple of int digits in 0..radix-1: one pass over
+    all the digits, cheaper than a check of each word."""
+    if not set(map(type, words)) <= {tuple}:
+        return False
+    digits = list(itertools.chain.from_iterable(words))
+    return set(map(type, digits)) <= {int} and 0 <= min(digits, default=0) and max(digits, default=0) < radix
 
 
 @dataclass(frozen=True)
@@ -103,11 +108,13 @@ class Code:
     """Radix plus an ordered map from each symbol to its codeword set."""
 
     radix: int
-    mapping: tuple[tuple[Any, tuple[Codeword, ...]], ...]
+    mapping: tuple[tuple[Any, tuple[tuple[int, ...], ...]], ...]
 
     def __post_init__(self):
         _check_radix(self.radix, 1)
-        _check_entries(self.mapping, partial(_check_codewords, self.radix))
+        if not _are_digit_tuples(self.radix, self.pooled()):  # find the first entry at fault
+            _check_entries(self.mapping, partial(_check_codewords_and_digits, self.radix))
+        _check_entries(self.mapping, _check_codewords)
 
     @cached_property
     def _index(self) -> dict:
@@ -117,13 +124,13 @@ class Code:
     def symbols(self) -> tuple:
         return tuple(s for s, _ in self.mapping)
 
-    def codewords(self, symbol) -> tuple[Codeword, ...]:
+    def codewords(self, symbol) -> tuple[tuple[int, ...], ...]:
         try:
             return self._index[symbol]
         except KeyError:
             raise MissingSymbol(f"code does not cover symbol {_quote(symbol)}") from None
 
-    def pooled(self) -> list[Codeword]:
+    def pooled(self) -> list[tuple[int, ...]]:
         """All codewords across all symbols, in mapping order (may repeat)."""
         return [w for _, words in self.mapping for w in words]
 
@@ -132,21 +139,22 @@ class Code:
 
     def lengths(self) -> list[int]:
         """Length multiset of the pooled codewords, in mapping order."""
-        return [w.length for w in self.pooled()]
+        return list(map(len, self.pooled()))
 
 
 def make_code(radix: int, mapping: Mapping | Iterable) -> Code:
     """Build a Code from {symbol: codeword-or-list-of-codewords}.
 
-    Codewords may be given as digit strings ('10', '-' for the empty
-    word), digit tuples, or Codeword values.
+    A str is one codeword, in the text parse_codeword reads ('10', '-'
+    for the empty word); any other value is a list of codewords, each
+    such a text or a sequence of digits.
     """
     items = mapping.items() if isinstance(mapping, Mapping) else mapping
     out = []
     for symbol, words in items:
-        if isinstance(words, (str, Codeword)):
+        if isinstance(words, str):
             words = [words]
-        out.append((symbol, tuple(_as_codeword(w) for w in words)))
+        out.append((symbol, tuple(parse_codeword(w) if isinstance(w, str) else tuple(w) for w in words)))
     return Code(radix, tuple(out))
 
 
@@ -154,6 +162,8 @@ def _check_weights(symbol, qs: tuple[Fraction, ...]) -> None:
     """The invariants of one symbol's choice weights in an EncodingPolicy."""
     if not qs:
         raise ValueError(f"empty weight list for {_quote(symbol)}")
+    for q in qs:  # a float or a bool is refused as make_source refuses it
+        _as_fraction(q)
     if any(q <= 0 for q in qs):
         raise ValueError(f"weights for {_quote(symbol)} must be strictly positive")
     if sum(qs, Fraction(0)) != 1:
@@ -182,16 +192,6 @@ def make_policy(weights: Mapping | Iterable) -> EncodingPolicy:
     return EncodingPolicy(tuple((s, tuple(_as_fraction(q) for q in qs)) for s, qs in items))
 
 
-def is_non_singular(code: Code) -> bool:
-    """True iff the image sets f(s_i) are pairwise disjoint.
-
-    A symbol never repeats a codeword, so the sets are disjoint exactly
-    when no codeword occurs twice in the pooled list.
-    """
-    pooled = code.pooled()
-    return len(set(pooled)) == len(pooled)
-
-
 def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
     """The exact rational sum of r^(-l) over the length multiset.
 
@@ -200,6 +200,10 @@ def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
     before it is built.
     """
     _check_radix(r, 1)
+    lengths = list(lengths)
+    if not set(map(type, lengths)) <= {int}:
+        bad = next(l for l in lengths if type(l) is not int)
+        raise ValueError(f"codeword length {_quote(bad)} is not an int")
     counts = Counter(lengths)
     if any(l < 0 for l in counts):
         raise ValueError("codeword lengths are non-negative")
@@ -214,7 +218,7 @@ def kraft_sum(lengths: Iterable[int], r: int) -> Fraction:
     return Fraction(sum(k * r ** (top - l) for l, k in counts.items()), r**top)
 
 
-def _policy_weights(policy: EncodingPolicy | None, symbol, words: tuple[Codeword, ...]) -> tuple[Fraction, ...]:
+def _policy_weights(policy: EncodingPolicy | None, symbol, words: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     """The policy's weights over a symbol with several codewords."""
     if policy is None:
         raise MissingPolicy(f"symbol {_quote(symbol)} has {len(words)} codewords but no policy was given")
@@ -224,7 +228,7 @@ def _policy_weights(policy: EncodingPolicy | None, symbol, words: tuple[Codeword
     return qs
 
 
-def _covering(src: Source, code: Code) -> list[tuple[Codeword, ...]]:
+def _covering(src: Source, code: Code) -> list[tuple[tuple[int, ...], ...]]:
     """Each source symbol's codeword set, in source order; a code that lacks
     source symbols raises one MissingSymbol naming them (a bounded list)."""
     words_of = list(map(code._index.get, src.symbols))
@@ -239,10 +243,10 @@ def acl_exact(src: Source, code: Code, policy: EncodingPolicy | None = None) -> 
     total = 0  # an int until a symbol with several codewords adds a Fraction
     for symbol, m, words in zip(src.symbols, src.masses, _covering(src, code)):
         if len(words) == 1:
-            total += m * words[0].length
+            total += m * len(words[0])
         else:
             qs = _policy_weights(policy, symbol, words)
-            total += m * sum(q * w.length for q, w in zip(qs, words))
+            total += m * sum(q * len(w) for q, w in zip(qs, words))
     return Fraction(total, src.denominator)
 
 
@@ -262,7 +266,7 @@ def minimal_reduction(code: Code) -> Code:
         return code
     reduced = []
     for symbol, words in code.mapping:
-        best = min(words, key=lambda w: (w.length, w.digits))
+        best = min(words, key=lambda w: (len(w), w))
         reduced.append((symbol, (best,)))
     return Code(code.radix, tuple(reduced))
 
@@ -310,7 +314,7 @@ def empirical_acl(
             thresholds[i] = denom, list(itertools.accumulate(masses))
     randbelow = SplitMix64(derived_seed(seed, _CHOICE_SALT)).randbelow
     cw_idx = [bisect_right(th[1], randbelow(th[0])) if (th := thresholds[i]) else 0 for i in sym_idx]
-    word_lengths = [[w.length for w in words] for words in words_of]
+    word_lengths = [list(map(len, words)) for words in words_of]
     lengths = [word_lengths[i][u] for i, u in zip(sym_idx, cw_idx)]
     acl_values = map(truediv, itertools.accumulate(lengths), range(1, t + 1))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from .codes import Code, Codeword, kraft_sum
+from .codes import Code, format_codeword, kraft_sum
 from .errors import ExactnessCheckFailed, KraftViolated
 from .source import Source, _check_radix
 
@@ -45,7 +45,7 @@ def is_prefix_free(code: Code) -> bool:
     In sorted order every word between u and a word that u prefixes also
     starts with u, so checking each word against its successor suffices.
     """
-    return _prefix_free([w.digits for w in code.pooled()])
+    return _prefix_free(code.pooled())
 
 
 def _prefix_free(words: list[tuple[int, ...]]) -> bool:
@@ -72,7 +72,7 @@ def _trie(code: Code) -> tuple[list[dict[int, int]], list[tuple[int, ...]], list
     children: list[dict[int, int]] = [{}]
     ends: list[tuple[int, ...]] = [()]
     apart = [False]
-    entries = sorted((w.digits, symbol_id) for symbol_id, (_, words) in enumerate(code.mapping, start=1) for w in words)
+    entries = sorted((w, symbol_id) for symbol_id, (_, words) in enumerate(code.mapping, start=1) for w in words)
     for i, (digits, symbol_id) in enumerate(entries):
         fork = i + 1 < len(entries) and entries[i + 1][0][: len(digits)] == digits
         u = 0
@@ -129,7 +129,7 @@ def _shortest_ambiguity(code: Code) -> tuple[int, ...] | None:
     bounds the delays, is skipped.
     """
     pooled = code.pooled()
-    if any(w.length == 0 for w in pooled):
+    if () in pooled:
         # The empty string already decodes as "" and as the empty-word symbol.
         return None if len(pooled) == 1 else ()
 
@@ -235,7 +235,7 @@ def _witness(code: Code) -> tuple[int, ...] | None:
     """The shortest, then least, ambiguous digit string, or None. A prefix-free
     or suffix-free word list splits a digit string into words one way at most,
     read left to right or right to left, so such a code skips the engine."""
-    words = [w.digits for w in code.pooled()]
+    words = code.pooled()
     if _prefix_free(words) or _prefix_free([w[::-1] for w in words]):
         return None
     return _shortest_ambiguity(code)
@@ -257,7 +257,7 @@ def ud_counterexample(code: Code, max_len: int | None = DEFAULT_UD_BUDGET) -> st
         _check_budget(max_len)
     witness = _witness(code)
     fits = witness is not None and (max_len is None or len(witness) <= max_len)
-    return str(Codeword(witness)) if fits else None
+    return format_codeword(witness) if fits else None
 
 
 def brute_force_ud(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> bool:
@@ -272,11 +272,11 @@ def brute_force_ud(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> bool:
     """
     _check_budget(max_len)
     pooled = code.pooled()
-    if any(w.length == 0 for w in pooled):
+    if () in pooled:
         return len(pooled) == 1
 
     transitions = [
-        ("".join(map(chr, w.digits)), w.length, symbol)
+        ("".join(map(chr, w)), len(w), symbol)
         for symbol, words in code.mapping
         for w in words
     ]
@@ -320,8 +320,7 @@ def construct_instantaneous(lengths: Sequence[int], r: int) -> Code:
         raise KraftViolated(f"sum of r^-l is {total} > 1; no prefix-free code exists")
 
     order = sorted(range(len(lengths)), key=lambda i: lengths[i])
-    paths, _ = _canonical_paths([lengths[i] for i in order], r)
-    words = dict(zip(order, map(Codeword, paths)))
+    words = dict(zip(order, _canonical_paths(sorted(lengths), r)[0]))
     return Code(r, tuple((f"s{i + 1}", (words[i],)) for i in range(len(lengths))))
 
 
@@ -390,7 +389,7 @@ def huffman(src: Source, r: int) -> Code:
         groups.append(group)
         size = r
 
-    words: list[Codeword | None] = [None] * n
+    words: list[tuple[int, ...] | None] = [None] * n
     stack = [(len(mass) - 1, ())]
     while stack:
         k, path = stack.pop()
@@ -398,5 +397,5 @@ def huffman(src: Source, r: int) -> Code:
             digits = enumerate(groups[k - n], pad if k == n else 0)
             stack.extend((child, path + (digit,)) for digit, child in digits)
         else:
-            words[k] = Codeword(path)
+            words[k] = path
     return Code(r, tuple((s, (w,)) for s, w in zip(src.symbols, words)))

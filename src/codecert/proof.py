@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Any
 
-from .codes import Code, Codeword, _covering, minimal_reduction
+from .codes import Code, _covering, format_codeword, minimal_reduction
 from .decipher import _canonical_paths, _witness
 from .errors import (
     ExactnessCheckFailed,
@@ -89,7 +89,6 @@ class ReductionStep:
     group: SiblingGroup
     masses: tuple[int, ...]
     denominator: int
-    l_red: int
     delta: float
     is_tight: bool
 
@@ -138,14 +137,13 @@ class ReductionCertificate:
     @cached_property
     def canonical_code(self) -> Code:
         """The canonical words on the code's symbols, in the code's order."""
-        word_of = dict(zip(self.leaf_symbols, map(Codeword, self.canonical_paths)))
+        word_of = dict(zip(self.leaf_symbols, self.canonical_paths))
         return Code(self.code.radix, tuple((s, (word_of[s],)) for s in self.code.symbols))
 
     @cached_property
     def certified_code(self) -> Code:
         """The code the chain runs on, symbols in digit order."""
-        words = map(Codeword, self.certified_paths)
-        return Code(self.code.radix, tuple((s, (w,)) for s, w in zip(self.leaf_symbols, words)))
+        return Code(self.code.radix, tuple((s, (w,)) for s, w in zip(self.leaf_symbols, self.certified_paths)))
 
 
 @dataclass(frozen=True)
@@ -193,7 +191,6 @@ def reduction_step(group: SiblingGroup, masses: tuple[int, ...], denominator: in
         group=group,
         masses=masses,
         denominator=denominator,
-        l_red=len(group.parent),
         delta=_delta(masses, denominator, r),
         is_tight=(group.s == r and len(set(masses)) == 1),
     )
@@ -252,20 +249,19 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
             raise RadixOneUnsupported(
                 "unit radix admits no decipherable code for two or more symbols"
             )
-        symbol = src.symbols[0]
-        (word,) = reduced.codewords(symbol)
-        equal = word.length == 0
+        (word,) = reduced.codewords(src.symbols[0])
+        equal = not word
         return ReductionCertificate(
             source=src,
             code=code,
-            leaf_symbols=(symbol,),
-            canonical_paths=(word.digits,),
-            certified_paths=(word.digits,),
+            leaf_symbols=src.symbols,
+            canonical_paths=(word,),
+            certified_paths=(word,),
             acl_drop=Fraction(0),
             steps=(),
             entropy=0.0,
-            acl=float(word.length),
-            acl_exact=Fraction(word.length),
+            acl=float(len(word)),
+            acl_exact=Fraction(len(word)),
             sum_delta=0.0,
             verdict="Equality" if equal else "StrictInequality",
             witness=EqualityWitness(0, (0,)) if equal else None,
@@ -276,7 +272,7 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
         raise NotUniquelyDecipherable("no decoder can invert this code", ambiguity)
 
     d = src.denominator
-    length_of = {s: words[0].length for s, words in reduced.mapping}
+    length_of = {s: len(words[0]) for s, words in reduced.mapping}
     symbols = sorted(reduced.symbols, key=length_of.__getitem__)  # the canonical words' order
     mass_of = dict(zip(src.symbols, src.masses))
     masses = [mass_of[s] for s in symbols]
@@ -346,7 +342,7 @@ def equality_condition(src: Source, code: Code) -> tuple[bool, EqualityWitness |
     exponents in source order. No floating point is involved.
     """
     r = code.radix
-    lengths = [min(w.length for w in words) for words in _covering(src, code)]
+    lengths = [min(map(len, words)) for words in _covering(src, code)]
 
     if r == 1:
         if len(src) == 1 and lengths[0] == 0:
@@ -454,7 +450,7 @@ def format_certificate(cert: ReductionCertificate) -> str:
     lines = []
     for k, step in enumerate(cert.steps, start=1):
         lines.append(
-            f"step {k}: merge parent={Codeword(step.group.parent)}"
+            f"step {k}: merge parent={format_codeword(step.group.parent)}"
             f" s={step.s}"
             f" p_red={step.p_red.numerator}/{step.p_red.denominator}"
             f" delta={step.delta!r}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .codes import Code, Codeword
+from .codes import Code
 from .rng import SplitMix64, _check_seed, derived_seed
 from .source import Source, _check_radix
 from .tree import CodeTree, TreeNode
@@ -71,16 +71,6 @@ def _grow_leaf_paths(rng: SplitMix64, r: int, z: int) -> list[tuple[int, ...]]:
     return paths
 
 
-def random_kraft_lengths(rng: SplitMix64, r: int, n: int) -> list[int]:
-    """n codeword lengths whose Kraft sum is at most 1, by construction.
-
-    Takes the depths of n distinct leaves of a random full tree, which
-    is exactly the prefix-free case of the Kraft bound.
-    """
-    paths = _random_leaf_paths(rng, r, n)
-    return [len(p) for p in paths]
-
-
 def _random_leaf_paths(rng: SplitMix64, r: int, n: int) -> list[tuple[int, ...]]:
     if n < 1:
         raise ValueError(f"need at least one codeword, got {n}")
@@ -100,10 +90,7 @@ def _random_leaf_paths(rng: SplitMix64, r: int, n: int) -> list[tuple[int, ...]]
 def random_prefix_code(rng: SplitMix64, r: int, n: int) -> Code:
     """A prefix-free code with n codewords for symbols s1..sn."""
     paths = _random_leaf_paths(rng, r, n)
-    mapping = tuple(
-        (f"s{i + 1}", (Codeword(path),)) for i, path in enumerate(paths)
-    )
-    return Code(r, mapping)
+    return Code(r, tuple((f"s{i + 1}", (path,)) for i, path in enumerate(paths)))
 
 
 def reversed_code(code: Code) -> Code:
@@ -112,11 +99,7 @@ def reversed_code(code: Code) -> Code:
     Suffix-free codes decode uniquely right to left, so the result is
     decipherable but usually not prefix-free.
     """
-    mapping = tuple(
-        (symbol, tuple(Codeword(w.digits[::-1]) for w in words))
-        for symbol, words in code.mapping
-    )
-    return Code(code.radix, mapping)
+    return Code(code.radix, tuple((symbol, tuple(w[::-1] for w in words)) for symbol, words in code.mapping))
 
 
 def random_group(rng: SplitMix64, r: int) -> tuple[list[Fraction], list[int]]:

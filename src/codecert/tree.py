@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .codes import Code, Codeword
+from .codes import Code
 from .decipher import is_prefix_free
 from .errors import InvalidGroup, NotCompact, NotPrefixFree, TreeTooSmall
 from .source import Source, make_source
@@ -82,8 +82,8 @@ def to_tree(code: Code, src: Source | None = None) -> CodeTree:
     if not is_prefix_free(code):
         raise NotPrefixFree("code is not prefix-free")
 
-    order = sorted(code.mapping, key=lambda entry: entry[1][0].digits)  # digit order
-    paths = tuple(words[0].digits for _, words in order)
+    order = sorted(code.mapping, key=lambda entry: entry[1][0])  # digit order
+    paths = tuple(words[0] for _, words in order)
     leaves = tuple(TreeNode(symbol, src.prob_of(symbol) if src is not None else None) for symbol, _ in order)
     return CodeTree(code.radix, paths, leaves)
 
@@ -93,8 +93,7 @@ def from_tree(tree: CodeTree) -> Code:
 
     Leaves without a symbol get positional names leaf0, leaf1, ...
     """
-    words = [(Codeword(path),) for path, _ in tree.leaves()]
-    return Code(tree.radix, tuple(zip(_symbols(tree), words)))
+    return Code(tree.radix, tuple((s, (path,)) for s, path in zip(_symbols(tree), tree.paths)))
 
 
 def tree_source(tree: CodeTree) -> Source:

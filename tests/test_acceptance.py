@@ -31,7 +31,6 @@ from codecert import (
     make_source,
     minimal_reduction,
     random_group,
-    random_kraft_lengths,
     random_prefix_code,
     random_source,
     trial_rng,
@@ -196,7 +195,7 @@ def test_criterion_5_kraft_construction(criterion_report):
         rng = trial_rng(411, k)
         r = 2 + rng.randbelow(3)
         n = 1 + rng.randbelow(10)
-        lengths = random_kraft_lengths(rng, r, n)
+        lengths = random_prefix_code(rng, r, n).lengths()
         code = construct_instantaneous(lengths, r)
         if code.lengths() != lengths or not is_prefix_free(code):
             failures += 1

@@ -13,7 +13,6 @@ import codecert.proof as proof
 import codecert.tree as tree_module
 from codecert import (
     Code,
-    Codeword,
     ExactnessCheckFailed,
     SiblingGroup,
     Source,
@@ -26,6 +25,7 @@ from codecert import (
     equality_condition,
     find_sibling_group,
     format_certificate,
+    format_codeword,
     from_tree,
     huffman,
     is_compact,
@@ -55,7 +55,7 @@ def reference_chain(src, code):
 
 
 def fields(step):
-    return (step.group, step.probs, step.p_red, step.l_red, step.delta.hex(), step.is_tight)
+    return (step.group, step.probs, step.p_red, step.delta.hex(), step.is_tight)
 
 
 def random_case(rng, r, k):
@@ -167,7 +167,7 @@ def assert_matches_tree_route(src, code, deep=False):
     chain (walk_chain for deep codes), acl_exact and equality_condition."""
     r = code.radix
     reduced = minimal_reduction(code)
-    kraft = construct_instantaneous([w.length for w in reduced.pooled()], r)
+    kraft = construct_instantaneous(reduced.lengths(), r)
     canonical = Code(r, tuple((s, words) for s, (_, words) in zip(reduced.symbols, kraft.mapping)))
     tree = compact_standalone(to_tree(canonical, src))
     certified = from_tree(tree)
@@ -203,7 +203,7 @@ def comb(r, depth):
     words += [top + (d,) for d in range(r)]
     symbols = [f"s{i}" for i in range(len(words))]
     src = make_source(symbols, [F(1, r ** len(w)) for w in words])
-    return src, make_code(r, [(s, Codeword(w)) for s, w in zip(symbols, words)])
+    return src, make_code(r, [(s, [w]) for s, w in zip(symbols, words)])
 
 
 @pytest.mark.parametrize("r", [2, 3, 16, 36])
@@ -219,7 +219,7 @@ def test_certify_matches_tree_route_on_one_symbol(r):
     one = make_source("a", [F(1)])
     cert = assert_matches_tree_route(one, make_code(r, {"a": "-"}))
     assert (cert.verdict, cert.acl_drop, cert.steps) == ("Equality", 0, ())
-    long_word = make_code(r, {"a": Codeword((r - 1,) * 2100)})
+    long_word = make_code(r, {"a": [(r - 1,) * 2100]})
     cert = assert_matches_tree_route(one, long_word, deep=True)
     assert (cert.verdict, cert.acl_drop, cert.certified_paths) == ("Equality", 2100, ((),))
 
@@ -228,9 +228,9 @@ def test_certify_matches_tree_route_on_one_symbol(r):
 def test_certify_matches_tree_route_on_deep_chains(r):
     # the canonical words 0, 10^2099 and 0, 10^2099, 10^2098 10 hang on chains
     two = make_source("ab", [F(1, 3), F(2, 3)])
-    cert = assert_matches_tree_route(two, make_code(r, {"a": "0", "b": Codeword((1,) * 2100)}), deep=True)
+    cert = assert_matches_tree_route(two, make_code(r, {"a": "0", "b": [(1,) * 2100]}), deep=True)
     assert cert.acl_drop == F(2, 3) * 2099
-    words = {"a": Codeword((0,)), "b": Codeword((1,) * 2099 + (0,)), "c": Codeword((1,) * 2101)}
+    words = {"a": [(0,)], "b": [(1,) * 2099 + (0,)], "c": [(1,) * 2101]}
     three = make_source("abc", [F(1, 2), F(1, 3), F(1, 6)])
     cert = assert_matches_tree_route(three, make_code(r, words), deep=True)
     assert cert.certified_paths == ((0,), (1, 0), (1, 1))
@@ -241,7 +241,7 @@ def test_certify_matches_tree_route_on_deep_combs(r, depth):
     src, code = comb(r, depth)
     cert = assert_matches_tree_route(src, code, deep=True)
     assert cert.verdict == "Equality" and len(cert.steps) == depth
-    assert [s.l_red for s in cert.steps] == list(range(depth - 1, -1, -1))
+    assert [len(s.group.parent) for s in cert.steps] == list(range(depth - 1, -1, -1))
 
 
 def test_certify_matches_tree_route_on_a_deep_comb_of_unequal_masses():
@@ -276,8 +276,8 @@ def test_certify_builds_no_code_and_no_tree(monkeypatch):
             monkeypatch.setattr(proof, name, refuse)
     cert = certify(src, code)
     assert built == []  # a one-codeword code is its own minimal reduction
-    assert [str(w) for w in cert.certified_code.pooled()] == ["0", "10", "11", "12"]
-    assert [str(w) for w in cert.canonical_code.pooled()] == ["0", "10", "11", "1200"]
+    assert list(map(format_codeword, cert.certified_code.pooled())) == ["0", "10", "11", "12"]
+    assert list(map(format_codeword, cert.canonical_code.pooled())) == ["0", "10", "11", "1200"]
     assert len(built) == 2
 
 
@@ -316,9 +316,9 @@ def test_is_prefix_free_matches_pairwise_oracle():
         mapping = []
         for i in range(rng.randint(1, 6)):
             words = {tuple(rng.randrange(r) for _ in range(rng.randint(0, 3))) for _ in range(rng.randint(1, 2))}
-            mapping.append((f"s{i}", [Codeword(w) for w in sorted(words)]))
+            mapping.append((f"s{i}", sorted(words)))
         code = make_code(r, mapping)
-        assert is_prefix_free(code) == prefix_free_oracle([w.digits for w in code.pooled()]), mapping
+        assert is_prefix_free(code) == prefix_free_oracle(code.pooled()), mapping
 
 
 @pytest.mark.parametrize(
@@ -334,7 +334,7 @@ def test_is_prefix_free_matches_pairwise_oracle():
 def test_is_prefix_free_duplicates_and_empty_word(mapping, expected):
     code = make_code(2, mapping)
     assert is_prefix_free(code) is expected
-    assert prefix_free_oracle([w.digits for w in code.pooled()]) is expected
+    assert prefix_free_oracle(code.pooled()) is expected
 
 
 # --- deep codes ---
@@ -345,7 +345,7 @@ def unary_dyadic(n):
     symbols = [f"s{i}" for i in range(n)]
     probs = [F(1, 2**i) for i in range(1, n)] + [F(1, 2 ** (n - 1))]
     words = [(1,) * (i - 1) + (0,) for i in range(1, n)] + [(1,) * (n - 1)]
-    return make_source(symbols, probs), make_code(2, [(s, Codeword(w)) for s, w in zip(symbols, words)])
+    return make_source(symbols, probs), make_code(2, [(s, [w]) for s, w in zip(symbols, words)])
 
 
 def test_certify_deep_unary_code():
@@ -355,7 +355,7 @@ def test_certify_deep_unary_code():
     assert len(cert.steps) == 1099
     assert cert.entropy == cert.acl == 2.0
     assert cert.witness.exponents == tuple(range(1, 1100)) + (1099,)
-    assert [s.l_red for s in cert.steps] == list(range(1098, -1, -1))
+    assert [len(s.group.parent) for s in cert.steps] == list(range(1098, -1, -1))
 
 
 def test_deep_tree_walks_and_huffman():

@@ -10,22 +10,24 @@ from hypothesis import strategies as st
 
 from codecert import (
     Code,
-    Codeword,
     DigitOutOfRange,
     DuplicateSymbol,
+    EncodingPolicy,
     InvalidRadix,
     MissingPolicy,
     MissingSymbol,
     ZeroOrNegativeProbability,
     acl,
     acl_exact,
+    construct_instantaneous,
     empirical_acl,
-    is_non_singular,
+    format_codeword,
     kraft_sum,
     make_code,
     make_policy,
     make_source,
     minimal_reduction,
+    parse_codeword,
 )
 
 
@@ -41,24 +43,24 @@ def code_abc():
 
 
 def test_codeword_parse_and_str():
-    assert Codeword.parse("010").digits == (0, 1, 0)
-    assert Codeword.parse("-").digits == ()
-    assert str(Codeword((1, 0))) == "10"
-    assert str(Codeword(())) == "-"
-    assert str(Codeword((3, 11))) == "3.11"
+    assert parse_codeword("010") == (0, 1, 0)
+    assert parse_codeword("-") == ()
+    assert format_codeword((1, 0)) == "10"
+    assert format_codeword(()) == "-"
+    assert format_codeword((3, 11)) == "3.11"
     for bad in ("", "12a", "1 0", "0,1", "١٠", "٣.١١", "１", "1_0.2"):
         with pytest.raises(ValueError):
-            Codeword.parse(bad)
+            parse_codeword(bad)
 
 
 def test_codeword_text_round_trips_digits_up_to_35():
     rng = random.Random(35)
-    words = [Codeword((d,)) for d in range(36)]
-    words += [Codeword(tuple(rng.randrange(36) for _ in range(rng.randint(0, 5)))) for _ in range(500)]
+    words = [(d,) for d in range(36)]
+    words += [tuple(rng.randrange(36) for _ in range(rng.randint(0, 5))) for _ in range(500)]
     for w in words:
-        assert Codeword.parse(str(w)) == w
-    assert (str(Codeword((10,))), str(Codeword((1, 0)))) == ("10.", "10")
-    assert Codeword.parse("10.") != Codeword.parse("10")
+        assert parse_codeword(format_codeword(w)) == w
+    assert (format_codeword((10,)), format_codeword((1, 0))) == ("10.", "10")
+    assert parse_codeword("10.") != parse_codeword("10")
 
 
 # --- code construction ---
@@ -66,8 +68,8 @@ def test_codeword_text_round_trips_digits_up_to_35():
 
 def test_make_code_forms():
     by_dict = make_code(2, {"a": "0", "b": ["10", "11"]})
-    assert by_dict.codewords("a") == (Codeword((0,)),)
-    assert by_dict.codewords("b") == (Codeword((1, 0)), Codeword((1, 1)))
+    assert by_dict.codewords("a") == ((0,),)
+    assert by_dict.codewords("b") == ((1, 0), (1, 1))
     assert not by_dict.is_singleton()
     assert code_abc().is_singleton()
 
@@ -79,7 +81,7 @@ def test_code_validation():
     with pytest.raises(DigitOutOfRange, match=r"^digit 3 >= radix 3$"):
         make_code(3, {"a": ["01", "1302"]})
     with pytest.raises(DigitOutOfRange, match=r"^negative digit -1$"):
-        Code(2, (("a", (Codeword((1, -1, 5)),)),))
+        Code(2, (("a", ((1, -1, 5),)),))
     with pytest.raises(InvalidRadix):
         make_code(0, {"a": "0"})
     with pytest.raises(InvalidRadix, match="got True"):
@@ -87,9 +89,31 @@ def test_code_validation():
     with pytest.raises(ValueError):
         Code(2, (("a", ()),))
     with pytest.raises(ValueError):
-        Code(2, (("a", (Codeword((0,)),)), ("a", (Codeword((1,)),))))
+        Code(2, (("a", ((0,),)), ("a", ((1,),))))
     with pytest.raises(ValueError):
         make_code(2, [("a", ["0", "0"])])
+
+
+@pytest.mark.parametrize("digit", [0.5, True, "0"], ids=["float", "bool", "str"])
+def test_a_digit_that_is_not_an_int_is_refused(digit):
+    # 0.5 and True passed the range check, and "0" escaped as a TypeError from min
+    with pytest.raises(DigitOutOfRange, match=r" is not an int$") as info:
+        make_code(2, {"a": [(0,)], "b": [(digit,)]})
+    assert info.value.entry == 1
+
+
+def test_a_code_reports_its_first_entry_at_fault():
+    # all the digits are checked in one pass, yet an earlier entry's fault is the one reported
+    with pytest.raises(ValueError, match="repeats a codeword") as info:
+        make_code(2, [("a", "0"), ("b", ["1", "1"]), ("c", "12")])
+    assert info.value.entry == 1
+
+
+def test_a_codeword_that_is_not_a_digit_tuple_is_refused():
+    for word in ([1], "01"):
+        with pytest.raises(DigitOutOfRange, match="is not a tuple of digits") as info:
+            Code(2, (("a", ((0,),)), ("b", (word,))))
+        assert info.value.entry == 1
 
 
 def test_code_lookup_and_lengths():
@@ -98,15 +122,6 @@ def test_code_lookup_and_lengths():
     assert code.lengths() == [1, 2, 2]
     with pytest.raises(MissingSymbol):
         code.codewords("z")
-
-
-def test_is_non_singular():
-    assert is_non_singular(code_abc())
-    shared = make_code(2, [("a", "0"), ("b", "0")])
-    assert not is_non_singular(shared)
-    # several codewords per symbol: only a word shared across symbols is singular
-    assert is_non_singular(make_code(2, [("a", ["0", "11"]), ("b", ["10", "011"])]))
-    assert not is_non_singular(make_code(2, [("a", ["0", "11"]), ("b", "10"), ("c", ["1", "11"])]))
 
 
 # --- Kraft sum ---
@@ -124,6 +139,15 @@ def test_kraft_sum_exact():
         kraft_sum([1], 0)
     with pytest.raises(ValueError):
         kraft_sum([-1], 2)
+
+
+@pytest.mark.parametrize("lengths", [[1.5], [2.0], [True, True], [1, True]])
+def test_a_length_that_is_not_an_int_is_refused(lengths):
+    # [1, True] counts True under the key 1, so the lengths are checked, not the counts
+    with pytest.raises(ValueError, match=r"^codeword length .* is not an int$"):
+        kraft_sum(lengths, 2)
+    with pytest.raises(ValueError, match=r"^codeword length .* is not an int$"):
+        construct_instantaneous(lengths, 2)
 
 
 @given(
@@ -212,6 +236,15 @@ def test_policy_validation():
         make_policy([("a", ["1/2", "1/2"]), ("a", ["1/3", "2/3"])])
 
 
+@pytest.mark.parametrize("weight", [0.5, True])
+def test_policy_refuses_a_float_or_bool_weight_when_built(weight):
+    # make_policy refused these already; built directly, acl_exact and
+    # empirical_acl met them later as raw TypeError and AttributeError
+    with pytest.raises(ZeroOrNegativeProbability, match=r"probability .* rejected: pass a Fraction") as info:
+        EncodingPolicy((("a", (F(1),)), ("b", (weight, F(1, 2)))))
+    assert info.value.entry == 1
+
+
 def test_tables_share_one_entry_validator():
     # a repeated symbol is one error type, still a ValueError, in every table
     for build in (
@@ -239,14 +272,14 @@ def test_tables_share_one_entry_validator():
 def test_minimal_reduction_picks_shortest():
     code = make_code(2, {"a": ["010", "0", "11"], "b": ["10", "111"]})
     reduced = minimal_reduction(code)
-    assert reduced.codewords("a") == (Codeword((0,)),)
-    assert reduced.codewords("b") == (Codeword((1, 0)),)
+    assert reduced.codewords("a") == ((0,),)
+    assert reduced.codewords("b") == ((1, 0),)
     assert minimal_reduction(reduced) is reduced
 
 
 def test_minimal_reduction_tie_breaks_to_least_digits():
     code = make_code(2, {"a": ["11", "10"]})
-    assert minimal_reduction(code).codewords("a") == (Codeword((1, 0)),)
+    assert minimal_reduction(code).codewords("a") == ((1, 0),)
 
 
 def test_minimal_reduction_never_longer_under_any_policy():
@@ -281,7 +314,7 @@ def test_empirical_acl_matches_running_average():
     for src, code, pol in ((dyadic_abc(), code_abc(), None), (src3, multi, policy)):
         trace = empirical_acl(src, code, pol, 500, 9)
         steps = list(zip(trace.symbol_indices, trace.codeword_indices))
-        assert list(trace.lengths) == [code.codewords(src.symbols[i])[u].length for i, u in steps]
+        assert list(trace.lengths) == [len(code.codewords(src.symbols[i])[u]) for i, u in steps]
         assert len(trace.lengths) == len(trace.acl_values) == 500
         for k in range(1, 501):
             assert trace.acl_values[k - 1] == sum(trace.lengths[:k]) / k

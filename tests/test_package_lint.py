@@ -1,9 +1,12 @@
-"""Static checks over the package source."""
+"""Static checks over the package source and its export list."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import codecert
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "codecert"
 
@@ -14,3 +17,9 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+def test_all_is_exactly_the_public_names_of_the_package():
+    # a name removed from the package cannot linger as an export, nor a new one go unexported
+    bound = [name for name, value in vars(codecert).items() if not name.startswith("_") and not isinstance(value, ModuleType)]
+    assert sorted(codecert.__all__) == sorted(bound)

@@ -26,6 +26,7 @@ from codecert import (
     equality_condition,
     find_sibling_group,
     format_certificate,
+    format_codeword,
     from_tree,
     huffman,
     make_code,
@@ -58,7 +59,7 @@ def test_step_tight_pair():
     assert step.delta == 0.0
     assert step.is_tight
     assert step.s == 2
-    assert step.l_red == 1
+    assert len(step.group.parent) == 1
     assert (1,) in reduced_tree.paths
     assert reduced_src.probs == (F(1, 2), F(1, 2))
     assert reduced_src.symbols[1] == MergedSymbol(("b", "c"))
@@ -123,7 +124,7 @@ def test_step_rejects_invalid_groups():
 def test_reduction_step_record_and_errors():
     group = SiblingGroup((1,), ((1, 0), (1, 1)))
     step = reduction_step(group, (3, 1), 10, 2)  # probabilities 3/10 and 1/10
-    assert (step.p_red, step.l_red, step.s, step.is_tight) == (F(2, 5), 1, 2, False)
+    assert (step.p_red, step.s, step.is_tight) == (F(2, 5), 2, False)
     assert step.probs == (F(3, 10), F(1, 10))
     assert abs(step.delta - float(delta_oracle((F(3, 10), F(1, 10)), 2))) <= 1e-12
     # the masses' common factor changes no bit of the defect
@@ -199,14 +200,14 @@ def test_certify_compacts_wasteful_code():
     assert cert.acl_drop == F(1, 2)
     assert cert.acl_exact == 1
     assert cert.verdict == "Equality"
-    assert [str(w) for w in cert.certified_code.pooled()] == ["0", "1"]
+    assert list(map(format_codeword, cert.certified_code.pooled())) == ["0", "1"]
 
 
 def test_certify_canonicalizes_suffix_code():
     src = make_source("ab", [F(2, 3), F(1, 3)])
     suffix = make_code(2, {"a": "0", "b": "01"})
     cert = certify(src, suffix)
-    assert [str(w) for w in cert.canonical_code.pooled()] == ["0", "10"]
+    assert list(map(format_codeword, cert.canonical_code.pooled())) == ["0", "10"]
     assert acl_exact(src, cert.canonical_code) == acl_exact(src, suffix)
     # the canonical tree has a splice-able chain over the longer word
     assert cert.acl_drop == F(1, 3)

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from codecert import InvalidRadix, SplitMix64, format_certificate, grow_full_tree, random_prefix_code
+from codecert import InvalidRadix, SplitMix64, format_certificate, format_codeword, grow_full_tree, random_prefix_code
 from codecert import cli, randgen
 from codecert.randgen import _grow_leaf_paths, _random_leaf_paths
 from oracles import grow_leaf_paths_oracle, tree_shape_oracle
@@ -31,7 +31,7 @@ def _fuzz_stream_digest(monkeypatch, seed):
 
     def certifying(src, code):
         cert = certify(src, code)
-        words = [str(w) for w in code.pooled()]
+        words = list(map(format_codeword, code.pooled()))
         instance = (code.radix, len(src), [str(p) for p in src.probs], words, bool(flipped))
         digest.update(repr(instance).encode())
         digest.update(format_certificate(cert).encode())

@@ -9,7 +9,6 @@ import pytest
 from codecert import (
     Code,
     CodeTree,
-    Codeword,
     InvalidGroup,
     NotCompact,
     NotPrefixFree,
@@ -135,7 +134,7 @@ def test_compact_matches_the_splicing_oracle():
             if not any(w[: len(u)] == u or u[: len(w)] == w for u in words):
                 words.add(w)
         paths = sorted(words)
-        code = make_code(r, [(f"s{i}", Codeword(p)) for i, p in enumerate(paths)])
+        code = make_code(r, [(f"s{i}", [p]) for i, p in enumerate(paths)])
         compacted = compact_standalone(to_tree(code))
         assert is_compact(compacted)
         expected = list(zip(compacted_paths_oracle(paths), code.symbols))
@@ -269,7 +268,7 @@ def test_flat_readers_match_the_nodes_oracle(r):
         paths = random_paths(rng, r)
         symbols = [f"s{i}" for i in range(len(paths))]
         src = make_source(symbols, [F(1, len(paths))] * len(paths)) if k % 2 else None
-        tree = to_tree(make_code(r, [(s, Codeword(p)) for s, p in zip(symbols, paths)]), src)
+        tree = to_tree(make_code(r, [(s, [p]) for s, p in zip(symbols, paths)]), src)
         assert_readers_match_nodes_oracle(tree)
         assert_readers_match_nodes_oracle(compact_standalone(tree))
         assert_readers_match_nodes_oracle(grow_full_tree(trial_rng(k, r), r, k % 7))
