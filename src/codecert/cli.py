@@ -71,10 +71,10 @@ from .codes import (
 from .decipher import (
     DEFAULT_UD_BUDGET,
     _check_budget,
+    _witness,
     construct_instantaneous,
     huffman,
     is_prefix_free,
-    ud_counterexample,
 )
 from .errors import CodecertError, KraftViolated, NotUniquelyDecipherable, ParseError
 from .proof import (
@@ -85,7 +85,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, entropy, make_source, parse_rational
+from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, _ratio, entropy, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -101,39 +101,43 @@ def _significant_lines(path: str) -> list[tuple[int, str]]:
         raise ParseError(f"[Errno {e.errno}] {e.strerror}: {_quote(path)}") from None
     except UnicodeDecodeError as e:
         raise ParseError(str(e), path=path) from None
+    return [(lineno, text) for lineno, line in enumerate(raw, start=1) if (text := line.strip()) and text[0] != "#"]
+
+
+def _at(path: str, lines: list[int], build, *args):
+    """build(*args) of a table whose entries are on these lines, reporting a CodecertError or ValueError
+    as a ParseError at path, and at the line of the entry it names (source._check_entries)."""
+    try:
+        return build(*args)
+    except (CodecertError, ValueError) as e:
+        raise ParseError(str(e), path=path, line=lines[e.entry] if hasattr(e, "entry") else None) from None
+
+
+def _each_line(path: str, lines: list[tuple[int, str]], read) -> list:
+    """read(text) of each line in order, reporting a CodecertError or ValueError as a ParseError at path:line."""
     out = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.strip()
-        if text and not text.startswith("#"):
-            out.append((lineno, text))
+    try:
+        for lineno, text in lines:
+            out.append(read(text))
+    except (CodecertError, ValueError) as e:
+        raise ParseError(str(e), path=path, line=lineno) from None
     return out
 
 
-def _at(path: str, line: int | list[int] | None, parse, *args):
-    """parse(*args), reporting a CodecertError or ValueError as a ParseError at path[:line];
-    given a table's entry lines, at the line of the entry the error names (source._check_entries)."""
-    try:
-        return parse(*args)
-    except (CodecertError, ValueError) as e:
-        if isinstance(line, list):
-            line = line[e.entry] if hasattr(e, "entry") else None
-        raise ParseError(str(e), path=path, line=line) from None
-
-
-def _source_entry(text: str) -> tuple[str, Fraction]:
+def _source_entry(text: str) -> tuple[str, tuple[int, int]]:
     tokens = text.split()
     if len(tokens) != 2:
         raise ValueError(f"expected '<symbol> <probability>', got {_quote(text)}")
-    return tokens[0], parse_rational(tokens[1])
+    return tokens[0], _ratio(tokens[1])
 
 
 def parse_source_file(path: str) -> Source:
     lines = _significant_lines(path)
-    entries = [_at(path, lineno, _source_entry, text) for lineno, text in lines]
+    entries = _each_line(path, lines, _source_entry)
     if not entries:
         raise ParseError("no source entries found", path=path)
-    symbols, probs = zip(*entries)
-    return _at(path, [lineno for lineno, _ in lines], make_source, symbols, probs)
+    symbols, ratios = zip(*entries)
+    return _at(path, [lineno for lineno, _ in lines], lambda: Source(symbols, *_integer_masses(ratios)))
 
 
 def _code_header(text: str) -> int:
@@ -141,9 +145,7 @@ def _code_header(text: str) -> int:
     if len(tokens) != 2 or tokens[0] != "radix" or not (tokens[1].isascii() and tokens[1].isdigit()):
         raise ValueError(f"expected header 'radix <r>', got {_quote(text)}")
     _check_numeral(tokens[1])
-    r = int(tokens[1])
-    _check_radix(r, 1)
-    return r
+    return _check_radix(int(tokens[1]), 1)
 
 
 def _code_entry(text: str) -> tuple[str, tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
@@ -165,9 +167,9 @@ def parse_code_file(path: str) -> tuple[Code, EncodingPolicy | None]:
     lines = _significant_lines(path)
     if not lines:
         raise ParseError("no code entries found", path=path)
-    r = _at(path, lines[0][0], _code_header, lines[0][1])
+    [r] = _each_line(path, lines[:1], _code_header)
     linenos = [lineno for lineno, _ in lines[1:]]
-    entries = [_at(path, lineno, _code_entry, text) for lineno, text in lines[1:]]
+    entries = _each_line(path, lines[1:], _code_entry)
     if not entries:
         raise ParseError("code file has a header but no codewords", path=path)
     code = _at(path, linenos, Code, r, tuple((symbol, words) for symbol, words, _ in entries))
@@ -289,15 +291,14 @@ def _cmd_kraft(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_check_ud(args: argparse.Namespace) -> tuple[int, str]:
     code, _ = parse_code_file(args.code)
     # one exact search; --max-len only caps the witness that is reported
-    witness = ud_counterexample(code, None)
-    if witness is None:
+    digits = _witness(code)
+    if digits is None:
         if code.is_singleton():
             return 0, _kv([("ud", True)]) if args.machine else "uniquely decipherable"
         if args.machine:
             return 0, _kv([("ud", True), ("budget", args.max_len)])
         return 0, f"no ambiguous digit string within {args.max_len} digits"
-    if len(parse_codeword(witness)) > args.max_len:
-        witness = None
+    witness = format_codeword(digits) if len(digits) <= args.max_len else None
     if args.machine:
         return 1, _kv([("ud", False), ("witness", witness)])
     if witness is None:
@@ -470,7 +471,7 @@ def _cmd_check_ineq(args: argparse.Namespace) -> tuple[int, str]:
     # integer oracle on the same group's masses over their least common
     # denominator; its integers are below (r*M)**M for their sum M, so it is
     # skipped past 13,000 bits, which bounds its work and what it prints
-    M = sum(_integer_masses(probs)[1])
+    M = sum(_integer_masses([(q.numerator, q.denominator) for q in probs])[0])
     small = M * (args.radix * M).bit_length() <= 13_000
     ghm = check_rational_ghm(probs, args.radix) if small else None
 

@@ -34,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from numbers import Rational
 from operator import truediv
 from typing import Any, Iterable, Mapping
 
@@ -47,18 +48,23 @@ from .source import _as_fraction, _check_entries, _check_numeral, _check_radix, 
 _CHOICE_SALT = 0xC0DE00C4015E
 
 
+#: bytes.translate tables from the ASCII digit characters to the digits 0..9, and back
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def parse_codeword(text: str) -> tuple[int, ...]:
     """The digits of a codeword's text: '-' is the empty word, '0110' one
     digit per character, and '3.11' or '10.' dot-separated digits."""
+    if text.isascii() and text.isdigit():  # each character is one digit
+        return tuple(text.encode().translate(_DIGIT_VALUES))
     if text == "-":
         return ()
-    # without a dot, each character is one digit
-    parts = text.removesuffix(".").split(".") if "." in text else text
-    if not parts or not text.isascii() or not all(map(str.isdigit, parts)):
+    parts = text.removesuffix(".").split(".")
+    if "." not in text or not text.isascii() or not all(map(str.isdigit, parts)):
         raise ValueError(f"not a codeword: {_quote(text)}")
-    if "." in text:  # each dotted digit is a numeral
-        for part in parts:
-            _check_numeral(part)
+    for part in parts:  # each dotted digit is a numeral
+        _check_numeral(part)
     return tuple(map(int, parts))
 
 
@@ -67,7 +73,7 @@ def format_codeword(digits: tuple[int, ...]) -> str:
     if not digits:
         return "-"
     if max(digits) <= 9:
-        return "".join(map(str, digits))
+        return bytes(digits).translate(_DIGIT_CHARS).decode()
     # a trailing dot keeps the one-digit word (10,) apart from '10' = (1, 0)
     return ".".join(map(str, digits)) + ("." if len(digits) == 1 else "")
 
@@ -81,8 +87,10 @@ def _check_codewords(symbol, words: tuple[tuple[int, ...], ...]) -> None:
 
 
 def _check_codewords_and_digits(radix: int, symbol, words) -> None:
-    """_check_codewords, after each codeword is checked to be a tuple of int
-    digits in 0..radix-1."""
+    """_check_codewords, after the codeword set is checked to be a tuple of
+    tuples of int digits in 0..radix-1."""
+    if type(words) is not tuple:
+        raise DigitOutOfRange(f"codewords {_quote(words)} of {_quote(symbol)} are not a tuple of codewords")
     for w in words:
         if type(w) is not tuple:
             raise DigitOutOfRange(f"codeword {_quote(w)} of {_quote(symbol)} is not a tuple of digits")
@@ -94,9 +102,13 @@ def _check_codewords_and_digits(radix: int, symbol, words) -> None:
     _check_codewords(symbol, words)
 
 
-def _are_digit_tuples(radix: int, words: list) -> bool:
-    """Whether every word is a tuple of int digits in 0..radix-1: one pass over
-    all the digits, cheaper than a check of each word."""
+def _are_digit_tuples(radix: int, mapping: tuple) -> bool:
+    """Whether every codeword set is a tuple of tuples of int digits in
+    0..radix-1: one pass over all the digits, cheaper than a check of each word."""
+    word_sets = [words for _, words in mapping]
+    if not set(map(type, word_sets)) <= {tuple}:
+        return False
+    words = list(itertools.chain.from_iterable(word_sets))
     if not set(map(type, words)) <= {tuple}:
         return False
     digits = list(itertools.chain.from_iterable(words))
@@ -112,7 +124,7 @@ class Code:
 
     def __post_init__(self):
         _check_radix(self.radix, 1)
-        if not _are_digit_tuples(self.radix, self.pooled()):  # find the first entry at fault
+        if not _are_digit_tuples(self.radix, self.mapping):  # find the first entry at fault
             _check_entries(self.mapping, partial(_check_codewords_and_digits, self.radix))
         _check_entries(self.mapping, _check_codewords)
 
@@ -147,23 +159,32 @@ def make_code(radix: int, mapping: Mapping | Iterable) -> Code:
 
     A str is one codeword, in the text parse_codeword reads ('10', '-'
     for the empty word); any other value is a list of codewords, each
-    such a text or a sequence of digits.
+    such a text or a sequence of digits. Anything else is left for Code
+    to refuse.
     """
     items = mapping.items() if isinstance(mapping, Mapping) else mapping
     out = []
     for symbol, words in items:
         if isinstance(words, str):
             words = [words]
-        out.append((symbol, tuple(parse_codeword(w) if isinstance(w, str) else tuple(w) for w in words)))
+        out.append((symbol, tuple(map(_as_word, words)) if isinstance(words, Iterable) else words))
     return Code(radix, tuple(out))
+
+
+def _as_word(w):
+    """A codeword given as its text or as a sequence of digits, as a digit tuple."""
+    return parse_codeword(w) if isinstance(w, str) else tuple(w) if isinstance(w, Iterable) else w
 
 
 def _check_weights(symbol, qs: tuple[Fraction, ...]) -> None:
     """The invariants of one symbol's choice weights in an EncodingPolicy."""
     if not qs:
         raise ValueError(f"empty weight list for {_quote(symbol)}")
-    for q in qs:  # a float or a bool is refused as make_source refuses it
-        _as_fraction(q)
+    for q in qs:
+        if isinstance(q, (float, bool)):  # refused as make_source refuses it
+            _as_fraction(q)
+        if not isinstance(q, Rational):
+            raise ValueError(f"weights for {_quote(symbol)} must be rationals, got {_quote(q)}")
     if any(q <= 0 for q in qs):
         raise ValueError(f"weights for {_quote(symbol)} must be strictly positive")
     if sum(qs, Fraction(0)) != 1:
@@ -310,7 +331,8 @@ def empirical_acl(
     thresholds: list[tuple[int, list[int]] | None] = [None] * len(words_of)
     for i in dict.fromkeys(sym_idx):
         if len(words_of[i]) > 1:
-            denom, masses = _integer_masses(_policy_weights(policy, src.symbols[i], words_of[i]))
+            qs = _policy_weights(policy, src.symbols[i], words_of[i])
+            masses, denom = _integer_masses([(q.numerator, q.denominator) for q in qs])
             thresholds[i] = denom, list(itertools.accumulate(masses))
     randbelow = SplitMix64(derived_seed(seed, _CHOICE_SALT)).randbelow
     cw_idx = [bisect_right(th[1], randbelow(th[0])) if (th := thresholds[i]) else 0 for i in sym_idx]

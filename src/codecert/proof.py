@@ -212,7 +212,7 @@ def reduce_group(tree: CodeTree, group: SiblingGroup) -> tuple[Source, CodeTree,
     probs = tuple(leaf.prob for leaf in leaves)
     if None in probs:
         raise InvalidGroup("group leaf carries no probability")
-    denominator, masses = _integer_masses(probs)
+    masses, denominator = _integer_masses([(q.numerator, q.denominator) for q in probs])
     step = reduction_step(group, masses, denominator, tree.radix)
     merged = MergedSymbol(tuple(leaf.symbol for leaf in leaves))
     reduced_tree = replace_group_with_leaf(tree, group, merged, step.p_red)
@@ -376,7 +376,7 @@ def _group_masses(probs, r: int, *, within_radix: bool = True) -> tuple[int, tup
     probs = tuple(map(_as_fraction, probs))
     if not probs:
         raise ValueError("need at least one probability")
-    d, masses = _integer_masses(probs)
+    masses, d = _integer_masses([(q.numerator, q.denominator) for q in probs])
     for m in masses:
         if m <= 0:
             raise ZeroOrNegativeProbability(f"group probabilities must be positive, got {_cut(Fraction(m, d))}")

@@ -2,13 +2,15 @@
 
 A source is an ordered alphabet with an exact rational probability for
 each symbol, held as positive integer masses m_i over their least common
-denominator D (p_i = m_i/D, sum m_i = D); `make_source` derives them
-from rationals. Every exact computation (ACL, Huffman merges, merge-chain
-masses, the equality test, sampling) runs on these integers; `probs` is
-their Fraction view, built when read. Only entropy and the per-merge
-defects are floating-point surfaces, and they read m/D, which rounds
-exactly as float(Fraction) does. Exactness lets the proof engine decide
-the equality case p_i = r^(-l_i) with no tolerance at all.
+denominator D (p_i = m_i/D, sum m_i = D). `make_source` derives them from
+rationals, and a source file from (numerator, denominator) pairs with no
+Fraction between, both through `_integer_masses`, which caps the lcm.
+Every exact computation (ACL, Huffman merges, merge-chain masses, the
+equality test, sampling) runs on these integers; `probs` is their
+Fraction view, built when read. Only entropy and the per-merge defects
+are floating-point surfaces, and they read m/D, which rounds exactly as
+float(Fraction) does. Exactness lets the proof engine decide the equality
+case p_i = r^(-l_i) with no tolerance at all.
 
 Every symbol table (Source, Code, EncodingPolicy) checks each entry once,
 through `_check_entries`, which also rejects a symbol listed twice.
@@ -26,7 +28,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from numbers import Rational
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
@@ -107,27 +108,34 @@ def _quote_list(values: Sequence) -> str:
     return f"[{shown}, ...] ({len(values):,} in all)"
 
 
+def _ratio(text: str) -> tuple[int, int]:
+    """The numerator and denominator, in lowest terms, of the rational that
+    parse_rational reads: 'a/b' and 'a' in plain ASCII digits as two ints and
+    one gcd, with no Fraction built, and every other form through Fraction."""
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.isdigit() and (den.isdigit() or not slash) and len(text) <= MAX_NUMERAL_DIGITS:
+        n, d = int(num), int(den or 1)
+        if d:
+            g = math.gcd(n, d)
+            return n // g, d // g
+    if text.isascii() and "_" not in text:
+        _check_numeral(text)
+        try:
+            return Fraction(text.strip()).as_integer_ratio()
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational number: {_quote(text)}")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b', an integer, or a finite decimal into an exact Fraction.
 
     Decimal text is converted exactly ('0.25' -> 1/4), never through a
     binary float. Digits are ASCII, without '_' (Fraction accepts both),
-    and each numeral has at most MAX_NUMERAL_DIGITS of them.
+    and each numeral has at most MAX_NUMERAL_DIGITS of them. A source file
+    is read through the same syntax (`_ratio`) straight into integer pairs.
     """
-    if text.isascii():
-        # 'a/b' and 'a' in plain digits skip Fraction's regular expression
-        num, slash, den = text.partition("/")
-        if num.isdigit() and (not slash or den.isdigit() and den.strip("0")):
-            if len(text) > MAX_NUMERAL_DIGITS:
-                _check_numeral(text)
-            return Fraction(int(num), int(den) if slash else 1)
-        if "_" not in text:
-            _check_numeral(text)
-            try:
-                return Fraction(text.strip())
-            except (ValueError, ZeroDivisionError):
-                pass
-    raise ValueError(f"not a rational number: {_quote(text)}")
+    return Fraction(*_ratio(text))
 
 
 def _as_fraction(value) -> Fraction:
@@ -171,16 +179,16 @@ def _check_probability(d: int, symbol, m) -> None:
 MAX_DENOMINATOR_BITS = 300_000
 
 
-def _integer_masses(probs: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
-    """The least common denominator D = lcm of the denominators and the
-    integer masses m_i = probs[i]*D, so probs[i] == Fraction(m_i, D) exactly.
+def _integer_masses(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """The integer masses n*D/d of fractions n/d, given as (n, d) pairs in lowest
+    terms, over their least common denominator D, and D: n/d == mass/D exactly.
     The lcm is refused as soon as it has more than MAX_DENOMINATOR_BITS bits."""
     denom = 1
-    for d in {p.denominator for p in probs}:
+    for d in {d for _, d in ratios}:
         denom = math.lcm(denom, d)
         if denom.bit_length() > MAX_DENOMINATOR_BITS:
             raise ValueError(f"the probabilities' common denominator has more than {MAX_DENOMINATOR_BITS:,} bits")
-    return denom, tuple(p.numerator * (denom // p.denominator) for p in probs)
+    return tuple(n * (denom // d) for n, d in ratios), denom
 
 
 #: Most bits of a common denominator whose wrong sum an error prints exactly;
@@ -239,8 +247,7 @@ class Source:
 
 def make_source(symbols: Sequence, probs: Sequence) -> Source:
     """The Source of exact rationals (a float is refused): masses over the lcm of their denominators."""
-    denominator, masses = _integer_masses(tuple(map(_as_fraction, probs)))
-    return Source(tuple(symbols), masses, denominator)
+    return Source(tuple(symbols), *_integer_masses([(q.numerator, q.denominator) for q in map(_as_fraction, probs)]))
 
 
 def _check_radix(r, least: int = 2) -> int:

@@ -8,16 +8,20 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import codecert
 import codecert.cli as cli
 import codecert.codes as codes
 import codecert.decipher as decipher
 from codecert.cli import main, parse_code_file
-from codecert.source import _check_probability
+from codecert.errors import CodecertError, ParseError
+from codecert.source import _check_probability, make_source, parse_rational
 
 DYADIC_SRC = "a 1/2\nb 1/4\nc 1/4\n"
 DYADIC_CODE = "radix 2\na 0\nb 10\nc 11\n"
@@ -139,6 +143,14 @@ def test_check_ud_budget_hides_witness(tmp_path, capsys):
     code = write(tmp_path, "c.txt", "radix 2\na 0\nb 01\nc 10\n")
     status, out, _ = run(capsys, "check-ud", code, "--max-len", "2", "--machine")
     assert (status, out) == (1, "ud=False\nwitness=None")
+
+
+def test_check_ud_budget_admits_a_witness_of_its_length(tmp_path, capsys):
+    # the cap compares against the witness's digits; radix 12 words are dotted
+    code = write(tmp_path, "c.txt", "radix 12\na 11.\nb 11.10\nc 10.\n")
+    for max_len, witness in (("2", "11.10"), ("1", "None")):
+        status, out, _ = run(capsys, "check-ud", code, "--max-len", max_len, "--machine")
+        assert (status, out) == (1, f"ud=False\nwitness={witness}")
 
 
 def test_check_ud_clean(tmp_path, capsys):
@@ -733,7 +745,7 @@ RESOURCE_CASES = [
     ("entropy {src}", "entropy"),
     ("acl {src} {code}", "acl_exact"),
     ("kraft --lengths 1,2", "kraft_sum"),
-    ("check-ud {code}", "ud_counterexample"),
+    ("check-ud {code}", "_witness"),
     ("check-prefix {code}", "is_prefix_free"),
     ("build-code --lengths 1,2,2", "construct_instantaneous"),
     ("huffman {src}", "huffman"),
@@ -820,6 +832,91 @@ def test_parsing_checks_each_entry_once(tmp_path):
         sys.setprofile(None)
     assert len(code.mapping) == len(policy.weights) == n
     assert calls == {"_check_probability": n, "_check_codewords": n, "_check_weights": n}
+
+
+def count_fractions_built(read, *args):
+    """read(*args), and the number of Fractions built meanwhile."""
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            built.append(1)
+
+    sys.setprofile(profile)
+    try:
+        result = read(*args)
+    finally:
+        sys.setprofile(None)
+    return result, len(built)
+
+
+def test_a_source_of_ratios_is_read_without_a_fraction(tmp_path):
+    # 'a/b' lines, reduced or not, become integer masses with no Fraction between
+    n = 40
+    ratios = write(tmp_path, "s.txt", "".join(f"s{i} {1 + i % 2}/{n * (1 + i % 2)}\n" for i in range(n)))
+    src, built = count_fractions_built(cli.parse_source_file, ratios)
+    assert (src.masses, src.denominator, built) == ((1,) * n, n, 0)
+    # the counter sees the Fraction a decimal is still read through
+    decimals = write(tmp_path, "d.txt", "a 0.5\nb 1/2\n")
+    assert count_fractions_built(cli.parse_source_file, decimals)[1] > 0
+
+
+def numeral_forms(q: Fraction) -> list[str]:
+    """Texts of q as a source file may write it: reduced, unreduced, with
+    leading zeros, as an integer and as a finite decimal where it is one."""
+    a, b = q.numerator, q.denominator
+    forms = [f"{a}/{b}", f"{3 * a}/{3 * b}", f"00{a}/0{b}"]
+    if b == 1:
+        forms.append(str(a))
+    places = next((k for k in range(8) if 10**k % b == 0), None)
+    if places is not None:
+        scaled = a * 10**places // b
+        forms.append(f"{scaled // 10**places}.{scaled % 10**places:0{places}d}")
+    return forms
+
+
+@st.composite
+def source_numerals(draw):
+    """The probability numerals of a source file over a denominator d: a
+    partition of d, possibly with zero parts, sometimes off by one so that it
+    does not sum to 1, and sometimes with a numeral that is not a rational."""
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 10, 12, 20, 25, 40, 100, 2**70]))
+    cuts = sorted(draw(st.lists(st.integers(0, d), max_size=6)))
+    masses = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, d])]
+    masses[-1] += draw(st.sampled_from([0, 0, 0, 1]))
+    numerals = [draw(st.sampled_from(numeral_forms(Fraction(m, d)))) for m in masses]
+    if draw(st.integers(0, 9)) == 0:
+        numerals[draw(st.integers(0, len(numerals) - 1))] = draw(st.sampled_from(["1/0", "1/", "x", "0.1.2"]))
+    return numerals
+
+
+def parsed_or_error(read, *args):
+    try:
+        return read(*args)
+    except ParseError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source_numerals())
+def test_a_source_file_reads_as_make_source_over_parse_rational(tmp_path, numerals):
+    symbols = [f"s{i}" for i in range(len(numerals))]
+    path = write(tmp_path, "s.txt", "# a comment line\n" + "".join(f"{s} {t}\n" for s, t in zip(symbols, numerals)))
+    lines = list(range(2, len(numerals) + 2))
+
+    def oracle():
+        probs = []
+        for line, text in zip(lines, numerals):
+            try:
+                probs.append(parse_rational(text))
+            except ValueError as e:
+                raise ParseError(str(e), path=path, line=line) from None
+        try:
+            return make_source(symbols, probs)
+        except (CodecertError, ValueError) as e:
+            raise ParseError(str(e), path=path, line=lines[e.entry] if hasattr(e, "entry") else None) from None
+
+    assert parsed_or_error(cli.parse_source_file, path) == parsed_or_error(oracle)
 
 
 def test_undecodable_file_names_its_path(tmp_path, capsys):

@@ -63,6 +63,16 @@ def test_codeword_text_round_trips_digits_up_to_35():
     assert parse_codeword("10.") != parse_codeword("10")
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 36).flatmap(lambda r: st.lists(st.integers(0, r - 1), max_size=12)))
+def test_codeword_text_round_trips_at_every_radix(digits):
+    # one digit per character below 10 (the translate tables), dotted from 10 on
+    word = tuple(digits)
+    text = format_codeword(word)
+    assert parse_codeword(text) == word
+    assert ("." in text) == any(d > 9 for d in word)
+
+
 # --- code construction ---
 
 
@@ -113,6 +123,18 @@ def test_a_codeword_that_is_not_a_digit_tuple_is_refused():
     for word in ([1], "01"):
         with pytest.raises(DigitOutOfRange, match="is not a tuple of digits") as info:
             Code(2, (("a", ((0,),)), ("b", (word,))))
+        assert info.value.entry == 1
+
+
+def test_a_codeword_set_or_word_that_is_an_int_is_refused():
+    # both raised a raw TypeError ('int' object is not iterable)
+    for build, message in (
+        (lambda: make_code(2, {"a": "0", "b": [5]}), "codeword 5 of 'b' is not a tuple of digits"),
+        (lambda: make_code(2, {"a": "0", "b": 5}), "codewords 5 of 'b' are not a tuple of codewords"),
+        (lambda: Code(2, (("a", ((0,),)), ("b", 5))), "codewords 5 of 'b' are not a tuple of codewords"),
+    ):
+        with pytest.raises(DigitOutOfRange, match=f"^{message}$") as info:
+            build()
         assert info.value.entry == 1
 
 
@@ -241,6 +263,14 @@ def test_policy_refuses_a_float_or_bool_weight_when_built(weight):
     # make_policy refused these already; built directly, acl_exact and
     # empirical_acl met them later as raw TypeError and AttributeError
     with pytest.raises(ZeroOrNegativeProbability, match=r"probability .* rejected: pass a Fraction") as info:
+        EncodingPolicy((("a", (F(1),)), ("b", (weight, F(1, 2)))))
+    assert info.value.entry == 1
+
+
+@pytest.mark.parametrize("weight", ["1/2", None], ids=["str", "None"])
+def test_policy_refuses_a_weight_that_is_not_rational_by_its_symbol(weight):
+    # only make_policy parses text; built directly, these raised a raw TypeError
+    with pytest.raises(ValueError, match=f"^weights for 'b' must be rationals, got {weight!r}$") as info:
         EncodingPolicy((("a", (F(1),)), ("b", (weight, F(1, 2)))))
     assert info.value.entry == 1
 
