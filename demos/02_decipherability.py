@@ -9,6 +9,7 @@ string up to a length budget. They must always agree within the budget.
 
 from codecert import (
     brute_force_ud,
+    format_codeword,
     is_prefix_free,
     is_uniquely_decipherable,
     make_code,
@@ -27,13 +28,13 @@ print("suffix code decipherable:", is_uniquely_decipherable(suffix))
 # an ambiguous code, with a shortest witness string
 broken = make_code(2, [("a", "0"), ("b", "01"), ("c", "10")])
 print("broken code decipherable:", is_uniquely_decipherable(broken))
-print("witness:", ud_counterexample(broken, 12))  # 010 = a.c = b.a
+print("witness:", format_codeword(ud_counterexample(broken)))  # 010 = a.c = b.a
 
 # several codewords per symbol: 0^7.0^6 = 0^6.0^7 decodes as one a^2, but
 # 0^42 decodes as a^6 and as a^7, past any 12-digit search
 multi = make_code(2, [("a", ["0000000", "000000"])])
 print("multi-codeword code decipherable:", is_uniquely_decipherable(multi))
-print("shortest witness length:", len(ud_counterexample(multi, None)))
+print("shortest witness length:", len(ud_counterexample(multi)))
 
 # the bounded brute-force oracle agrees with the exact decision
 for code in (prefix, suffix, broken):

@@ -71,10 +71,10 @@ from .codes import (
 from .decipher import (
     DEFAULT_UD_BUDGET,
     _check_budget,
-    _witness,
     construct_instantaneous,
     huffman,
     is_prefix_free,
+    ud_counterexample,
 )
 from .errors import CodecertError, KraftViolated, NotUniquelyDecipherable, ParseError
 from .proof import (
@@ -288,17 +288,21 @@ def _cmd_kraft(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if holds else 1), report
 
 
+def _shown_witness(digits: tuple[int, ...], max_len: int) -> str | None:
+    """The witness as text, or None past --max-len, which caps what is shown, never the search."""
+    return format_codeword(digits) if len(digits) <= max_len else None
+
+
 def _cmd_check_ud(args: argparse.Namespace) -> tuple[int, str]:
     code, _ = parse_code_file(args.code)
-    # one exact search; --max-len only caps the witness that is reported
-    digits = _witness(code)
+    digits = ud_counterexample(code)
     if digits is None:
         if code.is_singleton():
             return 0, _kv([("ud", True)]) if args.machine else "uniquely decipherable"
         if args.machine:
             return 0, _kv([("ud", True), ("budget", args.max_len)])
         return 0, f"no ambiguous digit string within {args.max_len} digits"
-    witness = format_codeword(digits) if len(digits) <= args.max_len else None
+    witness = _shown_witness(digits, args.max_len)
     if args.machine:
         return 1, _kv([("ud", False), ("witness", witness)])
     if witness is None:
@@ -344,8 +348,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, str]:
     try:
         cert = certify(src, code)
     except NotUniquelyDecipherable as e:
-        # certify found the shortest witness; --max-len only caps what is shown
-        witness = format_codeword(e.witness) if len(e.witness) <= args.max_len else None
+        witness = _shown_witness(e.witness, args.max_len)
         if args.machine:
             return 1, _kv([("ud", False), ("witness", witness)])
         tail = f"; ambiguous digit string: {witness}" if witness is not None else ""
@@ -468,12 +471,11 @@ def _cmd_check_ineq(args: argparse.Namespace) -> tuple[int, str]:
     group = check_group_inequality(probs, args.radix)
     pp = check_pp_inequalities(probs, args.radix)
 
-    # integer oracle on the same group's masses over their least common
-    # denominator; its integers are below (r*M)**M for their sum M, so it is
-    # skipped past 13,000 bits, which bounds its work and what it prints
-    M = sum(_integer_masses([(q.numerator, q.denominator) for q in probs])[0])
-    small = M * (args.radix * M).bit_length() <= 13_000
-    ghm = check_rational_ghm(probs, args.radix) if small else None
+    # skipped past its size bound; check_group_inequality refused every other bad group
+    try:
+        ghm = check_rational_ghm(probs, args.radix)
+    except ValueError:
+        ghm = None
 
     all_hold = group.holds and pp.ineq_a and pp.ineq_b is not False
     if ghm is not None:

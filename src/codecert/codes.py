@@ -41,7 +41,7 @@ from typing import Any, Iterable, Mapping
 from .errors import DigitOutOfRange, MissingPolicy, MissingSymbol
 from .rng import SplitMix64, _check_seed, derived_seed
 from .source import MAX_DENOMINATOR_BITS, Source, sample_stream
-from .source import _as_fraction, _check_entries, _check_numeral, _check_radix, _integer_masses, _quote, _quote_list
+from .source import _as_fraction, _check_count, _check_entries, _check_numeral, _check_radix, _integer_masses, _quote, _quote_list
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -321,8 +321,7 @@ def empirical_acl(
     consume a separate derived stream -- so traces of different codes or
     policies on the same seed see the identical symbol sequence.
     """
-    if t < 1:
-        raise ValueError("simulation needs t >= 1")
+    _check_count(t, 1, "simulation needs t >= 1")
     _check_seed(seed)
     words_of = _covering(src, code)
     sym_idx = list(map(src._index.__getitem__, sample_stream(src, t, seed)))

@@ -10,9 +10,9 @@ that pick different codewords of the same symbols are one decoding.
     ambiguous digit string (the witness): a search over the states of a
     pair of parses on the codeword trie, in the manner of Sardinas and
     Patterson (1953) and Even (1963); its work is set by the code, not by
-    a digit budget. is_uniquely_decipherable and ud_counterexample share
-    one front, which decides a prefix-free or suffix-free code by sorting
-    its words and runs the engine on every other code.
+    a digit budget. Its one entry, ud_counterexample, returns the witness's
+    digits, uncapped; it decides a prefix-free or suffix-free code by
+    sorting its words and runs the engine on every other code.
   * brute_force_ud is the independent oracle: dynamic programming over
     every digit string up to a length budget.
 
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from .codes import Code, format_codeword, kraft_sum
+from .codes import Code, kraft_sum
 from .errors import ExactnessCheckFailed, KraftViolated
-from .source import Source, _check_radix
+from .source import Source, _check_count, _check_radix
 
 DEFAULT_UD_BUDGET = 12
 
@@ -54,8 +54,7 @@ def _prefix_free(words: list[tuple[int, ...]]) -> bool:
 
 
 def _check_budget(max_len) -> None:
-    if max_len < 0:
-        raise ValueError(f"the witness search needs max_len >= 0, got {max_len}")
+    _check_count(max_len, 0, "the witness search needs max_len >= 0")
 
 
 def _trie(code: Code) -> tuple[list[dict[int, int]], list[tuple[int, ...]], list[bool]]:
@@ -231,33 +230,20 @@ def _shortest_ambiguity(code: Code) -> tuple[int, ...] | None:
     return None
 
 
-def _witness(code: Code) -> tuple[int, ...] | None:
-    """The shortest, then least, ambiguous digit string, or None. A prefix-free
-    or suffix-free word list splits a digit string into words one way at most,
+def is_uniquely_decipherable(code: Code) -> bool:
+    """True iff no digit string has two distinct decoded symbol sequences."""
+    return ud_counterexample(code) is None
+
+
+def ud_counterexample(code: Code) -> tuple[int, ...] | None:
+    """The shortest, then least, digit string with two distinct decodings, as
+    digits, or None iff the code is uniquely decipherable. A prefix-free or
+    suffix-free word list splits a digit string into words one way at most,
     read left to right or right to left, so such a code skips the engine."""
     words = code.pooled()
     if _prefix_free(words) or _prefix_free([w[::-1] for w in words]):
         return None
     return _shortest_ambiguity(code)
-
-
-def is_uniquely_decipherable(code: Code) -> bool:
-    """True iff no digit string has two distinct decoded symbol sequences."""
-    return _witness(code) is None
-
-
-def ud_counterexample(code: Code, max_len: int | None = DEFAULT_UD_BUDGET) -> str | None:
-    """Shortest digit string with two distinct decodings, ties broken to the
-    least; None if it is longer than max_len digits (None: no bound), so
-    ud_counterexample(code, None) is None iff the code is uniquely
-    decipherable. Two parses that pick different codewords of the same
-    symbols are one decoding.
-    """
-    if max_len is not None:
-        _check_budget(max_len)
-    witness = _witness(code)
-    fits = witness is not None and (max_len is None or len(witness) <= max_len)
-    return format_codeword(witness) if fits else None
 
 
 def brute_force_ud(code: Code, max_len: int = DEFAULT_UD_BUDGET) -> bool:
@@ -389,13 +375,9 @@ def huffman(src: Source, r: int) -> Code:
         groups.append(group)
         size = r
 
-    words: list[tuple[int, ...] | None] = [None] * n
-    stack = [(len(mass) - 1, ())]
-    while stack:
-        k, path = stack.pop()
-        if k >= n:
-            digits = enumerate(groups[k - n], pad if k == n else 0)
-            stack.extend((child, path + (digit,)) for digit, child in digits)
-        else:
-            words[k] = path
+    # a merged node is made before its parent: from the root down, parents first
+    words: list[tuple[int, ...]] = [()] * len(mass)
+    for k in reversed(range(n, len(mass))):
+        for digit, child in enumerate(groups[k - n], pad if k == n else 0):
+            words[child] = words[k] + (digit,)
     return Code(r, tuple((s, (w,)) for s, w in zip(src.symbols, words)))

@@ -50,7 +50,7 @@ from itertools import groupby
 from typing import Any
 
 from .codes import Code, _covering, format_codeword, minimal_reduction
-from .decipher import _canonical_paths, _witness
+from .decipher import _canonical_paths, ud_counterexample
 from .errors import (
     ExactnessCheckFailed,
     GroupLargerThanRadix,
@@ -267,7 +267,7 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
             witness=EqualityWitness(0, (0,)) if equal else None,
         )
 
-    ambiguity = _witness(reduced)
+    ambiguity = ud_counterexample(reduced)
     if ambiguity is not None:
         raise NotUniquelyDecipherable("no decoder can invert this code", ambiguity)
 
@@ -405,6 +405,11 @@ def check_group_inequality(probs, r: int) -> GroupInequalityResult:
     )
 
 
+#: Most bits check_rational_ghm lets its integers have: they are below (r*M)**M
+#: for the group's total integer mass M, and its work grows about as M**2.4.
+MAX_GHM_BITS = 13_000
+
+
 def check_rational_ghm(probs, r: int) -> GhmResult:
     """Exact integer form of the per-merge inequality for s <= r.
 
@@ -415,10 +420,14 @@ def check_rational_ghm(probs, r: int) -> GhmResult:
 
     entirely in big-integer arithmetic. This grounds the log-space
     checker: means of the M-term sequence holding m_k copies of r*m_k/M
-    compare geometric against harmonic, and the harmonic mean is r/s.
+    compare geometric against harmonic, and the harmonic mean is r/s. Past
+    MAX_GHM_BITS it raises ValueError before any power is taken.
     """
     _, masses = _group_masses(probs, r)
     s, total = len(masses), sum(masses)
+    bits = total * (r * total).bit_length()
+    if bits > MAX_GHM_BITS:
+        raise ValueError(f"the exact form's integers would have about {bits:,} bits, past {MAX_GHM_BITS:,}")
     lhs_num = 1
     for m in masses:
         lhs_num *= (r * m) ** m

@@ -45,7 +45,7 @@ _BLOCK_STEP = _LANES * _GOLDEN & _MASK64
 
 def _check_seed(seed) -> int:
     """A user seed is an integer in [0, 2^64); every seeded stream checks it here."""
-    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _MASK64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     return seed
 

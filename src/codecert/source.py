@@ -146,7 +146,16 @@ def _as_fraction(value) -> Fraction:
         )
     if isinstance(value, str):
         return parse_rational(value)
-    return value if type(value) is Fraction else Fraction(value)
+    try:
+        return value if type(value) is Fraction else Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"not a rational number: {_quote(value)}") from None
+
+
+def _check_count(value, least: int, message: str) -> None:
+    """Refuse with ValueError(message) anything but an int >= least; a bool is no int here."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{message} (an int), got {_quote(value)}")
 
 
 def _check_entries(entries: Iterable[tuple[Any, Any]], check: Callable[[Any, Any], None]) -> None:
@@ -286,8 +295,7 @@ def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP)
     Symbols of the extension are p-tuples of the original symbols, and a
     block's mass is the product of its symbols' masses, over D**p.
     """
-    if p < 1:
-        raise ValueError("extension order must be >= 1")
+    _check_count(p, 1, "extension order must be >= 1")
     n = len(src)
     # n**p has about p bits, so for n >= 2 refuse p past the cap's bit length first
     if (n >= 2 and p > max_symbols.bit_length()) or n**p > max_symbols:
@@ -305,8 +313,7 @@ def sample_stream(src: Source, t: int, seed: int) -> list:
     the probabilities and maps it through exact cumulative thresholds,
     so the sampled law is exactly P, not a float approximation.
     """
-    if t < 0:
-        raise ValueError("stream length must be >= 0")
+    _check_count(t, 0, "stream length must be >= 0")
     _check_seed(seed)
     # bisect_right(bounds, u) for u uniform below D picks i with probability m_i/D (D = 1: only u = 0)
     us = draws(seed, src.denominator, t)

@@ -285,7 +285,7 @@ def test_certify_raises_when_the_lengths_outrun_the_canonical_words(monkeypatch)
     # a wrong decipherability verdict would leave lengths past the Kraft bound
     src = make_source("abc", [F(1, 3)] * 3)
     code = make_code(2, {"a": "0", "b": "1", "c": "01"})
-    monkeypatch.setattr(proof, "_witness", lambda code: None)
+    monkeypatch.setattr(proof, "ud_counterexample", lambda code: None)
     with pytest.raises(ExactnessCheckFailed, match="Kraft"):
         certify(src, code)
 

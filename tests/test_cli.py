@@ -745,7 +745,7 @@ RESOURCE_CASES = [
     ("entropy {src}", "entropy"),
     ("acl {src} {code}", "acl_exact"),
     ("kraft --lengths 1,2", "kraft_sum"),
-    ("check-ud {code}", "_witness"),
+    ("check-ud {code}", "ud_counterexample"),
     ("check-prefix {code}", "is_prefix_free"),
     ("build-code --lengths 1,2,2", "construct_instantaneous"),
     ("huffman {src}", "huffman"),

@@ -27,7 +27,6 @@ from codecert import (
     kraft_sum,
     make_code,
     make_source,
-    parse_codeword,
     ud_counterexample,
 )
 from oracles import entropy_oracle, heap_huffman_oracle, ud_witness_oracle
@@ -91,7 +90,7 @@ def test_prefix_and_suffix_free_codes_skip_the_engine(monkeypatch, tmp_path, cap
         singleton(["-"]),
     ):
         assert is_uniquely_decipherable(code)
-        assert ud_counterexample(code, None) is None
+        assert ud_counterexample(code) is None
     suffix_free = tmp_path / "suffix.code"
     suffix_free.write_text("radix 2\na 0\nb 01\nc 11\n")
     assert main(["check-ud", str(suffix_free), "--machine"]) == 0
@@ -120,44 +119,30 @@ def test_sp_rejects_multi_codeword():
 
 
 def test_witness_worked_instance():
-    assert ud_counterexample(singleton(["0", "01", "10"])) == "010"
+    assert ud_counterexample(singleton(["0", "01", "10"])) == (0, 1, 0)
     assert not brute_force_ud(singleton(["0", "01", "10"]), 3)
     assert brute_force_ud(singleton(["0", "01", "10"]), 2)
 
 
 def test_witness_conventions():
     assert ud_counterexample(singleton(["-"])) is None
-    assert ud_counterexample(singleton(["-", "0"])) == "-"
-    assert ud_counterexample(singleton(["0", "0"])) == "0"
+    assert ud_counterexample(singleton(["-", "0"])) == ()
+    assert ud_counterexample(singleton(["0", "0"])) == (0,)
     assert ud_counterexample(singleton(["0", "10", "11"])) is None
 
 
 def test_witness_search_rejects_a_negative_budget():
     code = singleton(["0", "01", "10"])
-    assert ud_counterexample(code, 0) is None
+    assert brute_force_ud(code, 0)
     for budget in (-1, -5):
         with pytest.raises(ValueError, match="max_len >= 0"):
-            ud_counterexample(code, budget)
-        with pytest.raises(ValueError, match="max_len >= 0"):
             brute_force_ud(code, budget)
-
-
-def test_witness_search_memory_does_not_grow_with_the_budget():
-    # the budget only stops the search early; the code sets its memory
-    code = singleton(["0", "01", "10"])
-    tracemalloc.start()
-    try:
-        assert ud_counterexample(code, 10**6) == "010"
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
 
 
 def test_witness_is_shortest_then_least():
     # 01 and 10 are both ambiguous at length 2; the witness is the least
     code = singleton(["0", "01", "10", "1"])
-    assert ud_counterexample(code) == "01"
+    assert ud_counterexample(code) == (0, 1)
 
 
 def test_multi_codeword_same_symbol_parses_are_one_decoding():
@@ -166,14 +151,14 @@ def test_multi_codeword_same_symbol_parses_are_one_decoding():
     # parse-ambiguous (0110 = 0.110 = 01.10) but not symbol-ambiguous
     code = make_code(2, {"a": ["0", "110", "01", "10"]})
     assert kraft_sum(code.lengths(), 2) > 1
-    assert ud_counterexample(code, 12) is None
+    assert ud_counterexample(code) is None
     assert brute_force_ud(code, 12)
 
 
 def test_multi_codeword_cross_symbol_ambiguity():
     code = make_code(2, {"a": ["0", "10"], "b": ["01"]})
     # 010 = a(0).b? no; a(0).a(10) = "aa" vs b(01).a(0)? 01+0 = "ba"
-    assert ud_counterexample(code, 12) == "010"
+    assert ud_counterexample(code) == (0, 1, 0)
 
 
 @pytest.mark.parametrize("r,max_len", [(2, 8), (3, 5), (4, 4), (12, 3)])
@@ -202,20 +187,15 @@ def test_witness_matches_naive_oracle_multi_codeword(r, max_len):
             mapping.append((f"s{i}", words))
         code = make_code(r, mapping)
         expected = ud_witness_oracle(mapping, r, max_len)
-        if expected is not None:
-            expected = format_codeword(expected)
-        assert ud_counterexample(code, max_len) == expected, mapping
         assert brute_force_ud(code, max_len) == (expected is None), mapping
         # the exact search agrees within the budget and past it
-        exact = ud_counterexample(code, None)
+        exact = ud_counterexample(code)
+        assert (exact if exact is not None and len(exact) <= max_len else None) == expected, mapping
         assert is_uniquely_decipherable(code) == (exact is None), mapping
-        if expected is not None:
-            assert exact == expected, mapping
-        elif exact is None:
+        if exact is None:
             assert brute_force_ud(code, max_len + 2), mapping
-        else:
-            n = len(parse_codeword(exact))
-            assert n > max_len, mapping
+        elif expected is None:
+            n = len(exact)
             if n <= max_len + 2:
                 assert brute_force_ud(code, n - 1) and not brute_force_ud(code, n), mapping
 
@@ -224,7 +204,7 @@ def test_witness_tie_between_states_of_one_string():
     # after "1" the parses are at (1, 1) and (root, 1); "11" is ambiguous from
     # the first, but "10" = s2(10) = s2(1).s1(0) from the second is less
     code = make_code(2, [("s0", ["1011", "11"]), ("s1", ["11", "0", "101"]), ("s2", ["10", "1"])])
-    assert ud_counterexample(code) == "10"
+    assert ud_counterexample(code) == (1, 0)
 
 
 def test_exact_decision_ends_where_parses_never_meet_again():
@@ -240,10 +220,10 @@ def test_exact_decision_ends_where_parses_never_meet_again():
 def test_exact_witness_has_no_budget():
     # a^7 = a^6 on 0^42 is the shortest ambiguity, past the default budget
     code = make_code(2, {"a": ["0" * 7, "0" * 6]})
-    assert ud_counterexample(code) is None and brute_force_ud(code)
-    assert ud_counterexample(code, None) == "0" * 42
+    assert brute_force_ud(code)
+    assert ud_counterexample(code) == (0,) * 42
     assert not is_uniquely_decipherable(code)
-    assert ud_counterexample(make_code(2, {"a": "0" * 7, "b": "0" * 6}), None) == "0" * 13
+    assert ud_counterexample(make_code(2, {"a": "0" * 7, "b": "0" * 6})) == (0,) * 13
 
 
 def _all_binary_codes(max_words, max_len):

@@ -426,6 +426,16 @@ def test_ghm_weights_validation():
         check_rational_ghm((True, 1), 2)
 
 
+def test_ghm_refuses_a_group_past_its_size_bound_before_any_power():
+    # M * log2(2M) is 1083 * 12 = 12,996 bits, then 1084 * 12 = 13,008 past 13,000
+    assert check_rational_ghm((1, 1082), 2).holds
+    with pytest.raises(ValueError, match=r"about 13,008 bits, past 13,000$"):
+        check_rational_ghm((1, 1083), 2)
+    # M = 10**9 + 7: the powers would have about 3 * 10**10 bits
+    with pytest.raises(ValueError, match="past 13,000"):
+        check_rational_ghm(["1/1000000007", "1000000006/1000000007"], 2)
+
+
 def test_ghm_grounds_log_space_checker():
     for freqs, r in (((1, 2), 2), ((3, 5), 3), ((7, 7, 7), 3), ((1, 30), 2)):
         exact = check_rational_ghm(freqs, r)

@@ -6,6 +6,7 @@ import random
 import re
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -21,12 +22,15 @@ from codecert import (
     Source,
     SplitMix64,
     ZeroOrNegativeProbability,
+    brute_force_ud,
     check_group_inequality,
     check_pp_inequalities,
     compact_standalone,
+    empirical_acl,
     entropy,
     extend_source,
     find_sibling_group,
+    make_code,
     make_policy,
     make_source,
     parse_rational,
@@ -110,6 +114,33 @@ def test_make_source_rejects_floats():
 def test_a_bool_is_refused_wherever_a_float_is(build):
     with pytest.raises(ZeroOrNegativeProbability, match=r"^bool probability True rejected"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda value: make_source("a", [value]),
+        lambda value: make_policy({"a": [value]}),
+        lambda value: check_group_inequality([value], 2),
+    ],
+    ids=["make_source", "make_policy", "group"],
+)
+@pytest.mark.parametrize(
+    "value,shown",
+    [
+        (None, "None"),
+        (1j, "1j"),
+        (Decimal("NaN"), "Decimal('NaN')"),
+        (Decimal("Infinity"), "Decimal('Infinity')"),
+        (list(range(100)), "'[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1'... (390 characters)"),
+    ],
+    ids=["None", "complex", "nan", "infinity", "long"],
+)
+def test_a_value_fraction_cannot_read_is_refused(build, value, shown):
+    # Fraction raises TypeError or OverflowError for these, which is neither a
+    # CodecertError nor a ValueError
+    with pytest.raises(ValueError, match=f"^{re.escape(f'not a rational number: {shown}')}$"):
+        build(value)
 
 
 def test_source_invariants():
@@ -392,6 +423,40 @@ def test_stream_seed_validation():
         for bad in (-1, 2**64, 2**64 + 5, "7"):
             with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
                 sample_stream(src, 3, bad)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda src, code: extend_source(src, 1.5), "extension order must be >= 1"),
+        (lambda src, code: extend_source(src, True), "extension order must be >= 1"),
+        (lambda src, code: sample_stream(src, 1.5, 1), "stream length must be >= 0"),
+        (lambda src, code: sample_stream(src, True, 1), "stream length must be >= 0"),
+        (lambda src, code: sample_stream(src, 3, True), "seed must be a 64-bit unsigned integer"),
+        (lambda src, code: sample_stream(src, 3, 1.0), "seed must be a 64-bit unsigned integer"),
+        (lambda src, code: empirical_acl(src, code, None, 2.5, 1), "simulation needs t >= 1"),
+        (lambda src, code: empirical_acl(src, code, None, True, 1), "simulation needs t >= 1"),
+        (lambda src, code: brute_force_ud(code, 2.5), "the witness search needs max_len >= 0"),
+        (lambda src, code: brute_force_ud(code, False), "the witness search needs max_len >= 0"),
+    ],
+    ids=[
+        "order-float",
+        "order-bool",
+        "t-float",
+        "t-bool",
+        "seed-bool",
+        "seed-float",
+        "simulate-t-float",
+        "simulate-t-bool",
+        "budget-float",
+        "budget-bool",
+    ],
+)
+def test_integer_parameters_refuse_a_non_int_or_a_bool(call, message):
+    src = dyadic_abc()
+    code = make_code(2, {"a": "0", "b": "10", "c": "11"})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(src, code)
 
 
 def test_sample_stream_deterministic():
