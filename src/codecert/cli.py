@@ -383,7 +383,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     excess = accumulate(map(sub, trace.lengths, map(shortest.__getitem__, trace.symbol_indices)))
     violations = sum(map((0).__gt__, excess))
     exact = acl_exact(src, code, policy)
-    final = trace.acl_values[-1]
+    final = sum(trace.lengths) / args.t
     status = 0 if violations == 0 else 1
     if args.machine:
         return status, _kv(

@@ -13,6 +13,12 @@ three flavors:
   * acl(src, code, policy)    - expectation over policy choices too
   * empirical_acl(...)        - the pathwise sequence ACL_t after t symbols
 
+empirical_acl records each step's symbol, codeword and digits; the
+running ACL_t is built from the digits only when read. Its codeword
+choices are one pass over the drawn symbols that reads rejection windows
+from rng.word_stream: each step's choice is the value a randbelow call on
+the choice stream's SplitMix64 would give, with no method call per step.
+
 Exact ACL is computed on the source's integer masses m_i over its
 denominator D and returned as a Fraction, the API view.
 
@@ -39,7 +45,7 @@ from operator import truediv
 from typing import Any, Iterable, Mapping
 
 from .errors import DigitOutOfRange, MissingPolicy, MissingSymbol
-from .rng import SplitMix64, _check_seed, derived_seed
+from .rng import _check_seed, derived_seed, word_stream
 from .source import MAX_DENOMINATOR_BITS, Source, sample_stream
 from .source import _as_fraction, _check_count, _check_entries, _check_numeral, _check_radix, _integer_masses, _quote, _quote_list
 
@@ -295,12 +301,16 @@ def minimal_reduction(code: Code) -> Code:
 @dataclass(frozen=True)
 class SimulationTrace:
     """Per-step record of one encoding run: the symbol drawn, the codeword
-    emitted, its digits, and the running ACL sequence."""
+    emitted and its digits; the running ACL sequence is built when read."""
 
     symbol_indices: tuple[int, ...]
     codeword_indices: tuple[int, ...]
     lengths: tuple[int, ...]
-    acl_values: tuple[float, ...]
+
+    @cached_property
+    def acl_values(self) -> tuple[float, ...]:
+        """ACL_k = (digits of the first k steps) / k for k = 1..t."""
+        return tuple(map(truediv, itertools.accumulate(self.lengths), range(1, len(self.lengths) + 1)))
 
 
 def empirical_acl(
@@ -310,7 +320,7 @@ def empirical_acl(
     t: int,
     seed: int,
 ) -> SimulationTrace:
-    """Encode t sampled symbols, recording the running ACL_t = digits/t.
+    """Encode t sampled symbols, recording each step's codeword and digits.
 
     A symbol with several codewords is encoded by drawing one per the
     policy's weights, from a choice stream derived from the seed; None is
@@ -320,23 +330,46 @@ def empirical_acl(
     The symbol stream depends only on (src, t, seed) -- codeword choices
     consume a separate derived stream -- so traces of different codes or
     policies on the same seed see the identical symbol sequence.
+
+    The choices are the values that one randbelow(D) call per step would
+    give on a SplitMix64 of the derived seed, D the denominator of the
+    step's symbol's weights. They are read from rng.word_stream, each
+    attempt taking the next k = bit_length(D - 1) bits. A symbol with one
+    codeword has D = 1 and reads no bits, as randbelow(1) reads none.
     """
     _check_count(t, 1, "simulation needs t >= 1")
     _check_seed(seed)
     words_of = _covering(src, code)
     sym_idx = list(map(src._index.__getitem__, sample_stream(src, t, seed)))
-    # (D, cumulative masses) of each symbol with several codewords, built in
-    # first-draw order so that the first such symbol drawn raises MissingPolicy
-    thresholds: list[tuple[int, list[int]] | None] = [None] * len(words_of)
+    # (D, k, k-bit mask, cumulative masses, word lengths) of each symbol drawn,
+    # built in first-draw order so that the first symbol drawn with several
+    # codewords and no weights raises MissingPolicy
+    table: list = [None] * len(words_of)
     for i in dict.fromkeys(sym_idx):
-        if len(words_of[i]) > 1:
-            qs = _policy_weights(policy, src.symbols[i], words_of[i])
+        words = words_of[i]
+        cum, denom = [1], 1
+        if len(words) > 1:
+            qs = _policy_weights(policy, src.symbols[i], words)
             masses, denom = _integer_masses([(q.numerator, q.denominator) for q in qs])
-            thresholds[i] = denom, list(itertools.accumulate(masses))
-    randbelow = SplitMix64(derived_seed(seed, _CHOICE_SALT)).randbelow
-    cw_idx = [bisect_right(th[1], randbelow(th[0])) if (th := thresholds[i]) else 0 for i in sym_idx]
-    word_lengths = [list(map(len, words)) for words in words_of]
-    lengths = [word_lengths[i][u] for i, u in zip(sym_idx, cw_idx)]
-    acl_values = map(truediv, itertools.accumulate(lengths), range(1, t + 1))
-
-    return SimulationTrace(tuple(sym_idx), tuple(cw_idx), tuple(lengths), tuple(acl_values))
+            cum = list(itertools.accumulate(masses))
+        k = (denom - 1).bit_length()
+        table[i] = denom, k, (1 << k) - 1, cum, list(map(len, words))
+    stream = word_stream(derived_seed(seed, _CHOICE_SALT))
+    buffer = buffered = 0  # the stream's unread bits, little-endian
+    cw_idx: list[int] = []
+    lengths: list[int] = []
+    for i in sym_idx:
+        denom, k, mask, cum, word_lengths = table[i]
+        while True:  # randbelow(denom): k-bit attempts until one is below denom
+            while buffered < k:
+                buffer |= next(stream) << buffered
+                buffered += 64
+            x = buffer & mask
+            buffer >>= k
+            buffered -= k
+            if x < denom:
+                break
+        u = bisect_right(cum, x)
+        cw_idx.append(u)
+        lengths.append(word_lengths[u])
+    return SimulationTrace(tuple(sym_idx), tuple(cw_idx), tuple(lengths))

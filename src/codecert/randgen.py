@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .codes import Code
 from .rng import SplitMix64, _check_seed, derived_seed
-from .source import Source, _check_radix
+from .source import Source, _check_count, _check_radix
 from .tree import CodeTree, TreeNode
 
 #: A random code's tree grows 0..EXTRA_NODES more internal nodes than the
@@ -35,10 +35,8 @@ def random_source(rng: SplitMix64, n: int, max_den: int = 64) -> Source:
     Picks a denominator D and splits it at n-1 distinct interior cut
     points, so every probability is a positive multiple of 1/D.
     """
-    if n < 1:
-        raise ValueError(f"need at least one symbol, got {n}")
-    if max_den < n:
-        raise ValueError(f"max_den {max_den} cannot host {n} positive parts")
+    _check_count(n, 1, "need at least one symbol")
+    _check_count(max_den, n, f"max_den must be at least n = {n}")
     if n == 1:
         return Source(("s1",), (1,), 1)
     denom = rng.randrange(n, max_den + 1)
@@ -60,8 +58,7 @@ def grow_full_tree(rng: SplitMix64, r: int, z: int) -> CodeTree:
 def _grow_leaf_paths(rng: SplitMix64, r: int, z: int) -> list[tuple[int, ...]]:
     """The leaf paths, in digit order, of a full r-ary tree grown from one
     leaf by z times turning a uniformly drawn leaf into an internal node."""
-    if z < 0:
-        raise ValueError(f"need at least zero internal nodes, got {z}")
+    _check_count(z, 0, "need at least zero internal nodes")
     paths: list[tuple[int, ...]] = [()]
     for _ in range(z):
         i = rng.randbelow(len(paths))
@@ -72,8 +69,7 @@ def _grow_leaf_paths(rng: SplitMix64, r: int, z: int) -> list[tuple[int, ...]]:
 
 
 def _random_leaf_paths(rng: SplitMix64, r: int, n: int) -> list[tuple[int, ...]]:
-    if n < 1:
-        raise ValueError(f"need at least one codeword, got {n}")
+    _check_count(n, 1, "need at least one codeword")
     _check_radix(r)
     if n == 1:
         # half the time the whole tree, half a single deeper leaf

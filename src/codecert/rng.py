@@ -25,7 +25,15 @@ from the seed's state as consecutive k-bit windows, k = bit_length(n-1),
 because each rejection attempt of randbelow(n) reads exactly the next k
 bits, and keeps the first count windows below n: bit for bit the values of
 count randbelow(n) calls on a new SplitMix64(seed).
+
+`word_stream(seed)` yields the same outputs one 64-bit word at a time, for
+a reader whose bound changes from draw to draw: a simulation's codeword
+choices read their windows from it. The few draws of a fuzz trial or a
+random instance stay on SplitMix64's one-output path, since one block costs
+more than all of them.
 """
+
+import struct
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -41,6 +49,7 @@ _LANE_STEPS = int.from_bytes(
     b"".join(((j + 1) * _GOLDEN & _MASK64).to_bytes(16, "little") for j in range(_LANES)), "little"
 )
 _BLOCK_STEP = _LANES * _GOLDEN & _MASK64
+_BLOCK_WORDS = struct.Struct(f"<{_LANES}Q")
 
 
 def _check_seed(seed) -> int:
@@ -111,6 +120,14 @@ def draws(seed: int, n: int, count: int) -> list[int]:
         stream >>= span
         have -= span
     return out[:count]
+
+
+def word_stream(seed: int):
+    """The endless next_u64() stream of a new SplitMix64(seed), made a block at a time."""
+    state = seed & _MASK64
+    while True:
+        yield from _BLOCK_WORDS.unpack(_outputs(state).to_bytes(_BLOCK_BITS // 8, "little"))
+        state = (state + _BLOCK_STEP) & _MASK64
 
 
 class SplitMix64:

@@ -154,8 +154,10 @@ def _as_fraction(value) -> Fraction:
 
 def _check_count(value, least: int, message: str) -> None:
     """Refuse with ValueError(message) anything but an int >= least; a bool is no int here."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{message} (an int), got {_quote(value)}")
+    if value < least:
+        raise ValueError(f"{message}, got {_quote(value)}")
 
 
 def _check_entries(entries: Iterable[tuple[Any, Any]], check: Callable[[Any, Any], None]) -> None:
@@ -296,6 +298,7 @@ def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP)
     block's mass is the product of its symbols' masses, over D**p.
     """
     _check_count(p, 1, "extension order must be >= 1")
+    _check_count(max_symbols, 1, "the extension's cap max_symbols must be >= 1")
     n = len(src)
     # n**p has about p bits, so for n >= 2 refuse p past the cap's bit length first
     if (n >= 2 and p > max_symbols.bit_length()) or n**p > max_symbols:

@@ -1,7 +1,10 @@
 """Codes, codewords, Kraft sums, ACL in its three flavors."""
 
 import hashlib
+import itertools
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -29,6 +32,8 @@ from codecert import (
     minimal_reduction,
     parse_codeword,
 )
+from codecert import codes
+from codecert.rng import SplitMix64, derived_seed
 
 
 def dyadic_abc():
@@ -406,6 +411,41 @@ def test_empirical_acl_policy_trace_pinned_over_many_blocks():
     trace = empirical_acl(src, code, policy, 50_000, 2026)
     text = repr((trace.symbol_indices, trace.codeword_indices, trace.lengths, trace.acl_values))
     assert hashlib.sha256(text.encode()).hexdigest() == "1a7c9e443f7ac8e341cc2ba7d4350c6cbae7ff6722534bc410864827ddd5e3c5"
+
+
+def test_empirical_acl_choices_equal_a_scalar_replay():
+    # one randbelow(D) call per step on the choice stream's SplitMix64, D the
+    # step's symbol's weight denominator: 2, 3, 12, 2^70 + 1 (71-bit windows)
+    # and 1 for the one-codeword symbol, which reads no bits
+    weights = {
+        "a": [F(1, 2), F(1, 2)],
+        "b": [F(1, 3), F(1, 3), F(1, 3)],
+        "c": [F(1, 12), F(5, 12), F(1, 2)],
+        "d": [F(1, 2**70 + 1), F(2**70, 2**70 + 1)],
+        "e": [F(1)],
+    }
+    src = make_source("abcde", ["1/5"] * 5)
+    code = make_code(2, {"a": ["0", "10"], "b": ["110", "1110", "11110"], "c": ["1", "01", "001"], "d": ["00", "11"], "e": "0101"})
+    trace = empirical_acl(src, code, make_policy(weights), 5000, 2014)
+    assert "acl_values" not in vars(trace)  # built when read
+    scalar = SplitMix64(derived_seed(2014, codes._CHOICE_SALT))
+    next_u64, outputs = scalar.next_u64, []
+
+    def counted_next_u64():
+        outputs.append(next_u64())
+        return outputs[-1]
+
+    scalar.next_u64 = counted_next_u64
+    replay = []
+    for i in trace.symbol_indices:
+        qs = weights[src.symbols[i]]
+        d = math.lcm(*(q.denominator for q in qs))
+        cum = [q * d for q in itertools.accumulate(qs)]
+        replay.append(bisect_right(cum, scalar.randbelow(d)))
+    assert trace.codeword_indices == tuple(replay)
+    assert len(outputs) > 3 * 256  # the choices read more than three blocks
+    assert {len(weights[src.symbols[i]]) for i in trace.symbol_indices} == {1, 2, 3}
+    assert set(trace.codeword_indices) == {0, 1, 2}
 
 
 def test_empirical_acl_seed_reproducibility():

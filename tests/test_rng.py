@@ -1,10 +1,12 @@
 """Generator identity: the streams must match the published algorithm
 exactly, or recorded seeds stop reproducing old runs."""
 
+import itertools
+
 import pytest
 
 from codecert.randgen import trial_rng
-from codecert.rng import SplitMix64, _outputs, derived_seed, draws, mix64
+from codecert.rng import SplitMix64, _outputs, derived_seed, draws, mix64, word_stream
 
 # first outputs of the reference implementation for seed 0
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -112,6 +114,13 @@ def test_block_outputs_are_the_next_256_outputs(seed):
     g = SplitMix64(seed)
     words = [g.next_u64() for _ in range(256)]
     assert _outputs(seed) == sum(w << 64 * j for j, w in enumerate(words))
+
+
+@pytest.mark.parametrize("seed", [0, 2026, 2**64 - 1])
+def test_word_stream_is_the_next_u64_stream(seed):
+    # 600 words run into a third block
+    g = SplitMix64(seed)
+    assert list(itertools.islice(word_stream(seed), 600)) == [g.next_u64() for _ in range(600)]
 
 
 # draws reads k = bit_length(n - 1) bits per attempt: k from 1 to past one

@@ -41,6 +41,7 @@ from codecert import (
     to_tree,
     tree_source,
 )
+from codecert.randgen import _grow_leaf_paths, _random_leaf_paths
 from codecert.source import _log
 from oracles import entropy_oracle
 
@@ -430,6 +431,9 @@ def test_stream_seed_validation():
     [
         (lambda src, code: extend_source(src, 1.5), "extension order must be >= 1"),
         (lambda src, code: extend_source(src, True), "extension order must be >= 1"),
+        (lambda src, code: extend_source(src, 2, max_symbols=4.5), "the extension's cap max_symbols must be >= 1"),
+        (lambda src, code: extend_source(src, 2, max_symbols=None), "the extension's cap max_symbols must be >= 1"),
+        (lambda src, code: extend_source(src, 2, max_symbols=True), "the extension's cap max_symbols must be >= 1"),
         (lambda src, code: sample_stream(src, 1.5, 1), "stream length must be >= 0"),
         (lambda src, code: sample_stream(src, True, 1), "stream length must be >= 0"),
         (lambda src, code: sample_stream(src, 3, True), "seed must be a 64-bit unsigned integer"),
@@ -438,10 +442,20 @@ def test_stream_seed_validation():
         (lambda src, code: empirical_acl(src, code, None, True, 1), "simulation needs t >= 1"),
         (lambda src, code: brute_force_ud(code, 2.5), "the witness search needs max_len >= 0"),
         (lambda src, code: brute_force_ud(code, False), "the witness search needs max_len >= 0"),
+        (lambda src, code: random_source(SplitMix64(1), 2.5), "need at least one symbol (an int), got 2.5"),
+        (lambda src, code: random_source(SplitMix64(1), True), "need at least one symbol (an int), got True"),
+        (lambda src, code: random_source(SplitMix64(1), 1, 64.5), "max_den must be at least n = 1 (an int), got 64.5"),
+        (lambda src, code: random_source(SplitMix64(1), 3, 64.5), "max_den must be at least n = 3 (an int), got 64.5"),
+        (lambda src, code: random_source(SplitMix64(1), 3, 2), "max_den must be at least n = 3, got 2"),
+        (lambda src, code: _grow_leaf_paths(SplitMix64(1), 2, 2.5), "need at least zero internal nodes (an int), got 2.5"),
+        (lambda src, code: _random_leaf_paths(SplitMix64(1), 2, False), "need at least one codeword (an int), got False"),
     ],
     ids=[
         "order-float",
         "order-bool",
+        "cap-float",
+        "cap-none",
+        "cap-bool",
         "t-float",
         "t-bool",
         "seed-bool",
@@ -450,6 +464,13 @@ def test_stream_seed_validation():
         "simulate-t-bool",
         "budget-float",
         "budget-bool",
+        "random-n-float",
+        "random-n-bool",
+        "random-max_den-float-one-symbol",
+        "random-max_den-float",
+        "random-max_den-small",
+        "grown-z-float",
+        "random-codewords-bool",
     ],
 )
 def test_integer_parameters_refuse_a_non_int_or_a_bool(call, message):
