@@ -34,18 +34,20 @@ across runs for fixed inputs and seed.
 
 Source files hold one `<symbol> <probability>` pair per line, where the
 probability is a rational like 3/10 or a finite decimal; `#` starts a
-comment line. Numerals in files, --lengths, --probs, --tol and the integer
-options (--radix, --max-len, --seed, --t, --trials) are ASCII, no `_`, and
-each has at most 4,300 digits, an exponent counting as that many zeros;
---tol is a finite number.
+comment line, and a byte order mark at the start of a file is skipped.
+Numerals in files, --lengths, --probs, --tol and the integer options
+(--radix, --max-len, --seed, --t, --trials) are ASCII, no `_`, and each
+has at most 4,300 digits, an exponent counting as that many zeros; --tol
+is a finite number.
 Code files start with `radix <r>`, then per line
 `<symbol> <codeword>[,<codeword>...]`, optionally followed by
 `@ q1,q2,...` choice weights; `-` denotes the empty codeword. A codeword
 is written one digit per character (`0110`) when every digit is at most
 9, and otherwise as dot-separated digits (`3.11`, and `10.` for the
-one-digit word 10). The parsers check this syntax; what the entries mean
-is checked by the Source, Code and EncodingPolicy types, each error
-located at the file and, for an error within one line, the line.
+one-digit word 10). The parsers check this syntax a column at a time, and
+read the lines one by one only to name the first faulty one; what the
+entries mean is checked by the Source, Code and EncodingPolicy types, each
+error located at the file and, for an error within one line, the line.
 """
 
 from __future__ import annotations
@@ -55,12 +57,14 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, chain, islice, repeat
+from operator import methodcaller, sub
+from typing import Sequence
 
 from .codes import (
     Code,
     EncodingPolicy,
+    _parse_codewords,
     acl_exact,
     empirical_acl,
     format_codeword,
@@ -85,7 +89,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, _ratio, entropy, parse_rational
+from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, _ratio, _ratios, entropy, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -93,15 +97,25 @@ DELTA_CAP = 1e-12
 # --- file parsing ---
 
 
-def _significant_lines(path: str) -> list[tuple[int, str]]:
+def _significant_lines(path: str) -> tuple[list[int], list[str]]:
+    """The numbers and stripped texts of the lines that are neither blank nor
+    comments. Lines end at '\n', '\r' or '\r\n', as readlines splits them. A
+    byte order mark at the start is dropped, as the utf-8-sig codec drops it,
+    while a decoding error still gives its byte's position in the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = fh.readlines()
+            data = fh.read()  # with each line end translated to '\n'
     except OSError as e:  # the OS's message, its path quoted by _quote
         raise ParseError(f"[Errno {e.errno}] {e.strerror}: {_quote(path)}") from None
     except UnicodeDecodeError as e:
         raise ParseError(str(e), path=path) from None
-    return [(lineno, text) for lineno, line in enumerate(raw, start=1) if (text := line.strip()) and text[0] != "#"]
+    texts = list(map(str.strip, data.removeprefix("\ufeff").split("\n")))
+    if not texts[-1]:
+        texts.pop()  # the text after the last line end
+    if "#" in data or "" in texts:
+        linenos = [lineno for lineno, text in enumerate(texts, start=1) if text and text[0] != "#"]
+        return linenos, [texts[lineno - 1] for lineno in linenos]
+    return list(range(1, len(texts) + 1)), texts
 
 
 def _at(path: str, lines: list[int], build, *args):
@@ -113,15 +127,34 @@ def _at(path: str, lines: list[int], build, *args):
         raise ParseError(str(e), path=path, line=lines[e.entry] if hasattr(e, "entry") else None) from None
 
 
-def _each_line(path: str, lines: list[tuple[int, str]], read) -> list:
+def _each_line(path: str, linenos: list[int], texts: list[str], read) -> list:
     """read(text) of each line in order, reporting a CodecertError or ValueError as a ParseError at path:line."""
     out = []
     try:
-        for lineno, text in lines:
+        for lineno, text in zip(linenos, texts):
             out.append(read(text))
     except (CodecertError, ValueError) as e:
         raise ParseError(str(e), path=path, line=lineno) from None
     return out
+
+
+def _columns(path: str, linenos: list[int], texts: list[str], read_columns, read_line):
+    """read_columns(texts), the lines read as whole columns. When that raises,
+    read_line runs on each line in order, to report the first faulty one."""
+    try:
+        return read_columns(texts)
+    except (CodecertError, ValueError):
+        _each_line(path, linenos, texts, read_line)
+        raise  # not reached while read_line refuses a line whenever read_columns refuses the lines
+
+
+def _rows(texts: Sequence[str]) -> tuple[list[str], list[str]]:
+    """The two whitespace-separated tokens of each line, as two columns; a
+    line with another count of tokens raises ValueError."""
+    if set(map(len, map(str.split, texts))) != {2}:
+        raise ValueError("a line does not hold two tokens")
+    tokens = " ".join(texts).split()
+    return tokens[0::2], tokens[1::2]
 
 
 def _source_entry(text: str) -> tuple[str, tuple[int, int]]:
@@ -131,13 +164,18 @@ def _source_entry(text: str) -> tuple[str, tuple[int, int]]:
     return tokens[0], _ratio(tokens[1])
 
 
+def _source_columns(texts: list[str]) -> tuple[list[str], tuple[list[int], list[int]]]:
+    """_source_entry of each line, as a column of symbols and the columns of _ratios."""
+    symbols, numerals = _rows(texts)
+    return symbols, _ratios(numerals)
+
+
 def parse_source_file(path: str) -> Source:
-    lines = _significant_lines(path)
-    entries = _each_line(path, lines, _source_entry)
-    if not entries:
+    linenos, texts = _significant_lines(path)
+    if not texts:
         raise ParseError("no source entries found", path=path)
-    symbols, ratios = zip(*entries)
-    return _at(path, [lineno for lineno, _ in lines], lambda: Source(symbols, *_integer_masses(ratios)))
+    symbols, (nums, dens) = _columns(path, linenos, texts, _source_columns, _source_entry)
+    return _at(path, linenos, lambda: Source(tuple(symbols), *_integer_masses(nums, dens)))
 
 
 def _code_header(text: str) -> int:
@@ -163,19 +201,42 @@ def _code_entry(text: str) -> tuple[str, tuple[tuple[int, ...], ...], tuple[Frac
     return symbol, words, qs
 
 
+def _code_columns(texts: list[str]) -> tuple[list[str], list, dict[int, tuple[Fraction, ...]]]:
+    """_code_entry of each line, as columns of symbols and codeword sets, and
+    the weights of the lines that have them, by line index."""
+    bodies, weight_texts = texts, ()
+    if "@" in "".join(texts):
+        bodies, _, weight_texts = zip(*map(methodcaller("partition", "@"), texts))
+    symbols, words_texts = _rows(bodies)
+    if "," in "".join(words_texts):
+        word_texts = list(map(str.split, words_texts, repeat(",")))
+        words = iter(_parse_codewords(list(chain.from_iterable(word_texts))))
+        word_sets = list(map(tuple, map(islice, repeat(words), map(len, word_texts))))
+    else:
+        word_sets = list(zip(_parse_codewords(words_texts)))
+    weights = {}
+    for k, weight_text in enumerate(weight_texts):
+        if weight_text.strip():
+            qs = weights[k] = tuple(map(parse_rational, weight_text.split(",")))
+            if len(qs) != len(word_sets[k]):
+                raise ValueError(f"{len(qs)} weights for {len(word_sets[k])} codewords")
+    return symbols, word_sets, weights
+
+
 def parse_code_file(path: str) -> tuple[Code, EncodingPolicy | None]:
-    lines = _significant_lines(path)
-    if not lines:
+    linenos, texts = _significant_lines(path)
+    if not texts:
         raise ParseError("no code entries found", path=path)
-    [r] = _each_line(path, lines[:1], _code_header)
-    linenos = [lineno for lineno, _ in lines[1:]]
-    entries = _each_line(path, lines[1:], _code_entry)
-    if not entries:
+    [r] = _each_line(path, linenos[:1], texts[:1], _code_header)
+    linenos, texts = linenos[1:], texts[1:]
+    if not texts:
         raise ParseError("code file has a header but no codewords", path=path)
-    code = _at(path, linenos, Code, r, tuple((symbol, words) for symbol, words, _ in entries))
-    weights = tuple((symbol, qs) for symbol, _, qs in entries if qs)
-    weight_lines = [lineno for lineno, (_, _, qs) in zip(linenos, entries) if qs]
-    return code, _at(path, weight_lines, EncodingPolicy, weights) if weights else None
+    symbols, word_sets, weights = _columns(path, linenos, texts, _code_columns, _code_entry)
+    code = _at(path, linenos, Code, r, tuple(zip(symbols, word_sets)))
+    if not weights:
+        return code, None
+    policy = tuple((symbols[k], qs) for k, qs in weights.items())
+    return code, _at(path, [linenos[k] for k in weights], EncodingPolicy, policy)
 
 
 def _integer(text: str) -> int:

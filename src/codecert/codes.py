@@ -22,9 +22,11 @@ the choice stream's SplitMix64 would give, with no method call per step.
 Exact ACL is computed on the source's integer masses m_i over its
 denominator D and returned as a Fraction, the API view.
 
-A Code checks each symbol's codeword set, and an EncodingPolicy each
-symbol's weights, once, through the entry validator that Source uses;
-a digit that is not an int below the radix is refused.
+A Code checks its whole table in one pass, as a Source does: the
+digits are ints below the radix, the symbols distinct, and each codeword
+set nonempty with no repeat. Only when that pass fails does the entry
+validator that Source uses walk the entries, to name the first at fault.
+An EncodingPolicy runs that walk over each symbol's weights.
 
 The empty codeword (written '-') is representable; it is only ever
 useful as the sole codeword of a one-symbol code, and the
@@ -42,12 +44,12 @@ from fractions import Fraction
 from functools import cached_property, partial
 from numbers import Rational
 from operator import truediv
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import DigitOutOfRange, MissingPolicy, MissingSymbol
 from .rng import _check_seed, derived_seed, word_stream
-from .source import MAX_DENOMINATOR_BITS, Source, sample_stream
-from .source import _as_fraction, _check_count, _check_entries, _check_numeral, _check_radix, _integer_masses, _quote, _quote_list
+from .source import MAX_DENOMINATOR_BITS, Source, _draw_indices
+from .source import _as_fraction, _check_count, _check_entries, _check_numeral, _check_radix, _fraction_masses, _quote, _quote_list
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -72,6 +74,15 @@ def parse_codeword(text: str) -> tuple[int, ...]:
     for part in parts:  # each dotted digit is a numeral
         _check_numeral(part)
     return tuple(map(int, parts))
+
+
+def _parse_codewords(texts: Sequence[str]) -> list[tuple[int, ...]]:
+    """parse_codeword of each text. When every one is nonempty ASCII digits,
+    the column is read by one bytes.translate map; otherwise text by text."""
+    digits = "".join(texts)
+    if all(texts) and digits.isascii() and digits.isdigit():
+        return list(map(tuple, map(bytes.translate, map(str.encode, texts), itertools.repeat(_DIGIT_VALUES))))
+    return list(map(parse_codeword, texts))
 
 
 def format_codeword(digits: tuple[int, ...]) -> str:
@@ -108,17 +119,28 @@ def _check_codewords_and_digits(radix: int, symbol, words) -> None:
     _check_codewords(symbol, words)
 
 
-def _are_digit_tuples(radix: int, mapping: tuple) -> bool:
-    """Whether every codeword set is a tuple of tuples of int digits in
-    0..radix-1: one pass over all the digits, cheaper than a check of each word."""
-    word_sets = [words for _, words in mapping]
-    if not set(map(type, word_sets)) <= {tuple}:
+def _is_code_table(radix: int, mapping) -> bool:
+    """Whether the table passes every check of _check_codewords_and_digits:
+    (symbol, codeword set) pairs, the symbols distinct, each set a nonempty
+    tuple of distinct tuples of int digits in 0..radix-1. One pass over each
+    column, cheaper than a check of each entry; it never raises."""
+    try:
+        symbols, word_sets = zip(*mapping, strict=True)
+        if len(set(symbols)) != len(symbols) or set(map(type, word_sets)) != {tuple} or not all(word_sets):
+            return False
+    except (TypeError, ValueError):  # not (symbol, codeword set) pairs, or an unhashable symbol
         return False
     words = list(itertools.chain.from_iterable(word_sets))
-    if not set(map(type, words)) <= {tuple}:
+    if set(map(type, words)) != {tuple}:
         return False
     digits = list(itertools.chain.from_iterable(words))
-    return set(map(type, digits)) <= {int} and 0 <= min(digits, default=0) and max(digits, default=0) < radix
+    if not set(map(type, digits)) <= {int}:
+        return False
+    values = set(digits)  # as few as the radix when they pass
+    if values and not (min(values) >= 0 and max(values) < radix):
+        return False
+    # the codewords are hashable now; a set with no repeat keeps its size
+    return len(words) == len(word_sets) or list(map(len, map(set, word_sets))) == list(map(len, word_sets))
 
 
 @dataclass(frozen=True)
@@ -130,9 +152,8 @@ class Code:
 
     def __post_init__(self):
         _check_radix(self.radix, 1)
-        if not _are_digit_tuples(self.radix, self.mapping):  # find the first entry at fault
+        if not _is_code_table(self.radix, self.mapping):  # find the first entry at fault
             _check_entries(self.mapping, partial(_check_codewords_and_digits, self.radix))
-        _check_entries(self.mapping, _check_codewords)
 
     @cached_property
     def _index(self) -> dict:
@@ -340,7 +361,7 @@ def empirical_acl(
     _check_count(t, 1, "simulation needs t >= 1")
     _check_seed(seed)
     words_of = _covering(src, code)
-    sym_idx = list(map(src._index.__getitem__, sample_stream(src, t, seed)))
+    sym_idx = _draw_indices(src, t, seed)
     # (D, k, k-bit mask, cumulative masses, word lengths) of each symbol drawn,
     # built in first-draw order so that the first symbol drawn with several
     # codewords and no weights raises MissingPolicy
@@ -350,7 +371,7 @@ def empirical_acl(
         cum, denom = [1], 1
         if len(words) > 1:
             qs = _policy_weights(policy, src.symbols[i], words)
-            masses, denom = _integer_masses([(q.numerator, q.denominator) for q in qs])
+            masses, denom = _fraction_masses(qs)
             cum = list(itertools.accumulate(masses))
         k = (denom - 1).bit_length()
         table[i] = denom, k, (1 << k) - 1, cum, list(map(len, words))

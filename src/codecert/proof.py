@@ -60,7 +60,7 @@ from .errors import (
     RadixOneUnsupported,
     ZeroOrNegativeProbability,
 )
-from .source import Source, _as_fraction, _check_radix, _cut, _integer_masses, _log, _quote_list, entropy
+from .source import Source, _as_fraction, _check_radix, _cut, _fraction_masses, _log, _quote_list, entropy
 from .tree import (
     CodeTree,
     SiblingGroup,
@@ -183,16 +183,17 @@ def reduction_step(group: SiblingGroup, masses: tuple[int, ...], denominator: in
     group's size, never the tree's.
     """
     _check_radix(r)
-    if group.s < 2 or group.s > r:
-        raise InvalidGroup(f"group size {group.s} outside 2..{r}")
-    if len(masses) != group.s:
-        raise InvalidGroup(f"group of {group.s} members given {len(masses)} masses")
+    s = len(group.members)
+    if s < 2 or s > r:
+        raise InvalidGroup(f"group size {s} outside 2..{r}")
+    if len(masses) != s:
+        raise InvalidGroup(f"group of {s} members given {len(masses)} masses")
     return ReductionStep(
         group=group,
         masses=masses,
         denominator=denominator,
         delta=_delta(masses, denominator, r),
-        is_tight=(group.s == r and len(set(masses)) == 1),
+        is_tight=(s == r and len(set(masses)) == 1),
     )
 
 
@@ -212,7 +213,7 @@ def reduce_group(tree: CodeTree, group: SiblingGroup) -> tuple[Source, CodeTree,
     probs = tuple(leaf.prob for leaf in leaves)
     if None in probs:
         raise InvalidGroup("group leaf carries no probability")
-    masses, denominator = _integer_masses([(q.numerator, q.denominator) for q in probs])
+    masses, denominator = _fraction_masses(probs)
     step = reduction_step(group, masses, denominator, tree.radix)
     merged = MergedSymbol(tuple(leaf.symbol for leaf in leaves))
     reduced_tree = replace_group_with_leaf(tree, group, merged, step.p_red)
@@ -376,7 +377,7 @@ def _group_masses(probs, r: int, *, within_radix: bool = True) -> tuple[int, tup
     probs = tuple(map(_as_fraction, probs))
     if not probs:
         raise ValueError("need at least one probability")
-    masses, d = _integer_masses([(q.numerator, q.denominator) for q in probs])
+    masses, d = _fraction_masses(probs)
     for m in masses:
         if m <= 0:
             raise ZeroOrNegativeProbability(f"group probabilities must be positive, got {_cut(Fraction(m, d))}")

@@ -3,8 +3,9 @@
 A source is an ordered alphabet with an exact rational probability for
 each symbol, held as positive integer masses m_i over their least common
 denominator D (p_i = m_i/D, sum m_i = D). `make_source` derives them from
-rationals, and a source file from (numerator, denominator) pairs with no
-Fraction between, both through `_integer_masses`, which caps the lcm.
+rationals, and a source file (UTF-8, a byte order mark at its start
+skipped) from its columns of numerators and denominators with no Fraction
+between (`_ratios`), both through `_integer_masses`, which caps the lcm.
 Every exact computation (ACL, Huffman merges, merge-chain masses, the
 equality test, sampling) runs on these integers; `probs` is their
 Fraction view, built when read. Only entropy and the per-merge defects
@@ -12,8 +13,12 @@ are floating-point surfaces, and they read m/D, which rounds exactly as
 float(Fraction) does. Exactness lets the proof engine decide the equality
 case p_i = r^(-l_i) with no tolerance at all.
 
-Every symbol table (Source, Code, EncodingPolicy) checks each entry once,
-through `_check_entries`, which also rejects a symbol listed twice.
+A Source and a Code check their whole table in one pass (`_is_mass_table`,
+`codes._is_code_table`): the symbols are distinct and each entry keeps its
+invariant, tested a column at a time. That pass only answers yes or no,
+and never raises. Only on no does `_check_entries` walk the entries in
+order, to raise the error of the first one at fault, or of a symbol listed
+twice; an EncodingPolicy runs that walk on every table.
 
 Sampling is deterministic: a seed in [0, 2^64) keys a splitmix64 stream
 (see codecert.rng) of draws below the least D, so a stream is
@@ -24,10 +29,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import floordiv, mul
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
@@ -127,6 +134,26 @@ def _ratio(text: str) -> tuple[int, int]:
     raise ValueError(f"not a rational number: {_quote(text)}")
 
 
+#: A column of 'a/b' numerals in ASCII digits, joined by single spaces
+_PLAIN_RATIOS = re.compile(r"[0-9]+/[0-9]+(?: [0-9]+/[0-9]+)*")
+
+
+def _ratios(numerals: Sequence[str]) -> tuple[list[int], list[int]]:
+    """The numerators and denominators of _ratio of each numeral, as two
+    columns. When every numeral is 'a/b' in ASCII digits, of at most
+    MAX_NUMERAL_DIGITS characters and with b above 0, the column is read with
+    one int map per side and one gcd map; otherwise numeral by numeral."""
+    joined = " ".join(numerals)
+    if max(map(len, numerals)) <= MAX_NUMERAL_DIGITS and _PLAIN_RATIOS.fullmatch(joined):
+        parts = joined.replace(" ", "/").split("/")
+        nums, dens = list(map(int, parts[0::2])), list(map(int, parts[1::2]))
+        if 0 not in dens:
+            gs = list(map(math.gcd, nums, dens))
+            return list(map(floordiv, nums, gs)), list(map(floordiv, dens, gs))
+    nums, dens = zip(*map(_ratio, numerals))
+    return list(nums), list(dens)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b', an integer, or a finite decimal into an exact Fraction.
 
@@ -184,22 +211,39 @@ def _check_probability(d: int, symbol, m) -> None:
         raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) = {_cut(Fraction(m, d))} is not strictly positive")
 
 
+def _is_mass_table(symbols: Sequence, masses: Sequence) -> bool:
+    """Whether the symbols are distinct and every mass is an int above 0: one
+    pass over each column, which never raises, even on an unhashable symbol."""
+    try:
+        if len(set(symbols)) != len(symbols):
+            return False
+    except TypeError:
+        return False
+    return set(map(type, masses)) == {int} and min(masses) > 0
+
+
 #: Most bits of the lcm of a source's denominators; the Kraft sum's common
 #: denominator r^max(length) is capped at 2^MAX_DENOMINATOR_BITS. The work
 #: on such a number grows with its size, and printing it with the square.
 MAX_DENOMINATOR_BITS = 300_000
 
 
-def _integer_masses(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """The integer masses n*D/d of fractions n/d, given as (n, d) pairs in lowest
-    terms, over their least common denominator D, and D: n/d == mass/D exactly.
-    The lcm is refused as soon as it has more than MAX_DENOMINATOR_BITS bits."""
+def _integer_masses(nums: Sequence[int], dens: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The integer masses n*D/d of the fractions n/d, given as columns of
+    numerators and denominators in lowest terms, over their least common
+    denominator D, and D: n/d == mass/D exactly. The lcm is refused as soon
+    as it has more than MAX_DENOMINATOR_BITS bits."""
     denom = 1
-    for d in {d for _, d in ratios}:
+    for d in set(dens):
         denom = math.lcm(denom, d)
         if denom.bit_length() > MAX_DENOMINATOR_BITS:
             raise ValueError(f"the probabilities' common denominator has more than {MAX_DENOMINATOR_BITS:,} bits")
-    return tuple(n * (denom // d) for n, d in ratios), denom
+    return tuple(map(mul, nums, map(floordiv, itertools.repeat(denom), dens))), denom
+
+
+def _fraction_masses(qs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """_integer_masses of Fractions."""
+    return _integer_masses([q.numerator for q in qs], [q.denominator for q in qs])
 
 
 #: Most bits of a common denominator whose wrong sum an error prints exactly;
@@ -226,7 +270,8 @@ class Source:
             raise ValueError("symbols and masses must have equal length")
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise ValueError(f"denominator {_quote(d)} is not a positive integer")
-        _check_entries(zip(self.symbols, self.masses), partial(_check_probability, d))
+        if not _is_mass_table(self.symbols, self.masses):  # find the first entry at fault
+            _check_entries(zip(self.symbols, self.masses), partial(_check_probability, d))
         total = sum(self.masses)
         if total != d:
             bits = d.bit_length()
@@ -258,7 +303,7 @@ class Source:
 
 def make_source(symbols: Sequence, probs: Sequence) -> Source:
     """The Source of exact rationals (a float is refused): masses over the lcm of their denominators."""
-    return Source(tuple(symbols), *_integer_masses([(q.numerator, q.denominator) for q in map(_as_fraction, probs)]))
+    return Source(tuple(symbols), *_fraction_masses(list(map(_as_fraction, probs))))
 
 
 def _check_radix(r, least: int = 2) -> int:
@@ -318,7 +363,11 @@ def sample_stream(src: Source, t: int, seed: int) -> list:
     """
     _check_count(t, 0, "stream length must be >= 0")
     _check_seed(seed)
+    return list(map(src.symbols.__getitem__, _draw_indices(src, t, seed)))
+
+
+def _draw_indices(src: Source, t: int, seed: int) -> list[int]:
+    """The symbol indices of sample_stream(src, t, seed), its arguments unchecked."""
     # bisect_right(bounds, u) for u uniform below D picks i with probability m_i/D (D = 1: only u = 0)
     us = draws(seed, src.denominator, t)
-    picks = map(bisect_right, itertools.repeat(list(itertools.accumulate(src.masses))), us)
-    return list(map(src.symbols.__getitem__, picks))
+    return list(map(bisect_right, itertools.repeat(list(itertools.accumulate(src.masses))), us))

@@ -20,6 +20,7 @@ import codecert.cli as cli
 import codecert.codes as codes
 import codecert.decipher as decipher
 from codecert.cli import main, parse_code_file
+from codecert.codes import format_codeword, make_code, make_policy
 from codecert.errors import CodecertError, ParseError
 from codecert.source import _check_probability, make_source, parse_rational
 
@@ -415,11 +416,11 @@ def test_simulate_encodes_one_stream(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(cli, "empirical_acl")
-    count(codes, "sample_stream")
+    count(codes, "_draw_indices")
     src = write(tmp_path, "s.txt", POLICY_SRC)
     code = write(tmp_path, "c.txt", POLICY_CODE)
     assert run(capsys, "simulate", src, code, "--t", "100", "--machine")[0] == 0
-    assert calls == {"empirical_acl": 1, "sample_stream": 1}
+    assert calls == {"empirical_acl": 1, "_draw_indices": 1}
 
 
 def test_simulate_floor_breach_matches_two_run_count(tmp_path, capsys, monkeypatch):
@@ -798,6 +799,14 @@ def test_entry_errors_name_their_line(command, text, line, message, tmp_path, ca
     assert run(capsys, command, path) == (2, "", f"error: {path}:{line}: {message}")
 
 
+@pytest.mark.parametrize("words", ["0,,1", "0,", ",0", "0,-,1.x"])
+def test_a_word_list_with_a_bad_token_names_its_line(words, tmp_path, capsys):
+    # a column of digit words is read in one pass; an empty or bad word among them is still an error
+    path = write(tmp_path, "c.code", f"radix 2\na 10\nb {words}\nc 11\n")
+    bad = next(w for w in words.split(",") if not w.isdigit() and w != "-")
+    assert run(capsys, "check-prefix", path) == (2, "", f"error: {path}:3: not a codeword: {bad!r}")
+
+
 def test_duplicate_weighted_symbol_is_a_file_error(tmp_path, capsys):
     path = write(tmp_path, "dup.txt", "radix 2\nb 0,10 @ 1/2,1/2\nb 11 @ 1\n")
     assert run(capsys, "check-prefix", path) == (2, "", f"error: {path}: symbol 'b' listed twice")
@@ -813,7 +822,8 @@ def test_entries_are_checked_in_table_order(tmp_path, capsys):
 
 
 def test_parsing_checks_each_entry_once(tmp_path):
-    # counted by code object, so a call through any name the check is bound to counts
+    # counted by code object, so a call through any name the check is bound to counts;
+    # a valid Source or Code is checked a column at a time, so its entry checks never run
     checks = {f.__code__: f.__name__ for f in (_check_probability, codes._check_codewords, codes._check_weights)}
     calls = Counter()
 
@@ -831,7 +841,7 @@ def test_parsing_checks_each_entry_once(tmp_path):
     finally:
         sys.setprofile(None)
     assert len(code.mapping) == len(policy.weights) == n
-    assert calls == {"_check_probability": n, "_check_codewords": n, "_check_weights": n}
+    assert (calls["_check_probability"], calls["_check_codewords"], calls["_check_weights"]) == (0, 0, n)
 
 
 def count_fractions_built(read, *args):
@@ -917,6 +927,113 @@ def test_a_source_file_reads_as_make_source_over_parse_rational(tmp_path, numera
             raise ParseError(str(e), path=path, line=lines[e.entry] if hasattr(e, "entry") else None) from None
 
     assert parsed_or_error(cli.parse_source_file, path) == parsed_or_error(oracle)
+
+
+@st.composite
+def codeword_texts(draw, r: int):
+    """A codeword's text at radix r, mostly its digits as format_codeword
+    writes them; now and then '-', a digit equal to the radix, or a token
+    that is not a codeword."""
+    roll = draw(st.integers(0, 19))
+    if roll == 19:
+        return draw(st.sampled_from([format_codeword((r,)), format_codeword((0, r))]))
+    if roll == 18:
+        return draw(st.sampled_from(["", "x", "1.x", "١", "1..2", "-0"]))
+    if roll == 17:
+        return "-"
+    return format_codeword(tuple(draw(st.lists(st.integers(0, r - 1), max_size=4))))
+
+
+@st.composite
+def code_file_lines(draw):
+    """The lines of a code file: a header, mostly valid, then entries with
+    word lists, '-' and, at radix 11 and above, dotted words; '@' weights;
+    comments, blank lines and form feeds. Now and then a symbol repeats, the
+    weights are not as many as the words or not rationals, or a line is
+    malformed."""
+    r = draw(st.sampled_from([1, 2, 3, 11, 12]))
+    lines = [draw(st.sampled_from([f"radix {r}"] * 12 + ["radix 0", "radix x", "# a comment"]))]
+    for i in range(draw(st.integers(1, 6))):
+        symbol = draw(st.sampled_from([f"s{i}"] * 12 + ["s0", "f#"]))
+        words = draw(st.lists(codeword_texts(r), min_size=1, max_size=3))
+        gap = draw(st.sampled_from([" ", " ", "\t", "\x0c"]))
+        line = f"{symbol}{gap}{','.join(words)}"
+        if len(words) > 1 or draw(st.integers(0, 9)) == 0:
+            k = draw(st.sampled_from([len(words)] * 12 + [len(words) + 1]))
+            weights = [f"1/{k}"] * k
+            if draw(st.integers(0, 9)) == 0:
+                weights[0] = draw(st.sampled_from(["2/3", "0", "x", "0.5", "-1/2"]))
+            line += draw(st.sampled_from([" @ ", "@", " @"])) + ",".join(weights)
+        if draw(st.integers(0, 19)) == 0:
+            line = draw(st.sampled_from([symbol, f"{line} extra", line + "\x0cz 0", f"{line} @ ", f"{line} @ 1"]))
+        lines.append(line)
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "# a comment", "\x0c"]), max_size=1)))
+    return lines
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(code_file_lines(), st.data())
+def test_a_code_file_reads_as_make_code_over_code_entry(tmp_path, lines, data):
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    # a lone '\r' before an empty line would make one '\r\n' end of the two
+    ends = [end if (end, following) != ("\r", "") else "\r\n" for end, following in zip(ends, [*lines[1:], None])]
+    path = tmp_path / "c.code"
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
+    path = str(path)
+
+    def located(build, *args, line=None, lines=()):
+        try:
+            return build(*args)
+        except (CodecertError, ValueError) as e:
+            line = lines[e.entry] if hasattr(e, "entry") else line
+            raise ParseError(str(e), path=path, line=line) from None
+
+    def oracle():
+        significant = [(k, text.strip()) for k, text in enumerate(lines, start=1) if text.strip()[:1] not in ("", "#")]
+        if not significant:
+            raise ParseError("no code entries found", path=path)
+        (header_line, header), *rows = significant
+        r = located(cli._code_header, header, line=header_line)
+        if not rows:
+            raise ParseError("code file has a header but no codewords", path=path)
+        entries = [located(cli._code_entry, text, line=k) for k, text in rows]
+        linenos = [k for k, _ in rows]
+        code = located(make_code, r, [(symbol, list(words)) for symbol, words, _ in entries], lines=linenos)
+        weighted = [(k, symbol, qs) for k, (symbol, _, qs) in zip(linenos, entries) if qs]
+        if not weighted:
+            return code, None
+        policy = located(make_policy, [(symbol, qs) for _, symbol, qs in weighted], lines=[k for k, _, _ in weighted])
+        return code, policy
+
+    assert parsed_or_error(parse_code_file, path) == parsed_or_error(oracle)
+
+
+BOM = "\ufeff".encode()
+
+
+def test_a_source_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # kept, the mark would begin the first symbol, '\ufeffa', which no code covers
+    src = tmp_path / "s.txt"
+    src.write_bytes(BOM + b"a 1/2\r\nb 1/2\r\n")
+    code = write(tmp_path, "c.code", "radix 2\na 0\nb 1\n")
+    assert cli.parse_source_file(str(src)).symbols == ("a", "b")
+    assert run(capsys, "acl", str(src), code, "--machine") == (0, "ACL=1.0\nACL_exact=1/1", "")
+
+
+def test_a_code_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # kept, the mark would begin the header: "expected header 'radix <r>', got '\ufeffradix 2'"
+    src = write(tmp_path, "s.txt", "a 1/2\nb 1/2\n")
+    code = tmp_path / "c.code"
+    code.write_bytes(BOM + b"radix 2\r\na 0\r\nb 1\r\n")
+    assert parse_code_file(str(code)) == (make_code(2, {"a": "0", "b": "1"}), None)
+    assert run(capsys, "acl", src, str(code), "--machine") == (0, "ACL=1.0\nACL_exact=1/1", "")
+
+
+def test_only_a_leading_byte_order_mark_is_dropped(tmp_path):
+    # past the start, U+FEFF is text like any other: not whitespace, so part of a token
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"a 1/2\n" + BOM + b"b 1/2\n")
+    assert cli.parse_source_file(str(path)).symbols == ("a", "\ufeffb")
 
 
 def test_undecodable_file_names_its_path(tmp_path, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -122,6 +123,24 @@ def test_a_code_reports_its_first_entry_at_fault():
     with pytest.raises(ValueError, match="repeats a codeword") as info:
         make_code(2, [("a", "0"), ("b", ["1", "1"]), ("c", "12")])
     assert info.value.entry == 1
+
+
+@pytest.mark.parametrize(
+    "mapping, error, message, entry",
+    [
+        ((("a", ((0,),)), ("b", ())), ValueError, "symbol 'b' has an empty codeword set", 1),
+        ((("a", ((0,), (1,))), ("b", ((1, 0), (1, 0)))), ValueError, "symbol 'b' repeats a codeword", 1),
+        ((("a", ((0,),)), ("b", ((1,),)), ("a", ((1, 1),))), ValueError, "symbol 'a' listed twice", None),
+        ((("a", ((0,),)), (["b"], ((1,),))), TypeError, "unhashable type: 'list'", None),
+        ((("a", ((0,),), "extra"),), ValueError, "too many values to unpack", None),
+    ],
+    ids=["empty-set", "repeat", "twice", "unhashable", "triple"],
+)
+def test_a_code_table_that_fails_its_one_pass_check_is_walked_entry_by_entry(mapping, error, message, entry):
+    # the one-pass check only answers no; the walk over the entries raises, and names the entry at fault
+    with pytest.raises(error, match=re.escape(message)) as info:
+        Code(2, mapping)
+    assert getattr(info.value, "entry", None) == entry
 
 
 def test_a_codeword_that_is_not_a_digit_tuple_is_refused():

@@ -238,6 +238,13 @@ def test_duplicate_symbol_is_named():
         make_source("abcb", ["1/4"] * 4)
 
 
+def test_an_unhashable_symbol_is_met_by_the_entry_walk():
+    # the one-pass table check answers no rather than raise; the walk over
+    # the entries then meets the unhashable symbol
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        Source(("a", ["b"]), (1, 1), 2)
+
+
 def test_source_lookup():
     src = dyadic_abc()
     assert len(src) == 3
