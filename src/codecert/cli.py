@@ -19,7 +19,8 @@ that is reported; it must be at least 0, and is checked before any
 search. It does not bound the work: check-ud decides unique
 decipherability exactly, so a code whose shortest witness is longer than
 the cap is reported undecipherable, with no witness, and exits 1.
---seed is an integer in 0..2^64-1 for every subcommand. simulate encodes
+--seed is an integer in 0..2^64-1 for every subcommand, and --t at most
+10^9 (source.MAX_STREAM_LENGTH), checked before any draw. simulate encodes
 the stream once and reads its pathwise floor off that trace: a step where
 fewer digits were emitted than the same symbols' shortest codewords take
 is a violation, counted on integers.
@@ -44,10 +45,11 @@ Code files start with `radix <r>`, then per line
 `@ q1,q2,...` choice weights; `-` denotes the empty codeword. A codeword
 is written one digit per character (`0110`) when every digit is at most
 9, and otherwise as dot-separated digits (`3.11`, and `10.` for the
-one-digit word 10). The parsers check this syntax a column at a time, and
-read the lines one by one only to name the first faulty one; what the
-entries mean is checked by the Source, Code and EncodingPolicy types, each
-error located at the file and, for an error within one line, the line.
+one-digit word 10). The parsers check this syntax a column at a time; when
+a column is refused, the same reader runs on each line alone to name the
+first faulty one. What the entries mean is checked by the Source, Code and
+EncodingPolicy types, each error located at the file and, for an error
+within one line, the line.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .codes import (
     format_codeword,
     kraft_sum,
     minimal_reduction,
-    parse_codeword,
 )
 from .decipher import (
     DEFAULT_UD_BUDGET,
@@ -89,7 +90,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, _ratio, _ratios, entropy, parse_rational
+from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, _ratios, entropy, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -127,46 +128,35 @@ def _at(path: str, lines: list[int], build, *args):
         raise ParseError(str(e), path=path, line=lines[e.entry] if hasattr(e, "entry") else None) from None
 
 
-def _each_line(path: str, linenos: list[int], texts: list[str], read) -> list:
-    """read(text) of each line in order, reporting a CodecertError or ValueError as a ParseError at path:line."""
-    out = []
+def _columns(path: str, linenos: list[int], texts: list[str], read):
+    """read(texts), the lines read as whole columns. When that raises, read
+    runs again on each line alone, as the one-line slice [text], to report
+    the first faulty line as a ParseError at path:line."""
     try:
-        for lineno, text in zip(linenos, texts):
-            out.append(read(text))
-    except (CodecertError, ValueError) as e:
-        raise ParseError(str(e), path=path, line=lineno) from None
-    return out
-
-
-def _columns(path: str, linenos: list[int], texts: list[str], read_columns, read_line):
-    """read_columns(texts), the lines read as whole columns. When that raises,
-    read_line runs on each line in order, to report the first faulty one."""
-    try:
-        return read_columns(texts)
+        return read(texts)
     except (CodecertError, ValueError):
-        _each_line(path, linenos, texts, read_line)
-        raise  # not reached while read_line refuses a line whenever read_columns refuses the lines
+        for lineno, text in zip(linenos, texts):
+            try:
+                read([text])
+            except (CodecertError, ValueError) as e:
+                raise ParseError(str(e), path=path, line=lineno) from None
+        raise  # not reached while read refuses some line alone whenever it refuses the lines
 
 
-def _rows(texts: Sequence[str]) -> tuple[list[str], list[str]]:
-    """The two whitespace-separated tokens of each line, as two columns; a
-    line with another count of tokens raises ValueError."""
-    if set(map(len, map(str.split, texts))) != {2}:
-        raise ValueError("a line does not hold two tokens")
-    tokens = " ".join(texts).split()
+def _rows(bodies: Sequence[str], expected: str, lines: Sequence[str] | None = None) -> tuple[list[str], list[str]]:
+    """The two whitespace-separated tokens of each line's body, as two columns.
+    A body with another count of tokens raises ValueError, quoting the first
+    such whole line: lines[k], or bodies[k] when the bodies are the lines."""
+    if set(map(len, map(str.split, bodies))) != {2}:
+        k = next(k for k, body in enumerate(bodies) if len(body.split()) != 2)
+        raise ValueError(f"expected {expected}, got {_quote((lines or bodies)[k])}")
+    tokens = " ".join(bodies).split()
     return tokens[0::2], tokens[1::2]
 
 
-def _source_entry(text: str) -> tuple[str, tuple[int, int]]:
-    tokens = text.split()
-    if len(tokens) != 2:
-        raise ValueError(f"expected '<symbol> <probability>', got {_quote(text)}")
-    return tokens[0], _ratio(tokens[1])
-
-
 def _source_columns(texts: list[str]) -> tuple[list[str], tuple[list[int], list[int]]]:
-    """_source_entry of each line, as a column of symbols and the columns of _ratios."""
-    symbols, numerals = _rows(texts)
+    """The lines of a source file as a column of symbols and the columns of _ratios of their probabilities."""
+    symbols, numerals = _rows(texts, "'<symbol> <probability>'")
     return symbols, _ratios(numerals)
 
 
@@ -174,7 +164,7 @@ def parse_source_file(path: str) -> Source:
     linenos, texts = _significant_lines(path)
     if not texts:
         raise ParseError("no source entries found", path=path)
-    symbols, (nums, dens) = _columns(path, linenos, texts, _source_columns, _source_entry)
+    symbols, (nums, dens) = _columns(path, linenos, texts, _source_columns)
     return _at(path, linenos, lambda: Source(tuple(symbols), *_integer_masses(nums, dens)))
 
 
@@ -186,28 +176,13 @@ def _code_header(text: str) -> int:
     return _check_radix(int(tokens[1]), 1)
 
 
-def _code_entry(text: str) -> tuple[str, tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
-    body, _, weight_text = text.partition("@")
-    tokens = body.split()
-    if len(tokens) != 2:
-        raise ValueError(f"expected '<symbol> <codewords> [@ weights]', got {_quote(text)}")
-    symbol, words_text = tokens
-    words = tuple(map(parse_codeword, words_text.split(",")))
-    if not weight_text.strip():
-        return symbol, words, ()
-    qs = tuple(parse_rational(q) for q in weight_text.split(","))
-    if len(qs) != len(words):
-        raise ValueError(f"{len(qs)} weights for {len(words)} codewords")
-    return symbol, words, qs
-
-
 def _code_columns(texts: list[str]) -> tuple[list[str], list, dict[int, tuple[Fraction, ...]]]:
-    """_code_entry of each line, as columns of symbols and codeword sets, and
-    the weights of the lines that have them, by line index."""
+    """The lines of a code file past its header as columns of symbols and
+    codeword sets, and the weights of the lines that have them, by line index."""
     bodies, weight_texts = texts, ()
     if "@" in "".join(texts):
         bodies, _, weight_texts = zip(*map(methodcaller("partition", "@"), texts))
-    symbols, words_texts = _rows(bodies)
+    symbols, words_texts = _rows(bodies, "'<symbol> <codewords> [@ weights]'", texts)
     if "," in "".join(words_texts):
         word_texts = list(map(str.split, words_texts, repeat(",")))
         words = iter(_parse_codewords(list(chain.from_iterable(word_texts))))
@@ -227,11 +202,11 @@ def parse_code_file(path: str) -> tuple[Code, EncodingPolicy | None]:
     linenos, texts = _significant_lines(path)
     if not texts:
         raise ParseError("no code entries found", path=path)
-    [r] = _each_line(path, linenos[:1], texts[:1], _code_header)
+    r = _columns(path, linenos[:1], texts[:1], lambda header: _code_header(*header))
     linenos, texts = linenos[1:], texts[1:]
     if not texts:
         raise ParseError("code file has a header but no codewords", path=path)
-    symbols, word_sets, weights = _columns(path, linenos, texts, _code_columns, _code_entry)
+    symbols, word_sets, weights = _columns(path, linenos, texts, _code_columns)
     code = _at(path, linenos, Code, r, tuple(zip(symbols, word_sets)))
     if not weights:
         return code, None
@@ -239,18 +214,27 @@ def parse_code_file(path: str) -> tuple[Code, EncodingPolicy | None]:
     return code, _at(path, [linenos[k] for k in weights], EncodingPolicy, policy)
 
 
-def _integer(text: str) -> int:
-    """An integer in ASCII digits; int() also reads '_' and other scripts' digits."""
+def _option_numeral(kind: str, read, text: str, admits=lambda value: True):
+    """read(text) of an option's numeral, in ASCII with no '_' and at most
+    MAX_NUMERAL_DIGITS digits, when admits(value) holds; int() and float()
+    also read '_' and other scripts' digits, and float() 'inf' and 'nan'."""
     if text.isascii() and "_" not in text:
         try:
             _check_numeral(text)
         except ValueError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
         try:
-            return int(text)
+            value = read(text)
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(f"not an integer: {_quote(text)}")
+        else:
+            if admits(value):
+                return value
+    raise argparse.ArgumentTypeError(f"not {kind}: {_quote(text)}")
+
+
+_integer = functools.partial(_option_numeral, "an integer", int)
+_finite = functools.partial(_option_numeral, "a finite number", float, admits=math.isfinite)
 
 
 def _budget(text: str) -> int:
@@ -265,24 +249,6 @@ def _budget(text: str) -> int:
     except ValueError as e:
         raise ParseError(str(e)) from None
     return value
-
-
-def _finite(text: str) -> float:
-    """A finite number in ASCII of at most MAX_NUMERAL_DIGITS digits; float()
-    also reads '_', other scripts' digits, 'inf' and 'nan'."""
-    if text.isascii() and "_" not in text:
-        try:
-            _check_numeral(text)
-        except ValueError as e:
-            raise argparse.ArgumentTypeError(str(e)) from None
-        try:
-            value = float(text)
-        except ValueError:
-            pass
-        else:
-            if math.isfinite(value):
-                return value
-    raise argparse.ArgumentTypeError(f"not a finite number: {_quote(text)}")
 
 
 def _parse_lengths(text: str) -> list[int]:

@@ -49,7 +49,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from .errors import DigitOutOfRange, MissingPolicy, MissingSymbol
 from .rng import _check_seed, derived_seed, word_stream
 from .source import MAX_DENOMINATOR_BITS, Source, _draw_indices
-from .source import _as_fraction, _check_count, _check_entries, _check_numeral, _check_radix, _fraction_masses, _quote, _quote_list
+from .source import _as_fraction, _check_entries, _check_numeral, _check_radix, _check_stream_length, _fraction_masses, _quote, _quote_list
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
 #: the symbol sequence of a simulation depends only on (source, t, seed).
@@ -358,7 +358,7 @@ def empirical_acl(
     attempt taking the next k = bit_length(D - 1) bits. A symbol with one
     codeword has D = 1 and reads no bits, as randbelow(1) reads none.
     """
-    _check_count(t, 1, "simulation needs t >= 1")
+    _check_stream_length(t, 1, "simulation needs t >= 1")
     _check_seed(seed)
     words_of = _covering(src, code)
     sym_idx = _draw_indices(src, t, seed)

@@ -4,8 +4,9 @@ A source is an ordered alphabet with an exact rational probability for
 each symbol, held as positive integer masses m_i over their least common
 denominator D (p_i = m_i/D, sum m_i = D). `make_source` derives them from
 rationals, and a source file (UTF-8, a byte order mark at its start
-skipped) from its columns of numerators and denominators with no Fraction
-between (`_ratios`), both through `_integer_masses`, which caps the lcm.
+skipped) from its columns of numerators and denominators (`_ratios`: plain
+`a/b` with no Fraction between, any other numeral through parse_rational's
+one reader, `_ratio`), both through `_integer_masses`, which caps the lcm.
 Every exact computation (ACL, Huffman merges, merge-chain masses, the
 equality test, sampling) runs on these integers; `probs` is their
 Fraction view, built when read. Only entropy and the per-merge defects
@@ -22,7 +23,8 @@ twice; an EncodingPolicy runs that walk on every table.
 
 Sampling is deterministic: a seed in [0, 2^64) keys a splitmix64 stream
 (see codecert.rng) of draws below the least D, so a stream is
-reproducible from the seed alone.
+reproducible from the seed alone. A stream holds all its draws at once,
+so its length is capped at MAX_STREAM_LENGTH.
 """
 
 from __future__ import annotations
@@ -117,14 +119,8 @@ def _quote_list(values: Sequence) -> str:
 
 def _ratio(text: str) -> tuple[int, int]:
     """The numerator and denominator, in lowest terms, of the rational that
-    parse_rational reads: 'a/b' and 'a' in plain ASCII digits as two ints and
-    one gcd, with no Fraction built, and every other form through Fraction."""
-    num, slash, den = text.partition("/")
-    if text.isascii() and num.isdigit() and (den.isdigit() or not slash) and len(text) <= MAX_NUMERAL_DIGITS:
-        n, d = int(num), int(den or 1)
-        if d:
-            g = math.gcd(n, d)
-            return n // g, d // g
+    parse_rational reads, through Fraction; _ratios reads a column of plain
+    'a/b' numerals without it."""
     if text.isascii() and "_" not in text:
         _check_numeral(text)
         try:
@@ -160,7 +156,8 @@ def parse_rational(text: str) -> Fraction:
     Decimal text is converted exactly ('0.25' -> 1/4), never through a
     binary float. Digits are ASCII, without '_' (Fraction accepts both),
     and each numeral has at most MAX_NUMERAL_DIGITS of them. A source file
-    is read through the same syntax (`_ratio`) straight into integer pairs.
+    is read through the same reader (`_ratio`, or `_ratios` on a column of
+    plain 'a/b') straight into integer pairs.
     """
     return Fraction(*_ratio(text))
 
@@ -185,6 +182,17 @@ def _check_count(value, least: int, message: str) -> None:
         raise ValueError(f"{message} (an int), got {_quote(value)}")
     if value < least:
         raise ValueError(f"{message}, got {_quote(value)}")
+
+
+#: Longest stream sample_stream and empirical_acl draw: every draw of a stream is held at once.
+MAX_STREAM_LENGTH = 10**9
+
+
+def _check_stream_length(t, least: int, message: str) -> None:
+    """_check_count of a stream length t, which also refuses t above MAX_STREAM_LENGTH."""
+    _check_count(t, least, message)
+    if t > MAX_STREAM_LENGTH:
+        raise ValueError(f"stream length must be at most {MAX_STREAM_LENGTH:,}")
 
 
 def _check_entries(entries: Iterable[tuple[Any, Any]], check: Callable[[Any, Any], None]) -> None:
@@ -361,7 +369,7 @@ def sample_stream(src: Source, t: int, seed: int) -> list:
     the probabilities and maps it through exact cumulative thresholds,
     so the sampled law is exactly P, not a float approximation.
     """
-    _check_count(t, 0, "stream length must be >= 0")
+    _check_stream_length(t, 0, "stream length must be >= 0")
     _check_seed(seed)
     return list(map(src.symbols.__getitem__, _draw_indices(src, t, seed)))
 

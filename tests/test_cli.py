@@ -19,10 +19,11 @@ import codecert
 import codecert.cli as cli
 import codecert.codes as codes
 import codecert.decipher as decipher
+import codecert.source as source_module
 from codecert.cli import main, parse_code_file
-from codecert.codes import format_codeword, make_code, make_policy
+from codecert.codes import format_codeword, make_code, make_policy, parse_codeword
 from codecert.errors import CodecertError, ParseError
-from codecert.source import _check_probability, make_source, parse_rational
+from codecert.source import _check_probability, _quote, make_source, parse_rational
 
 DYADIC_SRC = "a 1/2\nb 1/4\nc 1/4\n"
 DYADIC_CODE = "radix 2\na 0\nb 10\nc 11\n"
@@ -338,6 +339,34 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert first == second
     third = run(capsys, "simulate", src, code, "--t", "300", "--seed", "10", "--machine")
     assert third != first
+
+
+@pytest.mark.parametrize("src_text, code_text", [("a 1\n", "radix 2\na 0\n"), (DYADIC_SRC, DYADIC_CODE)])
+def test_simulate_refuses_a_stream_past_the_cap(src_text, code_text, tmp_path, capsys, monkeypatch):
+    # refused before any draw: one symbol's t draws were one list of t zeros, and
+    # several symbols' draws were appended until memory ran out
+    def no_draws(*args):
+        raise AssertionError("a draw before t was checked")
+
+    monkeypatch.setattr(source_module, "draws", no_draws)
+    src = write(tmp_path, "s.txt", src_text)
+    code = write(tmp_path, "c.txt", code_text)
+    message = f"error: stream length must be at most {source_module.MAX_STREAM_LENGTH:,}"
+    assert run(capsys, "simulate", src, code, "--t", "10000000000000000000000") == (2, "", message)
+
+
+def test_the_stream_cap_admits_a_stream_of_its_own_length(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(source_module, "MAX_STREAM_LENGTH", 5)
+    src = write(tmp_path, "s.txt", DYADIC_SRC)
+    code = write(tmp_path, "c.txt", DYADIC_CODE)
+    assert run(capsys, "simulate", src, code, "--t", "5", "--machine")[0] == 0
+    assert run(capsys, "simulate", src, code, "--t", "6") == (2, "", "error: stream length must be at most 5")
+    dyadic, dyadic_code = make_source("abc", ["1/2", "1/4", "1/4"]), parse_code_file(code)[0]
+    assert len(source_module.sample_stream(dyadic, 5, 1)) == 5
+    with pytest.raises(ValueError, match="^stream length must be at most 5$"):
+        source_module.sample_stream(dyadic, 6, 1)
+    with pytest.raises(ValueError, match="^stream length must be at most 5$"):
+        codecert.empirical_acl(dyadic, dyadic_code, None, 6, 1)
 
 
 def test_simulate_with_policy(tmp_path, capsys):
@@ -807,6 +836,46 @@ def test_a_word_list_with_a_bad_token_names_its_line(words, tmp_path, capsys):
     assert run(capsys, "check-prefix", path) == (2, "", f"error: {path}:3: not a codeword: {bad!r}")
 
 
+@pytest.mark.parametrize("entry", ["b", "b 1/4 x"])
+def test_a_source_line_without_two_tokens_names_its_line(entry, tmp_path, capsys):
+    path = write(tmp_path, "s.txt", f"a 1/2\n{entry}\nc 1/4\n")
+    message = f"expected '<symbol> <probability>', got {entry!r}"
+    assert run(capsys, "entropy", path) == (2, "", f"error: {path}:2: {message}")
+
+
+@pytest.mark.parametrize("entry", ["b", "b @ 1", "b 10 11", "b 10 11 @ 1/2,1/2", "b 10,11 x @ 1/2,1/2"])
+def test_a_code_line_without_two_tokens_names_its_line(entry, tmp_path, capsys):
+    # the message quotes the whole line, its weights included
+    path = write(tmp_path, "c.code", f"radix 2\na 0\n{entry}\nc 11\n")
+    message = f"expected '<symbol> <codewords> [@ weights]', got {entry!r}"
+    assert run(capsys, "check-prefix", path) == (2, "", f"error: {path}:3: {message}")
+
+
+@pytest.mark.parametrize(
+    "second, fourth, message",
+    [
+        ("b 1/4 x", "d 1/x", "expected '<symbol> <probability>', got 'b 1/4 x'"),
+        ("b 1/x", "d 1/4 x", "not a rational number: '1/x'"),
+    ],
+)
+def test_the_first_faulty_source_line_is_named(second, fourth, message, tmp_path, capsys):
+    path = write(tmp_path, "s.txt", f"a 1/4\n{second}\nc 1/4\n{fourth}\n")
+    assert run(capsys, "entropy", path) == (2, "", f"error: {path}:2: {message}")
+
+
+@pytest.mark.parametrize(
+    "third, fifth, message",
+    [
+        ("b 10 11 @ 1/2,1/2", "d 1x", "expected '<symbol> <codewords> [@ weights]', got 'b 10 11 @ 1/2,1/2'"),
+        ("b 1x", "d 10 11", "not a codeword: '1x'"),
+        ("b 10,11 @ 1/x,1/2", "d 111 1", "not a rational number: ' 1/x'"),
+    ],
+)
+def test_the_first_faulty_code_line_is_named(third, fifth, message, tmp_path, capsys):
+    path = write(tmp_path, "c.code", f"radix 2\na 0\n{third}\nc 110\n{fifth}\n")
+    assert run(capsys, "check-prefix", path) == (2, "", f"error: {path}:3: {message}")
+
+
 def test_duplicate_weighted_symbol_is_a_file_error(tmp_path, capsys):
     path = write(tmp_path, "dup.txt", "radix 2\nb 0,10 @ 1/2,1/2\nb 11 @ 1\n")
     assert run(capsys, "check-prefix", path) == (2, "", f"error: {path}: symbol 'b' listed twice")
@@ -971,6 +1040,23 @@ def code_file_lines(draw):
     return lines
 
 
+def code_entry(text: str):
+    """One code file line read on its own, a token at a time: the reference
+    that parse_code_file's column reader must agree with."""
+    body, _, weight_text = text.partition("@")
+    tokens = body.split()
+    if len(tokens) != 2:
+        raise ValueError(f"expected '<symbol> <codewords> [@ weights]', got {_quote(text)}")
+    symbol, words_text = tokens
+    words = tuple(map(parse_codeword, words_text.split(",")))
+    if not weight_text.strip():
+        return symbol, words, ()
+    qs = tuple(parse_rational(q) for q in weight_text.split(","))
+    if len(qs) != len(words):
+        raise ValueError(f"{len(qs)} weights for {len(words)} codewords")
+    return symbol, words, qs
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(code_file_lines(), st.data())
 def test_a_code_file_reads_as_make_code_over_code_entry(tmp_path, lines, data):
@@ -996,7 +1082,7 @@ def test_a_code_file_reads_as_make_code_over_code_entry(tmp_path, lines, data):
         r = located(cli._code_header, header, line=header_line)
         if not rows:
             raise ParseError("code file has a header but no codewords", path=path)
-        entries = [located(cli._code_entry, text, line=k) for k, text in rows]
+        entries = [located(code_entry, text, line=k) for k, text in rows]
         linenos = [k for k, _ in rows]
         code = located(make_code, r, [(symbol, list(words)) for symbol, words, _ in entries], lines=linenos)
         weighted = [(k, symbol, qs) for k, (symbol, _, qs) in zip(linenos, entries) if qs]
