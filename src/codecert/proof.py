@@ -17,16 +17,15 @@ compacted tree, and within a level the nodes in lexicographic path
 order; this is the order the reference operations find_sibling_group
 and reduce_group(tree, group) pick one merge at a time, rebuilding the
 tree and its source after each. certify never builds that tree. It
-works on the leaves' digit paths in digit order: the canonical words of
-the code's lengths, then one stack pass that drops the digits of
-only-child nodes.
-Then it merges one level at a time, from the deepest up: that level's
-leaves and the nodes merged one level below, in path order, fall into
-runs of siblings, and each run is one merge whose parent joins the next
-level with the run's summed integer mass over the source's denominator
-D. It calls reduction_step once per merge, so a chain costs about a sort
-of each level plus the integer arithmetic of its steps; a step's probs
-and p_red are Fraction views of its masses over D.
+works on the leaves' digit paths in digit order, the canonical words of
+the code's lengths, and on the depths at which neighbouring words part;
+one stack pass over those depths (tree._compact_tree) gives the
+compacted tree's nodes, their paths and the chain order. A merged node's
+mass is its children's summed integer masses over the source's
+denominator D. certify calls reduction_step once per merge, so a chain
+costs one sort of the merges by depth plus the integer arithmetic of
+its steps; a step's probs and p_red are Fraction views of its masses
+over D.
 
 Defects are reported as floats but verdicts are decided exactly: a step
 is tight iff s = r and the probabilities match as rationals, and the
@@ -46,7 +45,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 from typing import Any
 
 from .codes import Code, _covering, format_codeword, minimal_reduction
@@ -65,7 +63,7 @@ from .tree import (
     CodeTree,
     SiblingGroup,
     _below,
-    _compact_paths,
+    _compact_tree,
     replace_group_with_leaf,
     tree_source,
 )
@@ -278,9 +276,16 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
     mass_of = dict(zip(src.symbols, src.masses))
     masses = [mass_of[s] for s in symbols]
     canonical, parts = _canonical_paths([length_of[s] for s in symbols], r)
-    certified = _compact_paths(canonical, parts)
+    compact, chain = _compact_tree(canonical, parts)
+    certified = compact[: len(canonical)]
 
-    steps = _merge_chain(certified, masses, d, r)
+    mass = masses + [0] * len(chain)  # each node's mass, by its number in compact
+    steps = []
+    for node, kids in chain:  # a node's children are merged before it
+        run = tuple(map(mass.__getitem__, kids))
+        mass[node] = sum(run)
+        group = SiblingGroup(compact[node], tuple(map(compact.__getitem__, kids)))
+        steps.append(reduction_step(group, run, d, r))
     # each leaf's mass is merged once per node above it, so the merged
     # masses sum to sum m_i * l_i over the certified lengths
     merged = sum(sum(step.masses) for step in steps)
@@ -308,30 +313,6 @@ def certify(src: Source, code: Code) -> ReductionCertificate:
         verdict="Equality" if all_tight else "StrictInequality",
         witness=witness,
     )
-
-
-def _merge_chain(paths: list[tuple[int, ...]], masses: list[int], d: int, r: int) -> list[ReductionStep]:
-    """Every merge of the compact tree with these leaf paths (in digit
-    order) and integer masses over d, in chain order.
-
-    Each internal node is merged once, deepest level first and each
-    level in lexicographic path order, so by its turn all of its
-    children are leaves. A level's nodes are its leaves and the nodes
-    merged one level below, in path order; each run of them that shares
-    a parent is that parent's merge, and the parent goes up a level with
-    the run's summed mass.
-    """
-    levels: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(max(map(len, paths)) + 1)]
-    for path, mass in zip(paths, masses):
-        levels[len(path)].append((path, mass))
-    steps, merged = [], []
-    for level in reversed(levels[1:]):
-        nodes, merged = sorted(level + merged), []  # two runs in path order
-        for parent, run in groupby(nodes, key=lambda node: node[0][:-1]):
-            members, run_masses = zip(*run)
-            steps.append(reduction_step(SiblingGroup(parent, members), run_masses, d, r))
-            merged.append((parent, sum(run_masses)))
-    return steps
 
 
 def equality_condition(src: Source, code: Code) -> tuple[bool, EqualityWitness | None]:

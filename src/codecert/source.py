@@ -120,11 +120,12 @@ def _quote_list(values: Sequence) -> str:
 def _ratio(text: str) -> tuple[int, int]:
     """The numerator and denominator, in lowest terms, of the rational that
     parse_rational reads, through Fraction; _ratios reads a column of plain
-    'a/b' numerals without it."""
+    'a/b' numerals without it; spaces around the numeral are dropped."""
+    text = text.strip()
     if text.isascii() and "_" not in text:
         _check_numeral(text)
         try:
-            return Fraction(text.strip()).as_integer_ratio()
+            return Fraction(text).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"not a rational number: {_quote(text)}")

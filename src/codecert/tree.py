@@ -15,17 +15,19 @@ leaves, which is the unit the proof engine merges.
 A CodeTree stores its leaves' paths in digit order and their leaf nodes.
 Digits are below the radix, so the leaves at or below path p are the
 range [p, p + (radix,)), found by two bisects; a merge replaces that
-range by one leaf. Compacting is one stack pass (_compact_paths). The
-internal nodes are the leaves' proper prefixes and are never stored.
+range by one leaf. Compacting is one stack pass over the depths at which
+neighbouring leaves part (_compact_tree), which also gives the chain of
+merges. The internal nodes are the leaves' proper prefixes and are never
+stored.
 
-certify takes only SiblingGroup and _compact_paths from here. The rest
+certify takes only SiblingGroup and _compact_tree from here. The rest
 is the reference tree route, which the tests replay against certify's
 one-pass chain.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -117,7 +119,8 @@ def compact_standalone(tree: CodeTree) -> CodeTree:
     strictly decreases when a spliced edge sits above a leaf with
     positive probability.
     """
-    return CodeTree(tree.radix, tuple(_compact_paths(tree.paths, _parts(tree.paths))), tree.nodes)
+    compact, _ = _compact_tree(tree.paths, _parts(tree.paths))
+    return CodeTree(tree.radix, tuple(compact[: len(tree.paths)]), tree.nodes)
 
 
 def _parts(paths: list[tuple[int, ...]]) -> list[int]:
@@ -132,34 +135,44 @@ def _parts(paths: list[tuple[int, ...]]) -> list[int]:
     return out
 
 
-def _compact_paths(paths: list[tuple[int, ...]], parts: list[int]) -> list[tuple[int, ...]]:
-    """The leaf paths, in digit order, once every only-child node is spliced.
+def _compact_tree(paths: list[tuple[int, ...]], parts: list[int]) -> tuple[list[tuple[int, ...]], list[tuple[int, list[int]]]]:
+    """The tree of these leaf paths, in digit order, with every only-child
+    node spliced: each node's path, and the chain of (node, children) pairs.
 
-    The paths are prefix-free and in digit order, and leaves k and k+1
-    part at depth parts[k], where their common ancestor branches. A leaf
-    keeps the digit below each ancestor with two or more children. For
-    leaf k, the branching ancestors above depth parts[k-1] are those of
-    leaf k-1, the one at that depth branches, and below it the ancestor
-    at depth d branches exactly when d is a running minimum of parts[k],
-    parts[k+1], ...; one monotone stack pass from the right lists those
-    minima.
+    Leaves k and k+1 part at depth parts[k], so the branching nodes are the
+    lcp-intervals of parts (Abouelhoda, Kurtz and Ohlebusch, J. Discrete
+    Algorithms 2, 2004). Node k < len(paths) is leaf k; branching nodes are
+    numbered on as one stack pass closes them, and top down a child's path
+    is its parent's and the digit below the parent's parting depth. The
+    chain is deepest first, then in path order: a stable sort of the closing
+    order, since the nodes of one depth are disjoint and close left to right.
     """
-    right: list[tuple[int, ...]] = []  # right[k]: the running minima from parts[k] on, ascending
-    stack: list[int] = []
-    for part in reversed(parts):
-        while stack and stack[-1] >= part:
-            stack.pop()
-        stack.append(part)
-        right.append(tuple(stack))
-    right.reverse()
-    right.append(())
+    n = len(paths)
+    first = list(range(n))  # a leaf below each node
+    split: list[int] = []  # each branching node's parting depth
+    children: list[list[int]] = []
+    stack: list[tuple[int, list[int]]] = [(-1, [])]  # open intervals: parting depth, children so far
+    for node, part in enumerate(parts + [-1]):  # node: the leaf left of part, then each interval part closes
+        while stack[-1][0] > part:
+            depth, kids = stack.pop()
+            kids.append(node)
+            node = n + len(split)
+            split.append(depth)
+            children.append(kids)
+            first.append(first[kids[0]])
+        if stack[-1][0] == part:
+            stack[-1][1].append(node)
+        else:
+            stack.append((part, [node]))
 
-    kept = right[0]  # the depths of the branching ancestors of the current leaf
-    out = [tuple(map(paths[0].__getitem__, kept))]
-    for path, part, minima in zip(paths[1:], parts, right[1:]):
-        kept = kept[: bisect_left(kept, part)] + (part,) + minima[bisect_right(minima, part) :]
-        out.append(tuple(map(path.__getitem__, kept)))
-    return out
+    compact: list[tuple[int, ...]] = [()] * len(first)  # the root, closed last, keeps ()
+    for node in range(len(first) - 1, n - 1, -1):
+        base, depth = compact[node], split[node - n]
+        for kid in children[node - n]:
+            compact[kid] = base + (paths[first[kid]][depth],)
+    depths = list(map(len, compact))
+    order = sorted(range(n, len(first)), key=depths.__getitem__, reverse=True)
+    return compact, [(node, children[node - n]) for node in order]
 
 
 def _below(tree: CodeTree, path: tuple[int, ...]) -> slice:

@@ -153,12 +153,16 @@ def grow_leaf_paths_oracle(randbelow, r, z):
 
 def compacted_paths_oracle(paths):
     """Each leaf path with the digits below its only-child ancestors left out:
-    the ancestor at depth d keeps its digit when the leaves below it differ
-    in digit d."""
-    return [
-        tuple(p[d] for d in range(len(p)) if len({q[d] for q in paths if q[:d] == p[:d]}) > 1)
-        for p in paths
-    ]
+    a node keeps the digit below it when tree_nodes_oracle counts two or more
+    children for it. Nodes come in lexicographic order, so a node's parent
+    is met before it, and the cost is tree_nodes_oracle's."""
+    nodes = tree_nodes_oracle(paths)
+    count = dict(nodes)
+    kept = {(): ()}
+    for node, _ in nodes[1:]:
+        parent = node[:-1]
+        kept[node] = kept[parent] + node[-1:] if count[parent] > 1 else kept[parent]
+    return [kept[p] for p in paths]
 
 
 def tree_nodes_oracle(paths):

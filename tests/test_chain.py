@@ -27,6 +27,7 @@ from codecert import (
     format_certificate,
     format_codeword,
     from_tree,
+    grow_full_tree,
     huffman,
     is_compact,
     is_prefix_free,
@@ -35,6 +36,7 @@ from codecert import (
     make_source,
     minimal_reduction,
     random_prefix_code,
+    random_source,
     reduce_group,
     reduction_step,
     reversed_code,
@@ -206,11 +208,28 @@ def comb(r, depth):
     return src, make_code(r, [(s, [w]) for s, w in zip(symbols, words)])
 
 
+def wide_case(r, n):
+    """A source on n symbols and a code on it whose Kraft sum is below 1:
+    about half its lengths are a random full tree's, one digit longer, and
+    the rest a random prefix code's, each drawn 0 to 2 digits longer, below
+    them all. The canonical words put the first half below 0 and the rest on
+    a chain below 1, so compacting takes digits off every leaf of the second
+    half, and a merge's compacted depth differs from its depth before."""
+    splitmix = SplitMix64(n * 37 + r)
+    src = random_source(splitmix, n, max_den=4 * n)
+    full = [1 + len(path) for path in grow_full_tree(splitmix, r, (n // 2 - 1) // (r - 1)).paths]
+    below = max(full) + 1
+    rest = [below + len(w) + splitmix.randbelow(3) for w in random_prefix_code(splitmix, r, n - len(full)).pooled()]
+    return src, construct_instantaneous(full + rest, r)
+
+
 @pytest.mark.parametrize("r", [2, 3, 16, 36])
 def test_certify_matches_tree_route_on_random_codes(r):
     rng = random.Random(f"route:{r}")
-    for k in range(30):
-        cert = assert_matches_tree_route(*random_case(rng, r, k))
+    cases = [(random_case(rng, r, k), False) for k in range(30)]
+    cases += [(wide_case(r, n), True) for n in (1024, 4096) if r in (2, 36)]
+    for (src, code), deep in cases:
+        cert = assert_matches_tree_route(src, code, deep=deep)
         assert list(cert.certified_paths) == compacted_paths_oracle(list(cert.canonical_paths))
 
 

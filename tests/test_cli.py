@@ -868,7 +868,7 @@ def test_the_first_faulty_source_line_is_named(second, fourth, message, tmp_path
     [
         ("b 10 11 @ 1/2,1/2", "d 1x", "expected '<symbol> <codewords> [@ weights]', got 'b 10 11 @ 1/2,1/2'"),
         ("b 1x", "d 10 11", "not a codeword: '1x'"),
-        ("b 10,11 @ 1/x,1/2", "d 111 1", "not a rational number: ' 1/x'"),
+        ("b 10,11 @ 1/x,1/2", "d 111 1", "not a rational number: '1/x'"),
     ],
 )
 def test_the_first_faulty_code_line_is_named(third, fifth, message, tmp_path, capsys):
@@ -1152,8 +1152,9 @@ def test_numerals_are_ascii_only(tmp_path, capsys):
         expected = (2, "", f"error: lengths must be comma-separated integers, got {lengths!r}")
         assert run(capsys, "kraft", "--lengths", lengths) == expected
         assert run(capsys, "build-code", "--lengths", lengths) == expected
-    status, _, err = run(capsys, "check-ineq", "--probs", "1_0/20,1/2")
-    assert (status, err) == (2, "error: bad probability list: not a rational number: '1_0/20'")
+    for probs, token in (("1_0/20,1/2", "1_0/20"), ("1/2, 1/x", "1/x")):
+        status, _, err = run(capsys, "check-ineq", "--probs", probs)
+        assert (status, err) == (2, f"error: bad probability list: not a rational number: {token!r}")
 
 
 # with the int-to-str limit lifted for output, converting a long numeral
