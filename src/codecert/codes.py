@@ -14,10 +14,14 @@ three flavors:
   * empirical_acl(...)        - the pathwise sequence ACL_t after t symbols
 
 empirical_acl records each step's symbol, codeword and digits; the
-running ACL_t is built from the digits only when read. Its codeword
-choices are one pass over the drawn symbols that reads rejection windows
-from rng.word_stream: each step's choice is the value a randbelow call on
-the choice stream's SplitMix64 would give, with no method call per step.
+running ACL_t is built from the digits only when read. It joins the chunks
+of _encode_chunks, which encodes the stream 2^14 steps at a time and gives
+each step a codeword id, one number per codeword of the code. A symbol
+with one codeword reads no choice bits, so its steps take their id in one
+map over the chunk. The other steps run one loop that reads rejection
+windows from rng.word_stream and looks each up in its symbol's window
+table: each step's choice is the value a randbelow call on the choice
+stream's SplitMix64 would give, with no method call per step.
 
 Exact ACL is computed on the source's integer masses m_i over its
 denominator D and returned as a Fraction, the API view.
@@ -44,11 +48,11 @@ from fractions import Fraction
 from functools import cached_property, partial
 from numbers import Rational
 from operator import truediv
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DigitOutOfRange, MissingPolicy, MissingSymbol
 from .rng import _check_seed, derived_seed, word_stream
-from .source import MAX_DENOMINATOR_BITS, Source, _draw_indices
+from .source import MAX_DENOMINATOR_BITS, Source, _index_chunks
 from .source import _as_fraction, _check_entries, _check_numeral, _check_radix, _check_stream_length, _fraction_masses, _quote, _quote_list
 
 #: Salt separating the codeword-choice stream from the symbol stream, so
@@ -358,39 +362,86 @@ def empirical_acl(
     attempt taking the next k = bit_length(D - 1) bits. A symbol with one
     codeword has D = 1 and reads no bits, as randbelow(1) reads none.
     """
+    symbol_indices: list[int] = []
+    ids: list[int] = []
+    for chunk_symbols, chunk_ids in _encode_chunks(src, code, policy, t, seed):
+        symbol_indices += chunk_symbols
+        ids += chunk_ids
+    words_of = _covering(src, code)
+    index_of = [u for words in words_of for u in range(len(words))]
+    length_of = [len(w) for words in words_of for w in words]
+    return SimulationTrace(
+        tuple(symbol_indices), tuple(map(index_of.__getitem__, ids)), tuple(map(length_of.__getitem__, ids))
+    )
+
+
+def _encode_chunks(
+    src: Source, code: Code, policy: EncodingPolicy | None, t: int, seed: int
+) -> Iterator[tuple[list[int], list[int]]]:
+    """The steps of empirical_acl(src, code, policy, t, seed), in chunks of up
+    to rng._CHUNK: each chunk's symbol indices and each step's codeword id.
+
+    Codeword ids number the codewords of _covering(src, code) in one flat
+    sequence: symbol i's u-th codeword has id first[i] + u. A step whose
+    symbol has one codeword takes first[i], in one map over the chunk; the
+    steps of the others run the one loop that reads choice windows. Each such
+    symbol's window table, built on its first draw, maps a window below D to
+    its codeword's id and one at or above D to None, which takes the next.
+    """
     _check_stream_length(t, 1, "simulation needs t >= 1")
     _check_seed(seed)
     words_of = _covering(src, code)
-    sym_idx = _draw_indices(src, t, seed)
-    # (D, k, k-bit mask, cumulative masses, word lengths) of each symbol drawn,
-    # built in first-draw order so that the first symbol drawn with several
-    # codewords and no weights raises MissingPolicy
-    table: list = [None] * len(words_of)
-    for i in dict.fromkeys(sym_idx):
-        words = words_of[i]
-        cum, denom = [1], 1
-        if len(words) > 1:
-            qs = _policy_weights(policy, src.symbols[i], words)
-            masses, denom = _fraction_masses(qs)
-            cum = list(itertools.accumulate(masses))
-        k = (denom - 1).bit_length()
-        table[i] = denom, k, (1 << k) - 1, cum, list(map(len, words))
+    first = list(itertools.accumulate(map(len, words_of), initial=0))
+    several = [len(words) > 1 for words in words_of]
+    windows: list = [None] * len(words_of)  # (k, k-bit mask, window table) of each symbol drawn with several codewords
     stream = word_stream(derived_seed(seed, _CHOICE_SALT))
     buffer = buffered = 0  # the stream's unread bits, little-endian
-    cw_idx: list[int] = []
-    lengths: list[int] = []
-    for i in sym_idx:
-        denom, k, mask, cum, word_lengths = table[i]
-        while True:  # randbelow(denom): k-bit attempts until one is below denom
-            while buffered < k:
-                buffer |= next(stream) << buffered
-                buffered += 64
-            x = buffer & mask
-            buffer >>= k
-            buffered -= k
-            if x < denom:
-                break
-        u = bisect_right(cum, x)
-        cw_idx.append(u)
-        lengths.append(word_lengths[u])
-    return SimulationTrace(tuple(sym_idx), tuple(cw_idx), tuple(lengths))
+    for symbol_indices in _index_chunks(src, t, seed):
+        ids = list(map(first.__getitem__, symbol_indices))
+        # in first-draw order, so that the first symbol drawn with several
+        # codewords and no weights raises MissingPolicy
+        for i in dict.fromkeys(filter(several.__getitem__, symbol_indices)):
+            if windows[i] is None:
+                windows[i] = _window_table(_policy_weights(policy, src.symbols[i], words_of[i]), first[i])
+        for step in itertools.compress(itertools.count(), map(several.__getitem__, symbol_indices)):
+            k, mask, table = windows[symbol_indices[step]]
+            while True:  # randbelow(D): k-bit attempts until one is below D
+                while buffered < k:
+                    buffer |= next(stream) << buffered
+                    buffered += 64
+                chosen = table[buffer & mask]
+                buffer >>= k
+                buffered -= k
+                if chosen is not None:
+                    break
+            ids[step] = chosen
+        yield symbol_indices, ids
+
+
+#: Widest window whose table _window_table lists; a wider one bisects.
+_LISTED_WINDOW_BITS = 16
+
+
+def _window_table(qs: tuple[Fraction, ...], first: int) -> tuple[int, int, list[int | None] | _BisectedWindows]:
+    """(k, k-bit mask, window table) of a choice over weights qs whose codeword
+    ids start at first: window x < D picks the codeword whose cumulative mass
+    run over D holds x, and x >= D none."""
+    masses, denom = _fraction_masses(qs)
+    k = (denom - 1).bit_length()
+    if k > _LISTED_WINDOW_BITS:
+        return k, (1 << k) - 1, _BisectedWindows(list(itertools.accumulate(masses)), first)
+    runs = itertools.chain.from_iterable([first + u] * m for u, m in enumerate(masses))
+    return k, (1 << k) - 1, [*runs, *[None] * ((1 << k) - denom)]
+
+
+class _BisectedWindows:
+    """A window table too long to list: the id of window x's codeword, found
+    by bisecting the cumulative masses, or None at and above D."""
+
+    __slots__ = ("cumulative", "first")
+
+    def __init__(self, cumulative: list[int], first: int):
+        self.cumulative, self.first = cumulative, first
+
+    def __getitem__(self, x: int) -> int | None:
+        return self.first + bisect_right(self.cumulative, x) if x < self.cumulative[-1] else None

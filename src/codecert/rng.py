@@ -24,7 +24,9 @@ never carry into each other). `draws(seed, n, count)` reads that stream
 from the seed's state as consecutive k-bit windows, k = bit_length(n-1),
 because each rejection attempt of randbelow(n) reads exactly the next k
 bits, and keeps the first count windows below n: bit for bit the values of
-count randbelow(n) calls on a new SplitMix64(seed).
+count randbelow(n) calls on a new SplitMix64(seed). `draws` is the list of
+`_draw_chunks(seed, n, count)`, which yields those values 2^14 at a time,
+so that a simulation holds one chunk of its symbol stream, not all of it.
 
 `word_stream(seed)` yields the same outputs one 64-bit word at a time, for
 a reader whose bound changes from draw to draw: a simulation's codeword
@@ -34,6 +36,7 @@ more than all of them.
 """
 
 import struct
+from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -50,6 +53,10 @@ _LANE_STEPS = int.from_bytes(
 )
 _BLOCK_STEP = _LANES * _GOLDEN & _MASK64
 _BLOCK_WORDS = struct.Struct(f"<{_LANES}Q")
+
+#: Most draws in one list from _draw_chunks: a simulation encodes its stream
+#: a chunk of this many steps at a time, so its memory does not grow with t.
+_CHUNK = 1 << 14
 
 
 def _check_seed(seed) -> int:
@@ -94,32 +101,53 @@ def _outputs(state: int) -> int:
 
 def draws(seed: int, n: int, count: int) -> list[int]:
     """The values of count randbelow(n) calls on a new SplitMix64(seed), made
-    through the block path.
+    through the block path."""
+    chunks = _draw_chunks(seed, n, count)
+    out = next(chunks, [])
+    for chunk in chunks:
+        out += chunk
+    return out
+
+
+def _draw_chunks(seed: int, n: int, count: int) -> Iterator[list[int]]:
+    """draws(seed, n, count) in lists of _CHUNK values, the last one shorter.
 
     Whole blocks of outputs form one bit stream, read in pieces of up to 64
     k-bit windows (k words) and at most one block, or one window where a
-    window is wider.
+    window is wider. Each piece is cut into parts of up to 8 windows, so that
+    each window is shifted out of at most 8k bits, not out of the piece.
     """
     if n <= 0:
         raise ValueError("randbelow requires n >= 1")
-    if n == 1:
-        return [0] * count
+    if n == 1:  # every draw is 0, read from no bits
+        for start in range(0, count, _CHUNK):
+            yield [0] * min(_CHUNK, count - start)
+        return
     k = (n - 1).bit_length()
-    span = k * max(1, min(64, _BLOCK_BITS // k))  # bits per piece
-    offsets = range(0, span, k)
-    window, piece_mask = (1 << k) - 1, (1 << span) - 1
+    windows = max(1, min(64, _BLOCK_BITS // k))
+    per_part = min(8, windows)
+    windows -= windows % per_part  # whole parts only
+    span, part_bits = k * windows, k * per_part  # bits per piece and per part
+    parts, offsets = range(0, span, part_bits), range(0, part_bits, k)
+    window, piece_mask, part_mask = (1 << k) - 1, (1 << span) - 1, (1 << part_bits) - 1
     stream, have, state = 0, 0, seed & _MASK64
     out: list[int] = []
-    while len(out) < count:
-        while have < span:
-            stream |= _outputs(state) << have
-            state = (state + _BLOCK_STEP) & _MASK64
-            have += _BLOCK_BITS
-        piece = stream & piece_mask
-        out += [x for shift in offsets if (x := piece >> shift & window) < n]
-        stream >>= span
-        have -= span
-    return out[:count]
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        while len(out) < size:
+            while have < span:
+                stream |= _outputs(state) << have
+                state = (state + _BLOCK_STEP) & _MASK64
+                have += _BLOCK_BITS
+            piece = stream & piece_mask
+            cut = [piece >> s & part_mask for s in parts]
+            out += [x for part in cut for shift in offsets if (x := part >> shift & window) < n]
+            stream >>= span
+            have -= span
+        rest = out[size:]  # the windows a piece read past this chunk
+        del out[size:]
+        yield out
+        out = rest
 
 
 def word_stream(seed: int):

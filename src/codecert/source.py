@@ -23,8 +23,9 @@ twice; an EncodingPolicy runs that walk on every table.
 
 Sampling is deterministic: a seed in [0, 2^64) keys a splitmix64 stream
 (see codecert.rng) of draws below the least D, so a stream is
-reproducible from the seed alone. A stream holds all its draws at once,
-so its length is capped at MAX_STREAM_LENGTH.
+reproducible from the seed alone. The draws are mapped to symbols a chunk
+at a time (`_index_chunks`); sample_stream still returns the whole stream,
+and every stream's length is capped at MAX_STREAM_LENGTH.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import floordiv, mul
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CodecertError,
@@ -47,7 +48,7 @@ from .errors import (
     ProbabilitySumNotOne,
     ZeroOrNegativeProbability,
 )
-from .rng import _check_seed, draws
+from .rng import _check_seed, _draw_chunks
 
 #: Seed used by reproducibility-sensitive tests and documentation.
 REFERENCE_SEED = 1
@@ -372,11 +373,16 @@ def sample_stream(src: Source, t: int, seed: int) -> list:
     """
     _check_stream_length(t, 0, "stream length must be >= 0")
     _check_seed(seed)
-    return list(map(src.symbols.__getitem__, _draw_indices(src, t, seed)))
+    return list(map(src.symbols.__getitem__, itertools.chain.from_iterable(_index_chunks(src, t, seed))))
 
 
-def _draw_indices(src: Source, t: int, seed: int) -> list[int]:
-    """The symbol indices of sample_stream(src, t, seed), its arguments unchecked."""
+def _index_chunks(src: Source, t: int, seed: int) -> Iterator[list[int]]:
+    """The symbol indices of sample_stream(src, t, seed), its arguments
+    unchecked, in lists of up to rng._CHUNK; each list of draws is let go
+    once it is mapped."""
     # bisect_right(bounds, u) for u uniform below D picks i with probability m_i/D (D = 1: only u = 0)
-    us = draws(seed, src.denominator, t)
-    return list(map(bisect_right, itertools.repeat(list(itertools.accumulate(src.masses))), us))
+    bounds = list(itertools.accumulate(src.masses))
+    for us in _draw_chunks(seed, src.denominator, t):
+        indices = list(map(bisect_right, itertools.repeat(bounds), us))
+        del us
+        yield indices

@@ -23,6 +23,7 @@ import codecert.source as source_module
 from codecert.cli import main, parse_code_file
 from codecert.codes import format_codeword, make_code, make_policy, parse_codeword
 from codecert.errors import CodecertError, ParseError
+from codecert.rng import _CHUNK
 from codecert.source import _check_probability, _quote, make_source, parse_rational
 
 DYADIC_SRC = "a 1/2\nb 1/4\nc 1/4\n"
@@ -348,7 +349,7 @@ def test_simulate_refuses_a_stream_past_the_cap(src_text, code_text, tmp_path, c
     def no_draws(*args):
         raise AssertionError("a draw before t was checked")
 
-    monkeypatch.setattr(source_module, "draws", no_draws)
+    monkeypatch.setattr(source_module, "_draw_chunks", no_draws)
     src = write(tmp_path, "s.txt", src_text)
     code = write(tmp_path, "c.txt", code_text)
     message = f"error: stream length must be at most {source_module.MAX_STREAM_LENGTH:,}"
@@ -444,33 +445,59 @@ def test_simulate_encodes_one_stream(tmp_path, capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(cli, "empirical_acl")
-    count(codes, "_draw_indices")
+    count(cli, "_encode_chunks")
+    count(codes, "_index_chunks")
     src = write(tmp_path, "s.txt", POLICY_SRC)
     code = write(tmp_path, "c.txt", POLICY_CODE)
     assert run(capsys, "simulate", src, code, "--t", "100", "--machine")[0] == 0
-    assert calls == {"empirical_acl": 1, "_draw_indices": 1}
+    assert calls == {"_encode_chunks": 1, "_index_chunks": 1}
 
 
 def test_simulate_floor_breach_matches_two_run_count(tmp_path, capsys, monkeypatch):
     # A stand-in floor that is longer than the code for 'a' and shorter for
     # 'b' is breached on some steps; the one-pass count must equal the count
-    # from encoding the stream a second time with it.
+    # from encoding the stream a second time with it. Past one chunk of the
+    # stream, the running excess is negative where the chunks meet.
     src = write(tmp_path, "s.txt", POLICY_SRC)
     code = write(tmp_path, "c.txt", POLICY_CODE)
     floor = codecert.make_code(2, {"a": "000", "b": "1"})
     monkeypatch.setattr(cli, "minimal_reduction", lambda _: floor)
     source, (full, policy) = cli.parse_source_file(src), parse_code_file(code)
-    trace = codecert.empirical_acl(source, full, policy, 200, 3)
-    floor_trace = codecert.empirical_acl(source, floor, None, 200, 3)
-    expected = sum(1 for a, b in zip(trace.acl_values, floor_trace.acl_values) if a < b)
-    assert 0 < expected < 200
+    for t in (200, _CHUNK + 200):
+        trace = codecert.empirical_acl(source, full, policy, t, 3)
+        floor_trace = codecert.empirical_acl(source, floor, None, t, 3)
+        breached = [a < b for a, b in zip(trace.acl_values, floor_trace.acl_values)]
+        expected = sum(breached)
+        assert 0 < expected < t
+        assert t < _CHUNK or breached[_CHUNK - 1] and breached[_CHUNK]
 
-    status, out, err = run(capsys, "simulate", src, code, "--t", "200", "--seed", "3", "--machine")
-    assert (status, err) == (1, "")
-    assert f"bound_violations={expected}" in out.splitlines()
-    status, out, _ = run(capsys, "simulate", src, code, "--t", "200", "--seed", "3")
-    assert status == 1 and out.endswith(f"pathwise floor violations: {expected}")
+        status, out, err = run(capsys, "simulate", src, code, "--t", str(t), "--seed", "3", "--machine")
+        assert (status, err) == (1, "")
+        assert f"bound_violations={expected}" in out.splitlines()
+        status, out, _ = run(capsys, "simulate", src, code, "--t", str(t), "--seed", "3")
+        assert status == 1 and out.endswith(f"pathwise floor violations: {expected}")
+
+
+#: Runs main on its arguments, then prints the process's peak resident set in bytes.
+PEAK_RSS_SCRIPT = """
+import resource, sys
+from codecert.cli import main
+main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+def test_simulate_memory_does_not_grow_with_t():
+    # a stream held whole took about 46 bytes a step: 69 MB at t = 10^6
+    data = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+    def peak_rss(t):
+        argv = ["simulate", str(data / "skewed_source.txt"), str(data / "skewed_code.txt"), "--t", str(t), "--machine"]
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0 and f"t={t}" in proc.stdout.splitlines()
+        return int(proc.stdout.splitlines()[-1])
+
+    assert peak_rss(2 * 10**6) - peak_rss(10**4) < 10 * 2**20
 
 
 # --- fuzz ---
@@ -780,7 +807,7 @@ RESOURCE_CASES = [
     ("build-code --lengths 1,2,2", "construct_instantaneous"),
     ("huffman {src}", "huffman"),
     ("certify {src} {code}", "certify"),
-    ("simulate {src} {code} --t 10", "empirical_acl"),
+    ("simulate {src} {code} --t 10", "_encode_chunks"),
     ("fuzz --trials 1", "run_fuzz_trial"),
     ("check-ineq --probs 1/2,1/2", "check_group_inequality"),
 ]

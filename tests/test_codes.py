@@ -34,7 +34,7 @@ from codecert import (
     parse_codeword,
 )
 from codecert import codes
-from codecert.rng import SplitMix64, derived_seed
+from codecert.rng import _CHUNK, SplitMix64, derived_seed
 
 
 def dyadic_abc():
@@ -465,6 +465,55 @@ def test_empirical_acl_choices_equal_a_scalar_replay():
     assert len(outputs) > 3 * 256  # the choices read more than three blocks
     assert {len(weights[src.symbols[i]]) for i in trace.symbol_indices} == {1, 2, 3}
     assert set(trace.codeword_indices) == {0, 1, 2}
+
+
+def _scalar_trace(src, code, weights, t, seed):
+    """The trace of empirical_acl(src, code, make_policy(weights), t, seed),
+    replayed with one randbelow call per symbol draw and per codeword choice."""
+    symbols, choices = SplitMix64(seed), SplitMix64(derived_seed(seed, codes._CHOICE_SALT))
+    bounds = list(itertools.accumulate(src.masses))
+    choice_of = {}  # symbol: (D, cumulative masses over D) of its weights
+    for s in src.symbols:
+        qs = weights.get(s, [F(1)])
+        d = math.lcm(*(q.denominator for q in qs))
+        choice_of[s] = d, [q * d for q in itertools.accumulate(qs)]
+    steps = []
+    for _ in range(t):
+        i = bisect_right(bounds, symbols.randbelow(src.denominator))
+        d, cum = choice_of[src.symbols[i]]
+        u = bisect_right(cum, choices.randbelow(d))
+        steps.append((i, u, len(code.codewords(src.symbols[i])[u])))
+    return steps
+
+
+CHUNK_EDGE_CODES = {
+    "one-codeword": ({"a": "0", "b": "10", "c": "110", "d": "1110", "e": "1111"}, {}),
+    # weights over 2, 3, 12 and 2^16, whose 16-bit windows have the widest table that is listed
+    "small-denominators": (
+        {"a": ["0", "10"], "b": ["110", "1110", "11110"], "c": ["1", "01", "001"], "d": ["00", "11"], "e": "0101"},
+        {"a": [F(1, 2), F(1, 2)], "b": [F(1, 3), F(1, 3), F(1, 3)], "c": [F(1, 12), F(5, 12), F(1, 2)], "d": [F(1, 2**16), 1 - F(1, 2**16)]},
+    ),
+    # windows of 17 and 201 bits, past the widest table that is listed
+    "bisected": (
+        {"a": ["0", "10"], "b": ["110", "1110", "11110"], "c": "1", "d": ["00", "11"], "e": "0101"},
+        {"a": [F(1, 2**16 + 1), F(2**16, 2**16 + 1)], "b": [F(1, 2**200 + 1), F(5, 2**200 + 1), 1 - F(6, 2**200 + 1)], "d": [F(1, 2), F(1, 2)]},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", CHUNK_EDGE_CODES)
+def test_empirical_acl_equals_a_scalar_replay_at_the_chunk_edges(kind):
+    words, weights = CHUNK_EDGE_CODES[kind]
+    src = make_source("abcde", ["7/97", "40/97", "20/97", "19/97", "11/97"])
+    code = make_code(2, words)
+    policy = make_policy(weights) if weights else None
+    replay = _scalar_trace(src, code, weights, 3 * _CHUNK + 7, 1848)
+    for t in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
+        trace = empirical_acl(src, code, policy, t, 1848)
+        assert list(zip(trace.symbol_indices, trace.codeword_indices, trace.lengths)) == replay[:t]
+        sizes = [len(symbol_indices) for symbol_indices, _ in codes._encode_chunks(src, code, policy, t, 1848)]
+        assert sizes == [_CHUNK] * (t // _CHUNK) + [t % _CHUNK] * (t % _CHUNK > 0)
+    assert set(trace.codeword_indices) == ({0, 1, 2} if weights else {0})
 
 
 def test_empirical_acl_seed_reproducibility():
