@@ -350,7 +350,8 @@ def empirical_acl(
     A symbol with several codewords is encoded by drawing one per the
     policy's weights, from a choice stream derived from the seed; None is
     allowed for codes with one codeword per symbol, and otherwise raises
-    MissingPolicy at the first such symbol drawn.
+    MissingPolicy, before any draw, at the first such symbol in source order,
+    as acl_exact does.
 
     The symbol stream depends only on (src, t, seed) -- codeword choices
     consume a separate derived stream -- so traces of different codes or
@@ -385,25 +386,24 @@ def _encode_chunks(
     sequence: symbol i's u-th codeword has id first[i] + u. A step whose
     symbol has one codeword takes first[i], in one map over the chunk; the
     steps of the others run the one loop that reads choice windows. Each such
-    symbol's window table, built on its first draw, maps a window below D to
-    its codeword's id and one at or above D to None, which takes the next.
+    symbol's window table, built in source order before the first draw, maps
+    a window below D to its codeword's id and one at or above D to None,
+    which takes the next.
     """
     _check_stream_length(t, 1, "simulation needs t >= 1")
     _check_seed(seed)
     words_of = _covering(src, code)
     first = list(itertools.accumulate(map(len, words_of), initial=0))
-    several = [len(words) > 1 for words in words_of]
-    windows: list = [None] * len(words_of)  # (k, k-bit mask, window table) of each symbol drawn with several codewords
+    # (k, k-bit mask, window table) of each symbol with several codewords, None of the others
+    windows = [
+        _window_table(_policy_weights(policy, symbol, words), start) if len(words) > 1 else None
+        for symbol, words, start in zip(src.symbols, words_of, first)
+    ]
     stream = word_stream(derived_seed(seed, _CHOICE_SALT))
     buffer = buffered = 0  # the stream's unread bits, little-endian
     for symbol_indices in _index_chunks(src, t, seed):
         ids = list(map(first.__getitem__, symbol_indices))
-        # in first-draw order, so that the first symbol drawn with several
-        # codewords and no weights raises MissingPolicy
-        for i in dict.fromkeys(filter(several.__getitem__, symbol_indices)):
-            if windows[i] is None:
-                windows[i] = _window_table(_policy_weights(policy, src.symbols[i], words_of[i]), first[i])
-        for step in itertools.compress(itertools.count(), map(several.__getitem__, symbol_indices)):
+        for step in itertools.compress(itertools.count(), map(windows.__getitem__, symbol_indices)):
             k, mask, table = windows[symbol_indices[step]]
             while True:  # randbelow(D): k-bit attempts until one is below D
                 while buffered < k:
@@ -418,8 +418,8 @@ def _encode_chunks(
         yield symbol_indices, ids
 
 
-#: Widest window whose table _window_table lists; a wider one bisects.
-_LISTED_WINDOW_BITS = 16
+#: Widest window whose table _window_table lists, in at most 2^8 slots; a wider one bisects.
+_LISTED_WINDOW_BITS = 8
 
 
 def _window_table(qs: tuple[Fraction, ...], first: int) -> tuple[int, int, list[int | None] | _BisectedWindows]:

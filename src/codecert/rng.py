@@ -20,13 +20,13 @@ makes the same stream faster. `_outputs` computes 256 consecutive outputs
 at once: lane j of one big integer, 128 bits wide, holds state + (j+1)*gamma,
 and the mix runs as a dozen whole-integer operations, each masked back to
 the low 64 bits of every lane (a lane's product fits its 128 bits, so lanes
-never carry into each other). `draws(seed, n, count)` reads that stream
-from the seed's state as consecutive k-bit windows, k = bit_length(n-1),
+never carry into each other). `_draw_chunks(seed, n, count)` reads that
+stream from the seed's state as consecutive k-bit windows, k = bit_length(n-1),
 because each rejection attempt of randbelow(n) reads exactly the next k
 bits, and keeps the first count windows below n: bit for bit the values of
-count randbelow(n) calls on a new SplitMix64(seed). `draws` is the list of
-`_draw_chunks(seed, n, count)`, which yields those values 2^14 at a time,
-so that a simulation holds one chunk of its symbol stream, not all of it.
+count randbelow(n) calls on a new SplitMix64(seed). It yields them 2^14 at
+a time, so that a simulation holds one chunk of its symbol stream, not all
+of it.
 
 `word_stream(seed)` yields the same outputs one 64-bit word at a time, for
 a reader whose bound changes from draw to draw: a simulation's codeword
@@ -99,18 +99,9 @@ def _outputs(state: int) -> int:
     return int.from_bytes(lanes[::2].tobytes(), "little")
 
 
-def draws(seed: int, n: int, count: int) -> list[int]:
-    """The values of count randbelow(n) calls on a new SplitMix64(seed), made
-    through the block path."""
-    chunks = _draw_chunks(seed, n, count)
-    out = next(chunks, [])
-    for chunk in chunks:
-        out += chunk
-    return out
-
-
 def _draw_chunks(seed: int, n: int, count: int) -> Iterator[list[int]]:
-    """draws(seed, n, count) in lists of _CHUNK values, the last one shorter.
+    """The values of count randbelow(n) calls on a new SplitMix64(seed), made
+    through the block path, in lists of _CHUNK values, the last one shorter.
 
     Whole blocks of outputs form one bit stream, read in pieces of up to 64
     k-bit windows (k words) and at most one block, or one window where a

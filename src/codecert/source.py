@@ -186,7 +186,8 @@ def _check_count(value, least: int, message: str) -> None:
         raise ValueError(f"{message}, got {_quote(value)}")
 
 
-#: Longest stream sample_stream and empirical_acl draw: every draw of a stream is held at once.
+#: Longest stream that sample_stream, empirical_acl and simulate draw; the
+#: first two hold every draw of a stream at once.
 MAX_STREAM_LENGTH = 10**9
 
 

@@ -453,6 +453,38 @@ def test_simulate_encodes_one_stream(tmp_path, capsys, monkeypatch):
     assert calls == {"_encode_chunks": 1, "_index_chunks": 1}
 
 
+# a source whose 'b' has mass 2^-40, so that a seeded stream never draws it
+RARE_SRC = "a 1/2\nb 1/1099511627776\nc 549755813887/1099511627776\n"
+
+
+def test_simulate_refuses_a_policy_gap_before_any_draw(tmp_path, capsys, monkeypatch):
+    # a table was built on its symbol's first draw, so a gap on a symbol the
+    # stream never draws was refused after the whole stream was drawn
+    def no_draws(*args):
+        raise AssertionError("a draw before the policy was checked")
+
+    monkeypatch.setattr(source_module, "_draw_chunks", no_draws)
+    src = write(tmp_path, "s.txt", RARE_SRC)
+    code = write(tmp_path, "c.txt", "radix 2\na 0\nb 10,11\nc 110\n")
+    message = "error: symbol 'b' has 2 codewords but no policy was given"
+    assert run(capsys, "simulate", src, code, "--t", "2000000") == (2, "", message)
+
+
+def test_simulate_builds_one_table_per_symbol_with_several_codewords(tmp_path, capsys, monkeypatch):
+    firsts = []  # the first codeword id of each table built
+    window_table = codes._window_table
+
+    def counted(qs, first):
+        firsts.append(first)
+        return window_table(qs, first)
+
+    monkeypatch.setattr(codes, "_window_table", counted)
+    src = write(tmp_path, "s.txt", RARE_SRC)
+    code = write(tmp_path, "c.txt", "radix 2\na 0,100 @ 2/3,1/3\nb 10,11 @ 1/2,1/2\nc 110,1110 @ 1/12,11/12\n")
+    assert run(capsys, "simulate", src, code, "--t", str(3 * _CHUNK + 7), "--machine")[0] == 0
+    assert firsts == [0, 2, 4]  # 'b' too, which the stream never draws
+
+
 def test_simulate_floor_breach_matches_two_run_count(tmp_path, capsys, monkeypatch):
     # A stand-in floor that is longer than the code for 'a' and shorter for
     # 'b' is breached on some steps; the one-pass count must equal the count
@@ -498,6 +530,20 @@ def test_simulate_memory_does_not_grow_with_t():
         return int(proc.stdout.splitlines()[-1])
 
     assert peak_rss(2 * 10**6) - peak_rss(10**4) < 10 * 2**20
+
+
+def test_simulate_choice_tables_are_bounded(tmp_path):
+    # 1,000 tables of 2^16 listed windows each peaked at about 524 MB
+    src = write(tmp_path, "s.txt", "".join(f"s{i} 1/1000\n" for i in range(1000)))
+
+    def peak_rss(words):
+        code = write(tmp_path, "c.txt", "radix 2\n" + "".join(f"s{i} {words}\n" for i in range(1000)))
+        argv = ["simulate", src, code, "--t", "100000", "--machine"]
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0 and "t=100000" in proc.stdout.splitlines()
+        return int(proc.stdout.splitlines()[-1])
+
+    assert peak_rss("0,1 @ 1/65536,65535/65536") - peak_rss("0") < 10 * 2**20
 
 
 # --- fuzz ---

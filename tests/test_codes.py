@@ -488,15 +488,15 @@ def _scalar_trace(src, code, weights, t, seed):
 
 CHUNK_EDGE_CODES = {
     "one-codeword": ({"a": "0", "b": "10", "c": "110", "d": "1110", "e": "1111"}, {}),
-    # weights over 2, 3, 12 and 2^16, whose 16-bit windows have the widest table that is listed
+    # weights over 2, 3, 12 and 2^8, whose 8-bit windows have the widest table that is listed
     "small-denominators": (
         {"a": ["0", "10"], "b": ["110", "1110", "11110"], "c": ["1", "01", "001"], "d": ["00", "11"], "e": "0101"},
-        {"a": [F(1, 2), F(1, 2)], "b": [F(1, 3), F(1, 3), F(1, 3)], "c": [F(1, 12), F(5, 12), F(1, 2)], "d": [F(1, 2**16), 1 - F(1, 2**16)]},
+        {"a": [F(1, 2), F(1, 2)], "b": [F(1, 3), F(1, 3), F(1, 3)], "c": [F(1, 12), F(5, 12), F(1, 2)], "d": [F(1, 2**8), 1 - F(1, 2**8)]},
     ),
-    # windows of 17 and 201 bits, past the widest table that is listed
+    # windows of 9, 201 and 16 bits, past the widest table that is listed
     "bisected": (
         {"a": ["0", "10"], "b": ["110", "1110", "11110"], "c": "1", "d": ["00", "11"], "e": "0101"},
-        {"a": [F(1, 2**16 + 1), F(2**16, 2**16 + 1)], "b": [F(1, 2**200 + 1), F(5, 2**200 + 1), 1 - F(6, 2**200 + 1)], "d": [F(1, 2), F(1, 2)]},
+        {"a": [F(1, 2**8 + 1), F(2**8, 2**8 + 1)], "b": [F(1, 2**200 + 1), F(5, 2**200 + 1), 1 - F(6, 2**200 + 1)], "d": [F(1, 2**16), 1 - F(1, 2**16)]},
     ),
 }
 
@@ -514,6 +514,16 @@ def test_empirical_acl_equals_a_scalar_replay_at_the_chunk_edges(kind):
         sizes = [len(symbol_indices) for symbol_indices, _ in codes._encode_chunks(src, code, policy, t, 1848)]
         assert sizes == [_CHUNK] * (t // _CHUNK) + [t % _CHUNK] * (t % _CHUNK > 0)
     assert set(trace.codeword_indices) == ({0, 1, 2} if weights else {0})
+
+
+def test_empirical_acl_refuses_a_policy_gap_before_any_draw():
+    # 'a' is drawn at t = 1; 'b' and 'c', which lack weights, never are
+    src = make_source("abc", [1 - F(2, 2**40), F(1, 2**40), F(1, 2**40)])
+    code = make_code(2, {"c": ["110", "111"], "a": "0", "b": ["10", "11"]})
+    with pytest.raises(MissingPolicy, match="^symbol 'b' has 2 codewords but no policy was given$"):
+        empirical_acl(src, code, None, 1, 5)
+    with pytest.raises(MissingPolicy, match="^policy does not cover symbol 'b' with 2 weights$"):
+        empirical_acl(src, code, make_policy({"c": [F(1, 2), F(1, 2)]}), 1, 5)
 
 
 def test_empirical_acl_seed_reproducibility():

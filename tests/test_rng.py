@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from codecert.randgen import trial_rng
-from codecert.rng import SplitMix64, _outputs, derived_seed, draws, mix64, word_stream
+from codecert.rng import SplitMix64, _draw_chunks, _outputs, derived_seed, mix64, word_stream
 
 # first outputs of the reference implementation for seed 0
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -21,6 +21,11 @@ def _reference_stream(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
         out.append(z ^ (z >> 31))
     return out
+
+
+def draws(seed, n, count):
+    """The values of _draw_chunks(seed, n, count), joined into one list."""
+    return list(itertools.chain.from_iterable(_draw_chunks(seed, n, count)))
 
 
 def test_known_vector_seed_zero():
