@@ -86,6 +86,9 @@ from .decipher import (
 )
 from .errors import CodecertError, KraftViolated, NotUniquelyDecipherable, ParseError
 from .proof import (
+    _group_inequality,
+    _pp_inequalities,
+    _rational_ghm,
     certify,
     check_group_inequality,
     check_pp_inequalities,
@@ -93,7 +96,7 @@ from .proof import (
     format_certificate,
 )
 from .randgen import random_group, random_prefix_code, random_source, reversed_code, trial_rng
-from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _integer_masses, _quote, _ratios, entropy, parse_rational
+from .source import REFERENCE_SEED, Source, _check_numeral, _check_radix, _fraction_masses, _integer_masses, _quote, _ratios, entropy, parse_rational
 
 DELTA_CAP = 1e-12
 
@@ -471,10 +474,10 @@ def run_fuzz_trial(master_seed: int, k: int, tol: float) -> list[str]:
     if cert.verdict == "Equality" and abs(gap) > tol:
         bad.append(f"verdict {cert.verdict} vs |H-ACL|={abs(gap)!r}")
 
+    # the checks' cores on the group's integer masses, which random_group draws valid
     probs, freqs = random_group(rng, r)
-    group = check_group_inequality(probs, r)
-    ghm = check_rational_ghm(freqs, r)
-    pp = check_pp_inequalities(probs, r)
+    masses, d = _fraction_masses(probs)
+    group, ghm, pp = _group_inequality(masses, d, r), _rational_ghm(freqs, r), _pp_inequalities(masses, d, r)
     if not group.holds:
         bad.append(f"group inequality failed: value={group.value!r}")
     if not ghm.holds:

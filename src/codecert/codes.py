@@ -26,11 +26,12 @@ stream's SplitMix64 would give, with no method call per step.
 Exact ACL is computed on the source's integer masses m_i over its
 denominator D and returned as a Fraction, the API view.
 
-A Code checks its whole table in one pass, as a Source does: the
-digits are ints below the radix, the symbols distinct, and each codeword
-set nonempty with no repeat. Only when that pass fails does the entry
-validator that Source uses walk the entries, to name the first at fault.
-An EncodingPolicy runs that walk over each symbol's weights.
+A Code checks its whole table in one pass, as a Source does, unless a
+package builder made it valid (`Code._built`): the digits are ints below
+the radix, the symbols distinct, and each codeword set nonempty with no
+repeat. Only when that pass fails does the entry validator that Source
+uses walk the entries, to name the first at fault. An EncodingPolicy runs
+that walk over each symbol's weights.
 
 The empty codeword (written '-') is representable; it is only ever
 useful as the sole codeword of a one-symbol code, and the
@@ -158,6 +159,13 @@ class Code:
         _check_radix(self.radix, 1)
         if not _is_code_table(self.radix, self.mapping):  # find the first entry at fault
             _check_entries(self.mapping, partial(_check_codewords_and_digits, self.radix))
+
+    @classmethod
+    def _built(cls, radix: int, mapping: tuple) -> Code:
+        """A Code whose fields a package builder made valid, set with no check."""
+        code = object.__new__(cls)
+        vars(code).update(radix=radix, mapping=mapping)
+        return code
 
     @cached_property
     def _index(self) -> dict:
@@ -316,11 +324,8 @@ def minimal_reduction(code: Code) -> Code:
     """
     if code.is_singleton():
         return code
-    reduced = []
-    for symbol, words in code.mapping:
-        best = min(words, key=lambda w: (len(w), w))
-        reduced.append((symbol, (best,)))
-    return Code(code.radix, tuple(reduced))
+    shortest = partial(min, key=lambda w: (len(w), w))
+    return Code._built(code.radix, tuple((symbol, (shortest(words),)) for symbol, words in code.mapping))
 
 
 @dataclass(frozen=True)

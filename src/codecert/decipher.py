@@ -307,7 +307,7 @@ def construct_instantaneous(lengths: Sequence[int], r: int) -> Code:
 
     order = sorted(range(len(lengths)), key=lambda i: lengths[i])
     words = dict(zip(order, _canonical_paths(sorted(lengths), r)[0]))
-    return Code(r, tuple((f"s{i + 1}", (words[i],)) for i in range(len(lengths))))
+    return Code._built(r, tuple((f"s{i + 1}", (words[i],)) for i in range(len(lengths))))
 
 
 def _canonical_paths(lengths: Sequence[int], r: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -371,7 +371,7 @@ def huffman(src: Source, r: int) -> Code:
             else:
                 group.append(leaves[i])
                 i += 1
-        mass.append(sum(mass[k] for k in group))
+        mass.append(sum(map(mass.__getitem__, group)))
         groups.append(group)
         size = r
 
@@ -380,4 +380,4 @@ def huffman(src: Source, r: int) -> Code:
     for k in reversed(range(n, len(mass))):
         for digit, child in enumerate(groups[k - n], pad if k == n else 0):
             words[child] = words[k] + (digit,)
-    return Code(r, tuple((s, (w,)) for s, w in zip(src.symbols, words)))
+    return Code._built(r, tuple((s, (w,)) for s, w in zip(src.symbols, words)))

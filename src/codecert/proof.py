@@ -45,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any
+from typing import Any, Sequence
 
 from .codes import Code, _covering, format_codeword, minimal_reduction
 from .decipher import _canonical_paths, ud_counterexample
@@ -136,12 +136,12 @@ class ReductionCertificate:
     def canonical_code(self) -> Code:
         """The canonical words on the code's symbols, in the code's order."""
         word_of = dict(zip(self.leaf_symbols, self.canonical_paths))
-        return Code(self.code.radix, tuple((s, (word_of[s],)) for s in self.code.symbols))
+        return Code._built(self.code.radix, tuple((s, (word_of[s],)) for s in self.code.symbols))
 
     @cached_property
     def certified_code(self) -> Code:
         """The code the chain runs on, symbols in digit order."""
-        return Code(self.code.radix, tuple((s, (w,)) for s, w in zip(self.leaf_symbols, self.certified_paths)))
+        return Code._built(self.code.radix, tuple((s, (w,)) for s, w in zip(self.leaf_symbols, self.certified_paths)))
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,13 @@ class PpResult:
 
 def _delta(masses: tuple[int, ...], d: int, r: int) -> float:
     # m / d rounds as float(Fraction(m, d)) does: the bits of the rationals
-    log_r = math.log(r)
-    m_red = sum(masses)
+    log_r, m_red = math.log(r), sum(masses)
     red = m_red / d
-    group = math.fsum(m / d * _log(m, d) / log_r for m in masses)
-    return red * _log(m_red, d) / log_r - group - red
+    try:
+        terms = [m / d * math.log(m / d) / log_r for m in masses]
+    except ValueError:  # some m / d is below the float range: _log's exact fallback
+        terms = [m / d * _log(m, d) / log_r for m in masses]
+    return red * _log(m_red, d) / log_r - math.fsum(terms) - red
 
 
 def reduction_step(group: SiblingGroup, masses: tuple[int, ...], denominator: int, r: int) -> ReductionStep:
@@ -186,13 +188,8 @@ def reduction_step(group: SiblingGroup, masses: tuple[int, ...], denominator: in
         raise InvalidGroup(f"group size {s} outside 2..{r}")
     if len(masses) != s:
         raise InvalidGroup(f"group of {s} members given {len(masses)} masses")
-    return ReductionStep(
-        group=group,
-        masses=masses,
-        denominator=denominator,
-        delta=_delta(masses, denominator, r),
-        is_tight=(s == r and len(set(masses)) == 1),
-    )
+    tight = s == r and masses.count(masses[0]) == s
+    return ReductionStep(group, masses, denominator, _delta(masses, denominator, r), tight)
 
 
 def reduce_group(tree: CodeTree, group: SiblingGroup) -> tuple[Source, CodeTree, ReductionStep]:
@@ -347,12 +344,12 @@ def _equality_witness(src: Source, lengths: list[int], r: int) -> EqualityWitnes
     return EqualityWitness((n - 1) // (r - 1), tuple(lengths))
 
 
-def _group_masses(probs, r: int, *, within_radix: bool = True) -> tuple[int, tuple[int, ...]]:
+def _group_masses(probs, r: int, *, within_radix: bool = True) -> tuple[tuple[int, ...], int]:
     """Check the radix and the probabilities of a closing-inequality check,
     read as make_source reads them (a float or a bool is rejected), and
-    with within_radix that there are at most r of them; returns them as
-    integer masses over their least common denominator. Their total P is
-    capped at 2**512, where the float sums of P*log(P) and P*log(r) stay
+    with within_radix that there are at most r of them; returns their
+    integer masses over their least common denominator D, and D. Their total
+    P is capped at 2**512, where the float sums of P*log(P) and P*log(r) stay
     finite."""
     _check_radix(r)
     probs = tuple(map(_as_fraction, probs))
@@ -366,7 +363,7 @@ def _group_masses(probs, r: int, *, within_radix: bool = True) -> tuple[int, tup
         raise ValueError("group probabilities sum to more than 2**512, beyond floating-point evaluation")
     if within_radix and len(masses) > r:
         raise GroupLargerThanRadix(f"group of {len(masses)} exceeds radix {r}")
-    return d, masses
+    return masses, d
 
 
 def check_group_inequality(probs, r: int) -> GroupInequalityResult:
@@ -376,15 +373,16 @@ def check_group_inequality(probs, r: int) -> GroupInequalityResult:
     `tight` is the exact rational test s = r with all p_k equal, which
     the value check cross-validates.
     """
-    d, masses = _group_masses(probs, r)
+    return _group_inequality(*_group_masses(probs, r), r)
+
+
+def _group_inequality(masses: tuple[int, ...], d: int, r: int) -> GroupInequalityResult:
+    """check_group_inequality's core on probabilities masses[k] / d that _group_masses passed."""
     log_r, log_total = math.log(r), _log(sum(masses), d)
     log_value = math.fsum(m / d * (log_r + _log(m, d) - log_total) for m in masses)
     value = math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
-    return GroupInequalityResult(
-        value=value,
-        holds=value >= 1.0 - LOG_SLACK,
-        tight=(len(masses) == r and len(set(masses)) == 1),
-    )
+    tight = len(masses) == r and masses.count(masses[0]) == r
+    return GroupInequalityResult(value=value, holds=value >= 1.0 - LOG_SLACK, tight=tight)
 
 
 #: Most bits check_rational_ghm lets its integers have: they are below (r*M)**M
@@ -405,15 +403,16 @@ def check_rational_ghm(probs, r: int) -> GhmResult:
     compare geometric against harmonic, and the harmonic mean is r/s. Past
     MAX_GHM_BITS it raises ValueError before any power is taken.
     """
-    _, masses = _group_masses(probs, r)
+    return _rational_ghm(_group_masses(probs, r)[0], r)
+
+
+def _rational_ghm(masses: Sequence[int], r: int) -> GhmResult:
+    """check_rational_ghm's core on integer masses that _group_masses passed; it keeps the bits bound."""
     s, total = len(masses), sum(masses)
     bits = total * (r * total).bit_length()
     if bits > MAX_GHM_BITS:
         raise ValueError(f"the exact form's integers would have about {bits:,} bits, past {MAX_GHM_BITS:,}")
-    lhs_num = 1
-    for m in masses:
-        lhs_num *= (r * m) ** m
-    lhs = Fraction(lhs_num, total**total)
+    lhs = Fraction(math.prod((r * m) ** m for m in masses), total**total)
     rhs = Fraction(r**total, s**total)
     return GhmResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs >= 1)
 
@@ -425,15 +424,16 @@ def check_pp_inequalities(probs, r: int) -> PpResult:
     (reported honestly either way). ineq_b: prod_k p_k**p_k >= 1/s,
     evaluated only when the probabilities sum to exactly 1.
     """
-    d, masses = _group_masses(probs, r, within_radix=False)
-    s = len(masses)
-    total = sum(masses)
+    return _pp_inequalities(*_group_masses(probs, r, within_radix=False), r)
 
+
+def _pp_inequalities(masses: tuple[int, ...], d: int, r: int) -> PpResult:
+    """check_pp_inequalities's core on probabilities masses[k] / d that _group_masses passed."""
+    total = sum(masses)
     power_sum = math.fsum(m / d * _log(m, d) for m in masses)
     lhs_a = total / d * (_log(total, d) - math.log(r))
-    ineq_a = lhs_a <= power_sum + LOG_SLACK
-    ineq_b = power_sum >= -math.log(s) - LOG_SLACK if total == d else None
-    return PpResult(ineq_a=ineq_a, ineq_b=ineq_b)
+    ineq_b = power_sum >= -math.log(len(masses)) - LOG_SLACK if total == d else None
+    return PpResult(ineq_a=lhs_a <= power_sum + LOG_SLACK, ineq_b=ineq_b)
 
 
 def format_certificate(cert: ReductionCertificate) -> str:

@@ -38,14 +38,14 @@ def random_source(rng: SplitMix64, n: int, max_den: int = 64) -> Source:
     _check_count(n, 1, "need at least one symbol")
     _check_count(max_den, n, f"max_den must be at least n = {n}")
     if n == 1:
-        return Source(("s1",), (1,), 1)
+        return Source._built(("s1",), (1,), 1)
     denom = rng.randrange(n, max_den + 1)
     cuts = rng.sample_distinct(denom - 1, n - 1)
     bounds = [0] + [c + 1 for c in cuts] + [denom]
     parts = [b - a for a, b in zip(bounds, bounds[1:])]
     g = math.gcd(denom, *parts)  # a Source holds its masses in lowest terms
     symbols = tuple(f"s{i + 1}" for i in range(n))
-    return Source(symbols, tuple(m // g for m in parts), denom // g)
+    return Source._built(symbols, tuple(m // g for m in parts), denom // g)
 
 
 def grow_full_tree(rng: SplitMix64, r: int, z: int) -> CodeTree:
@@ -86,7 +86,7 @@ def _random_leaf_paths(rng: SplitMix64, r: int, n: int) -> list[tuple[int, ...]]
 def random_prefix_code(rng: SplitMix64, r: int, n: int) -> Code:
     """A prefix-free code with n codewords for symbols s1..sn."""
     paths = _random_leaf_paths(rng, r, n)
-    return Code(r, tuple((f"s{i + 1}", (path,)) for i, path in enumerate(paths)))
+    return Code._built(r, tuple((f"s{i + 1}", (path,)) for i, path in enumerate(paths)))
 
 
 def reversed_code(code: Code) -> Code:
@@ -95,7 +95,7 @@ def reversed_code(code: Code) -> Code:
     Suffix-free codes decode uniquely right to left, so the result is
     decipherable but usually not prefix-free.
     """
-    return Code(code.radix, tuple((symbol, tuple(w[::-1] for w in words)) for symbol, words in code.mapping))
+    return Code._built(code.radix, tuple((symbol, tuple(w[::-1] for w in words)) for symbol, words in code.mapping))
 
 
 def random_group(rng: SplitMix64, r: int) -> tuple[list[Fraction], list[int]]:

@@ -15,11 +15,11 @@ float(Fraction) does. Exactness lets the proof engine decide the equality
 case p_i = r^(-l_i) with no tolerance at all.
 
 A Source and a Code check their whole table in one pass (`_is_mass_table`,
-`codes._is_code_table`): the symbols are distinct and each entry keeps its
-invariant, tested a column at a time. That pass only answers yes or no,
-and never raises. Only on no does `_check_entries` walk the entries in
-order, to raise the error of the first one at fault, or of a symbol listed
-twice; an EncodingPolicy runs that walk on every table.
+`codes._is_code_table`), unless a package builder made it valid (`_built`):
+the symbols are distinct and each entry keeps its invariant, tested a column
+at a time. The pass never raises; only when it says no does `_check_entries`
+walk the entries in order, to raise the error of the first one at fault, or
+of a symbol listed twice. An EncodingPolicy runs that walk on every table.
 
 Sampling is deterministic: a seed in [0, 2^64) keys a splitmix64 stream
 (see codecert.rng) of draws below the least D, so a stream is
@@ -293,6 +293,13 @@ class Source:
         if math.gcd(d, *self.masses) != 1:  # a draw is below D, so a seeded stream needs the least D
             raise ValueError("the masses and the denominator share a factor: they are not in lowest terms")
 
+    @classmethod
+    def _built(cls, symbols: tuple, masses: tuple[int, ...], denominator: int) -> Source:
+        """A Source whose fields a package builder made valid, set with no check."""
+        src = object.__new__(cls)
+        vars(src).update(symbols=symbols, masses=masses, denominator=denominator)
+        return src
+
     @cached_property
     def probs(self) -> tuple[Fraction, ...]:
         """The probabilities, masses[i] / denominator."""
@@ -362,7 +369,7 @@ def extend_source(src: Source, p: int, max_symbols: int = DEFAULT_EXTENSION_CAP)
     symbols = tuple(itertools.product(src.symbols, repeat=p))
     masses = tuple(map(math.prod, itertools.product(src.masses, repeat=p)))
     # D**p is least: each prime of D misses some m_j, so it misses m_j**p
-    return Source(symbols, masses, src.denominator**p)
+    return Source._built(symbols, masses, src.denominator**p)
 
 
 def sample_stream(src: Source, t: int, seed: int) -> list:

@@ -277,9 +277,15 @@ def test_certify_matches_tree_route_on_a_deep_comb_of_unequal_masses():
 def test_certify_builds_no_code_and_no_tree(monkeypatch):
     src = make_source("abcd", [F(2, 5), F(3, 10), F(1, 5), F(1, 10)])
     code = make_code(3, {"a": "0", "b": "10", "c": "11", "d": "1200"})
-    built = []
-    original = Code.__post_init__
+    built = []  # every Code made, checked or by a builder's Code._built
+    original, unchecked = Code.__post_init__, Code._built
     monkeypatch.setattr(Code, "__post_init__", lambda self: built.append(original(self)))
+
+    def counted(*fields):
+        built.append(unchecked(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(Code, "_built", counted)
 
     def refuse(*args, **kwargs):
         raise AssertionError("certify works on leaf paths")

@@ -15,6 +15,7 @@ from codecert import (
     NotUniquelyDecipherable,
     RadixOneUnsupported,
     SiblingGroup,
+    SplitMix64,
     ZeroOrNegativeProbability,
     acl,
     acl_exact,
@@ -31,6 +32,7 @@ from codecert import (
     huffman,
     make_code,
     make_source,
+    random_group,
     random_prefix_code,
     random_source,
     reduce_group,
@@ -40,6 +42,8 @@ from codecert import (
     tree_source,
     trial_rng,
 )
+from codecert.proof import _group_inequality, _group_masses, _pp_inequalities, _rational_ghm
+from codecert.source import _fraction_masses
 from oracles import delta_oracle, entropy_oracle, group_value_oracle
 
 DYADIC = make_source("abc", [F(1, 2), F(1, 4), F(1, 4)])
@@ -479,6 +483,25 @@ def test_pp_errors():
         check_pp_inequalities([F(-1, 2)], 2)
     with pytest.raises(ValueError):
         check_pp_inequalities([], 2)
+
+
+# --- the public checks and their integer cores ---
+
+
+def test_each_closing_check_equals_its_core_on_the_converted_masses():
+    # a fuzz trial converts its group once and runs the cores: on probs the
+    # log-space and power-product ones, on the raw frequencies the GHM one
+    rng = SplitMix64(2026)
+    for k in range(2000):
+        r = 2 + k % 4
+        probs, freqs = random_group(rng, r)
+        masses, d = _fraction_masses(probs)
+        assert _group_masses(probs, r) == (masses, d)
+        assert _group_masses(freqs, r) == (tuple(freqs), 1)
+        assert check_group_inequality(probs, r) == _group_inequality(masses, d, r)
+        assert check_pp_inequalities(probs, r) == _pp_inequalities(masses, d, r)
+        assert check_rational_ghm(probs, r) == _rational_ghm(masses, r)
+        assert check_rational_ghm(freqs, r) == _rational_ghm(freqs, r)
 
 
 # --- rational density ---
