@@ -20,12 +20,12 @@ search. It does not bound the work: check-ud decides unique
 decipherability exactly, so a code whose shortest witness is longer than
 the cap is reported undecipherable, with no witness, and exits 1.
 --seed is an integer in 0..2^64-1 for every subcommand, and --t at most
-10^9 (source.MAX_STREAM_LENGTH), checked before any draw. simulate encodes
-the stream once, a chunk of 2^14 steps at a time, and reduces each chunk to
-the running digit sum and the pathwise floor before it encodes the next, so
-its memory does not grow with --t: a step where fewer digits were emitted
-than the same symbols' shortest codewords take is a violation, counted on
-integers.
+10^9 (source.MAX_STREAM_LENGTH), checked before any draw. simulate prints
+the summary of codes.empirical_acl, which encodes the stream once, a chunk
+of 2^14 steps at a time, and reduces each chunk to the running digit sum and
+the pathwise floor before it encodes the next, so its memory does not grow
+with --t: a step where fewer digits were emitted than the same symbols'
+shortest codewords take is a violation, counted on integers.
 
 Exit codes: 0 when the computation succeeds and every checked property
 holds; 1 when a verified property fails (ambiguous code, Kraft excess,
@@ -61,17 +61,16 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 from operator import methodcaller
 from typing import Sequence
 
 from .codes import (
     Code,
     EncodingPolicy,
-    _covering,
-    _encode_chunks,
     _parse_codewords,
     acl_exact,
+    empirical_acl,
     format_codeword,
     kraft_sum,
     minimal_reduction,
@@ -410,25 +409,10 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     src = parse_source_file(args.source)
     code, policy = parse_code_file(args.code)
-    # per codeword id: its digits, and their excess over its symbol's shortest
-    # codeword, the floor on the same stream; read after the code is found to
-    # cover the source, so that a MissingSymbol names every symbol it lacks
-    words_of = _covering(src, code)
-    shortest = [len(words[0]) for words in map(minimal_reduction(code).codewords, src.symbols)]
-    length_of = [len(w) for words in words_of for w in words]
-    excess_of = [len(w) - floor for words, floor in zip(words_of, shortest) for w in words]
-    # a running sum of excesses that are all >= 0 never falls below 0, so
-    # the steps are counted only when some codeword is shorter than its floor
-    breachable = min(excess_of) < 0
-    digits = violations = excess = 0
-    for _, ids in _encode_chunks(src, code, policy, args.t, args.seed):
-        digits += sum(map(length_of.__getitem__, ids))
-        if breachable:
-            running = list(accumulate(map(excess_of.__getitem__, ids), initial=excess))
-            violations += sum(map((0).__gt__, islice(running, 1, None)))
-            excess = running[-1]
+    run = empirical_acl(src, code, policy, args.t, args.seed)
+    violations = run.floor_violations
     exact = acl_exact(src, code, policy)
-    final = digits / args.t
+    final = run.acl_t
     status = 0 if violations == 0 else 1
     if args.machine:
         return status, _kv(
@@ -480,9 +464,9 @@ def run_fuzz_trial(master_seed: int, k: int, tol: float) -> list[str]:
     group, ghm, pp = _group_inequality(masses, d, r), _rational_ghm(freqs, r), _pp_inequalities(masses, d, r)
     if not group.holds:
         bad.append(f"group inequality failed: value={group.value!r}")
-    if not ghm.holds:
+    if not ghm:
         bad.append("integer GM-HM oracle failed")
-    if group.holds != ghm.holds:
+    if group.holds != ghm:
         bad.append("log-space and integer checkers disagree")
     if not pp.ineq_a or pp.ineq_b is False:
         bad.append("power-product inequality failed")

@@ -11,12 +11,13 @@ three flavors:
 
   * acl(src, code)            - expectation sum p_i * l_i (singleton codes)
   * acl(src, code, policy)    - expectation over policy choices too
-  * empirical_acl(...)        - the pathwise sequence ACL_t after t symbols
+  * empirical_acl(...)        - ACL_t after t sampled symbols
 
-empirical_acl records each step's symbol, codeword and digits; the
-running ACL_t is built from the digits only when read. It joins the chunks
-of _encode_chunks, which encodes the stream 2^14 steps at a time and gives
-each step a codeword id, one number per codeword of the code. A symbol
+empirical_acl is the one stream reduction, the one simulate prints: it
+sums the digits of each chunk of _encode_chunks and counts the steps below
+the pathwise floor before it encodes the next chunk, so it keeps no step.
+_encode_chunks encodes the stream 2^14 steps at a time and gives each step
+a codeword id, one number per codeword of the code. A symbol
 with one codeword reads no choice bits, so its steps take their id in one
 map over the chunk. The other steps run one loop that reads rejection
 windows from rng.word_stream and looks each up in its symbol's window
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from numbers import Rational
-from operator import truediv
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DigitOutOfRange, MissingPolicy, MissingSymbol
@@ -329,18 +329,18 @@ def minimal_reduction(code: Code) -> Code:
 
 
 @dataclass(frozen=True)
-class SimulationTrace:
-    """Per-step record of one encoding run: the symbol drawn, the codeword
-    emitted and its digits; the running ACL sequence is built when read."""
+class SimulationSummary:
+    """One encoding run of t steps reduced: the digits it emitted, and the
+    steps where the running digit count fell below the floor."""
 
-    symbol_indices: tuple[int, ...]
-    codeword_indices: tuple[int, ...]
-    lengths: tuple[int, ...]
+    t: int
+    digits: int
+    floor_violations: int
 
-    @cached_property
-    def acl_values(self) -> tuple[float, ...]:
-        """ACL_k = (digits of the first k steps) / k for k = 1..t."""
-        return tuple(map(truediv, itertools.accumulate(self.lengths), range(1, len(self.lengths) + 1)))
+    @property
+    def acl_t(self) -> float:
+        """ACL_t = (digits of the t steps) / t."""
+        return self.digits / self.t
 
 
 def empirical_acl(
@@ -349,8 +349,9 @@ def empirical_acl(
     policy: EncodingPolicy | None,
     t: int,
     seed: int,
-) -> SimulationTrace:
-    """Encode t sampled symbols, recording each step's codeword and digits.
+) -> SimulationSummary:
+    """Encode t sampled symbols and reduce the run to its SimulationSummary,
+    a chunk of _encode_chunks at a time, so memory does not grow with t.
 
     A symbol with several codewords is encoded by drawing one per the
     policy's weights, from a choice stream derived from the seed; None is
@@ -359,45 +360,50 @@ def empirical_acl(
     as acl_exact does.
 
     The symbol stream depends only on (src, t, seed) -- codeword choices
-    consume a separate derived stream -- so traces of different codes or
-    policies on the same seed see the identical symbol sequence.
+    consume a separate derived stream -- so runs of different codes or
+    policies on the same seed see the identical symbol sequence, and the run
+    of t steps is the first t steps of any longer run.
 
-    The choices are the values that one randbelow(D) call per step would
-    give on a SplitMix64 of the derived seed, D the denominator of the
-    step's symbol's weights. They are read from rng.word_stream, each
-    attempt taking the next k = bit_length(D - 1) bits. A symbol with one
-    codeword has D = 1 and reads no bits, as randbelow(1) reads none.
+    The floor is minimal_reduction(code) on the same stream: a step where
+    fewer digits were emitted up to it than the floor's codewords take is a
+    violation, counted on integers.
     """
-    symbol_indices: list[int] = []
-    ids: list[int] = []
-    for chunk_symbols, chunk_ids in _encode_chunks(src, code, policy, t, seed):
-        symbol_indices += chunk_symbols
-        ids += chunk_ids
+    # per codeword id: its digits, and their excess over its symbol's shortest
+    # codeword, the floor on the same stream; read after the code is found to
+    # cover the source, so that a MissingSymbol names every symbol it lacks
     words_of = _covering(src, code)
-    index_of = [u for words in words_of for u in range(len(words))]
+    shortest = [len(words[0]) for words in map(minimal_reduction(code).codewords, src.symbols)]
     length_of = [len(w) for words in words_of for w in words]
-    return SimulationTrace(
-        tuple(symbol_indices), tuple(map(index_of.__getitem__, ids)), tuple(map(length_of.__getitem__, ids))
-    )
+    excess_of = [len(w) - floor for words, floor in zip(words_of, shortest) for w in words]
+    # a running sum of excesses that are all >= 0 never falls below 0, so
+    # the steps are counted only when some codeword is shorter than its floor
+    breachable = min(excess_of) < 0
+    digits = violations = excess = 0
+    for _, ids in _encode_chunks(src, words_of, policy, t, seed):
+        digits += sum(map(length_of.__getitem__, ids))
+        if breachable:
+            running = list(itertools.accumulate(map(excess_of.__getitem__, ids), initial=excess))
+            violations += sum(map((0).__gt__, itertools.islice(running, 1, None)))
+            excess = running[-1]
+    return SimulationSummary(t, digits, violations)
 
 
 def _encode_chunks(
-    src: Source, code: Code, policy: EncodingPolicy | None, t: int, seed: int
+    src: Source, words_of: list[tuple[tuple[int, ...], ...]], policy: EncodingPolicy | None, t: int, seed: int
 ) -> Iterator[tuple[list[int], list[int]]]:
     """The steps of empirical_acl(src, code, policy, t, seed), in chunks of up
     to rng._CHUNK: each chunk's symbol indices and each step's codeword id.
 
-    Codeword ids number the codewords of _covering(src, code) in one flat
-    sequence: symbol i's u-th codeword has id first[i] + u. A step whose
-    symbol has one codeword takes first[i], in one map over the chunk; the
-    steps of the others run the one loop that reads choice windows. Each such
-    symbol's window table, built in source order before the first draw, maps
-    a window below D to its codeword's id and one at or above D to None,
+    Codeword ids number the codewords of words_of = _covering(src, code) in
+    one flat sequence: symbol i's u-th codeword has id first[i] + u. A step
+    whose symbol has one codeword takes first[i], in one map over the chunk;
+    the steps of the others run the one loop that reads choice windows. Each
+    such symbol's window table, built in source order before the first draw,
+    maps a window below D to its codeword's id and one at or above D to None,
     which takes the next.
     """
     _check_stream_length(t, 1, "simulation needs t >= 1")
     _check_seed(seed)
-    words_of = _covering(src, code)
     first = list(itertools.accumulate(map(len, words_of), initial=0))
     # (k, k-bit mask, window table) of each symbol with several codewords, None of the others
     windows = [

@@ -403,18 +403,22 @@ def check_rational_ghm(probs, r: int) -> GhmResult:
     compare geometric against harmonic, and the harmonic mean is r/s. Past
     MAX_GHM_BITS it raises ValueError before any power is taken.
     """
-    return _rational_ghm(_group_masses(probs, r)[0], r)
+    masses = _group_masses(probs, r)[0]
+    holds = _rational_ghm(masses, r)
+    s, total = len(masses), sum(masses)
+    lhs = Fraction(math.prod((r * m) ** m for m in masses), total**total)
+    return GhmResult(lhs=lhs, rhs=Fraction(r**total, s**total), holds=holds)
 
 
-def _rational_ghm(masses: Sequence[int], r: int) -> GhmResult:
-    """check_rational_ghm's core on integer masses that _group_masses passed; it keeps the bits bound."""
+def _rational_ghm(masses: Sequence[int], r: int) -> bool:
+    """check_rational_ghm's verdict on integer masses that _group_masses passed;
+    it keeps the bits bound. lhs >= rhs >= 1 is decided with no Fraction, as
+    r >= s and prod_k (r*m_k)**m_k * s**M >= (r*M)**M."""
     s, total = len(masses), sum(masses)
     bits = total * (r * total).bit_length()
     if bits > MAX_GHM_BITS:
         raise ValueError(f"the exact form's integers would have about {bits:,} bits, past {MAX_GHM_BITS:,}")
-    lhs = Fraction(math.prod((r * m) ** m for m in masses), total**total)
-    rhs = Fraction(r**total, s**total)
-    return GhmResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs >= 1)
+    return r >= s and math.prod((r * m) ** m for m in masses) * s**total >= (r * total) ** total
 
 
 def check_pp_inequalities(probs, r: int) -> PpResult:

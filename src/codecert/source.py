@@ -186,8 +186,8 @@ def _check_count(value, least: int, message: str) -> None:
         raise ValueError(f"{message}, got {_quote(value)}")
 
 
-#: Longest stream that sample_stream, empirical_acl and simulate draw; the
-#: first two hold every draw of a stream at once.
+#: Longest stream that sample_stream, empirical_acl and simulate draw;
+#: sample_stream holds every draw at once, empirical_acl one chunk of them.
 MAX_STREAM_LENGTH = 10**9
 
 

@@ -28,6 +28,7 @@ from codecert import (
     is_uniquely_decipherable,
     kraft_sum,
     make_code,
+    make_policy,
     make_source,
     minimal_reduction,
     random_group,
@@ -37,6 +38,7 @@ from codecert import (
 )
 from codecert.decipher import _shortest_ambiguity
 from oracles import entropy_oracle, optimal_acl_oracle
+from traces import encoded_trace
 
 TOL = 1e-9
 DELTA_CAP = 1e-12
@@ -271,34 +273,45 @@ def test_criterion_7_closing_inequalities(criterion_report):
 def test_criterion_8_empirical_acl(criterion_report):
     src = make_source("abc", [F(1, 2), F(1, 4), F(1, 4)])
     code = make_code(2, [("a", "0"), ("b", "10"), ("c", "11")])
-    trace = empirical_acl(src, code, None, 100000, REFERENCE_SEED)
-    gap = abs(trace.acl_values[-1] - 1.5)
+    gap = abs(empirical_acl(src, code, None, 100000, REFERENCE_SEED).acl_t - 1.5)
     reference_ok = gap <= 0.05
 
-    floor_violations = 0
+    # some symbols of each instance get a second codeword, their word with one
+    # digit appended, under seeded weights: the code is not its own minimal
+    # reduction, and its rate is above the reduction's on some steps
+    floor_violations = counted = runs_above_floor = 0
     for k in range(100):
         rng = trial_rng(808, k)
         r = 2 + rng.randbelow(3)
         n = 1 + rng.randbelow(8)
         rand_src = random_source(rng, n)
-        rand_code = random_prefix_code(rng, r, n)
+        mapping, weights = [], {}
+        for symbol, (word,) in random_prefix_code(rng, r, n).mapping:
+            words = [word]
+            if rng.randbelow(2):
+                words.append(word + (rng.randbelow(r),))
+                q = F(1 + rng.randbelow(7), 8)
+                weights[symbol] = [q, 1 - q]
+            mapping.append((symbol, words))
+        rand_code, policy = make_code(r, mapping), make_policy(weights)
         seed = 1000 + k
-        full = empirical_acl(rand_src, rand_code, None, 400, seed)
-        floor = empirical_acl(
-            rand_src, minimal_reduction(rand_code), None, 400, seed
-        )
+        full = encoded_trace(rand_src, rand_code, policy, 400, seed)
+        floor = encoded_trace(rand_src, minimal_reduction(rand_code), None, 400, seed)
         assert full.symbol_indices == floor.symbol_indices
         floor_violations += sum(
             1
             for a, b in zip(full.acl_values, floor.acl_values)
             if a < b - DELTA_CAP
         )
-    ok = reference_ok and floor_violations == 0
+        runs_above_floor += full.acl_values != floor.acl_values
+        counted += empirical_acl(rand_src, rand_code, policy, 400, seed).floor_violations
+    ok = reference_ok and floor_violations == counted == 0 and runs_above_floor > 0
     criterion_report(
         8,
         ok,
         f"reference run |ACL_t - 1.5| = {gap:.4f} <= 0.05 at t=10^5; "
-        f"pathwise floor violations over 100 seeded runs: {floor_violations}",
+        f"pathwise floor violations over 100 seeded runs: {floor_violations} "
+        f"(empirical_acl counts {counted}); {runs_above_floor} runs above their floor",
     )
 
 

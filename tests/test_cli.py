@@ -25,6 +25,7 @@ from codecert.codes import format_codeword, make_code, make_policy, parse_codewo
 from codecert.errors import CodecertError, ParseError
 from codecert.rng import _CHUNK
 from codecert.source import _check_probability, _quote, make_source, parse_rational
+from traces import encoded_trace
 
 DYADIC_SRC = "a 1/2\nb 1/4\nc 1/4\n"
 DYADIC_CODE = "radix 2\na 0\nb 10\nc 11\n"
@@ -445,7 +446,7 @@ def test_simulate_encodes_one_stream(tmp_path, capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(cli, "_encode_chunks")
+    count(codes, "_encode_chunks")
     count(codes, "_index_chunks")
     src = write(tmp_path, "s.txt", POLICY_SRC)
     code = write(tmp_path, "c.txt", POLICY_CODE)
@@ -493,11 +494,11 @@ def test_simulate_floor_breach_matches_two_run_count(tmp_path, capsys, monkeypat
     src = write(tmp_path, "s.txt", POLICY_SRC)
     code = write(tmp_path, "c.txt", POLICY_CODE)
     floor = codecert.make_code(2, {"a": "000", "b": "1"})
-    monkeypatch.setattr(cli, "minimal_reduction", lambda _: floor)
+    monkeypatch.setattr(codes, "minimal_reduction", lambda _: floor)
     source, (full, policy) = cli.parse_source_file(src), parse_code_file(code)
     for t in (200, _CHUNK + 200):
-        trace = codecert.empirical_acl(source, full, policy, t, 3)
-        floor_trace = codecert.empirical_acl(source, floor, None, t, 3)
+        trace = encoded_trace(source, full, policy, t, 3)
+        floor_trace = encoded_trace(source, floor, None, t, 3)
         breached = [a < b for a, b in zip(trace.acl_values, floor_trace.acl_values)]
         expected = sum(breached)
         assert 0 < expected < t
@@ -853,7 +854,7 @@ RESOURCE_CASES = [
     ("build-code --lengths 1,2,2", "construct_instantaneous"),
     ("huffman {src}", "huffman"),
     ("certify {src} {code}", "certify"),
-    ("simulate {src} {code} --t 10", "_encode_chunks"),
+    ("simulate {src} {code} --t 10", "empirical_acl"),
     ("fuzz --trials 1", "run_fuzz_trial"),
     ("check-ineq --probs 1/2,1/2", "check_group_inequality"),
 ]

@@ -35,6 +35,7 @@ from codecert import (
 )
 from codecert import codes
 from codecert.rng import _CHUNK, SplitMix64, derived_seed
+from traces import encoded_trace
 
 
 def dyadic_abc():
@@ -350,9 +351,9 @@ def test_minimal_reduction_never_longer_under_any_policy():
 
 def test_empirical_symbol_stream_independent_of_code():
     src = dyadic_abc()
-    t1 = empirical_acl(src, code_abc(), None, 200, 5)
+    t1 = encoded_trace(src, code_abc(), None, 200, 5)
     other = make_code(2, {"a": "1", "b": "01", "c": "00"})
-    t2 = empirical_acl(src, other, None, 200, 5)
+    t2 = encoded_trace(src, other, None, 200, 5)
     assert t1.symbol_indices == t2.symbol_indices
 
 
@@ -366,27 +367,29 @@ def test_empirical_acl_matches_running_average():
     multi = make_code(3, {"a": ["0", "10", "11"], "b": ["2", "12"], "c": ["20", "21", "220", "221"]})
     policy = make_policy({"a": ["1/7", "2/7", "4/7"], "b": ["5/11", "6/11"], "c": ["1/10", "1/5", "3/10", "2/5"]})
     for src, code, pol in ((dyadic_abc(), code_abc(), None), (src3, multi, policy)):
-        trace = empirical_acl(src, code, pol, 500, 9)
+        trace = encoded_trace(src, code, pol, 500, 9)
         steps = list(zip(trace.symbol_indices, trace.codeword_indices))
         assert list(trace.lengths) == [len(code.codewords(src.symbols[i])[u]) for i, u in steps]
         assert len(trace.lengths) == len(trace.acl_values) == 500
         for k in range(1, 501):
             assert trace.acl_values[k - 1] == sum(trace.lengths[:k]) / k
+            # the stream has the prefix property: the run of k steps reads ACL_k
+            if k in (1, 7, 499, 500):
+                run = empirical_acl(src, code, pol, k, 9)
+                assert (run.t, run.digits, run.acl_t) == (k, sum(trace.lengths[:k]), trace.acl_values[k - 1])
     assert len(set(trace.lengths)) > 1 and max(trace.codeword_indices) > 0
 
 
 def test_empirical_acl_converges():
     src = dyadic_abc()
-    trace = empirical_acl(src, code_abc(), None, 100000, 1)
-    assert abs(trace.acl_values[-1] - 1.5) <= 0.05
+    assert abs(empirical_acl(src, code_abc(), None, 100000, 1).acl_t - 1.5) <= 0.05
 
 
 def test_empirical_acl_policy_draws_converge():
     src = make_source("ab", [F(1, 2), F(1, 2)])
     code = make_code(2, {"a": ["0", "11"], "b": "10"})
     policy = make_policy({"a": ["1/2", "1/2"]})
-    trace = empirical_acl(src, code, policy, 50000, 1)
-    assert abs(trace.acl_values[-1] - 1.75) < 0.05
+    assert abs(empirical_acl(src, code, policy, 50000, 1).acl_t - 1.75) < 0.05
 
 
 def test_empirical_acl_needs_a_policy_for_several_codewords():
@@ -397,7 +400,8 @@ def test_empirical_acl_needs_a_policy_for_several_codewords():
     with pytest.raises(MissingPolicy, match="policy does not cover symbol 'a' with 2 weights"):
         empirical_acl(src, code, make_policy({"a": ["1"]}), 10, 1)
     # a code with one codeword per symbol needs no policy
-    floor = empirical_acl(src, minimal_reduction(code), None, 10, 1)
+    floor = encoded_trace(src, minimal_reduction(code), None, 10, 1)
+    assert empirical_acl(src, minimal_reduction(code), None, 10, 1).digits == sum(floor.lengths)
     assert floor.lengths == tuple(2 if i else 1 for i in floor.symbol_indices)
 
 
@@ -405,10 +409,12 @@ def test_empirical_pathwise_floor():
     src = make_source("ab", [F(2, 3), F(1, 3)])
     code = make_code(2, {"a": ["0", "110"], "b": ["10", "111"]})
     policy = make_policy({"a": ["1/2", "1/2"], "b": ["1/2", "1/2"]})
-    trace = empirical_acl(src, code, policy, 2000, 17)
-    floor = empirical_acl(src, minimal_reduction(code), None, 2000, 17)
+    trace = encoded_trace(src, code, policy, 2000, 17)
+    floor = encoded_trace(src, minimal_reduction(code), None, 2000, 17)
     assert trace.symbol_indices == floor.symbol_indices
     assert all(a >= b for a, b in zip(trace.acl_values, floor.acl_values))
+    assert any(a > b for a, b in zip(trace.acl_values, floor.acl_values))
+    assert empirical_acl(src, code, policy, 2000, 17).floor_violations == 0
 
 
 def test_empirical_acl_policy_stream_pinned():
@@ -417,7 +423,7 @@ def test_empirical_acl_policy_stream_pinned():
     src = make_source("abc", ["1/2", "1/3", "1/6"])
     code = make_code(3, {"a": ["0", "10", "11"], "b": ["2", "12"], "c": ["20", "21", "220", "221"]})
     policy = make_policy({"a": ["1/7", "2/7", "4/7"], "b": ["5/11", "6/11"], "c": ["1/10", "1/5", "3/10", "2/5"]})
-    trace = empirical_acl(src, code, policy, 24, 2026)
+    trace = encoded_trace(src, code, policy, 24, 2026)
     assert trace.symbol_indices == (1, 1, 1, 0, 0, 2, 1, 0, 0, 0, 1, 0, 1, 2, 0, 1, 1, 2, 2, 1, 0, 2, 0, 2)
     assert trace.codeword_indices == (0, 1, 1, 2, 2, 0, 1, 2, 1, 2, 1, 2, 0, 3, 2, 1, 0, 0, 3, 1, 2, 2, 2, 1)
 
@@ -427,9 +433,11 @@ def test_empirical_acl_policy_trace_pinned_over_many_blocks():
     src = make_source("abc", ["1/2", "1/3", "1/6"])
     code = make_code(3, {"a": ["0", "10", "11"], "b": ["2", "12"], "c": ["20", "21", "220", "221"]})
     policy = make_policy({"a": ["1/7", "2/7", "4/7"], "b": ["5/11", "6/11"], "c": ["1/10", "1/5", "3/10", "2/5"]})
-    trace = empirical_acl(src, code, policy, 50_000, 2026)
+    trace = encoded_trace(src, code, policy, 50_000, 2026)
     text = repr((trace.symbol_indices, trace.codeword_indices, trace.lengths, trace.acl_values))
     assert hashlib.sha256(text.encode()).hexdigest() == "1a7c9e443f7ac8e341cc2ba7d4350c6cbae7ff6722534bc410864827ddd5e3c5"
+    run = empirical_acl(src, code, policy, 50_000, 2026)
+    assert (run.digits, run.acl_t, run.floor_violations) == (sum(trace.lengths), trace.acl_values[-1], 0)
 
 
 def test_empirical_acl_choices_equal_a_scalar_replay():
@@ -445,8 +453,7 @@ def test_empirical_acl_choices_equal_a_scalar_replay():
     }
     src = make_source("abcde", ["1/5"] * 5)
     code = make_code(2, {"a": ["0", "10"], "b": ["110", "1110", "11110"], "c": ["1", "01", "001"], "d": ["00", "11"], "e": "0101"})
-    trace = empirical_acl(src, code, make_policy(weights), 5000, 2014)
-    assert "acl_values" not in vars(trace)  # built when read
+    trace = encoded_trace(src, code, make_policy(weights), 5000, 2014)
     scalar = SplitMix64(derived_seed(2014, codes._CHOICE_SALT))
     next_u64, outputs = scalar.next_u64, []
 
@@ -468,7 +475,7 @@ def test_empirical_acl_choices_equal_a_scalar_replay():
 
 
 def _scalar_trace(src, code, weights, t, seed):
-    """The trace of empirical_acl(src, code, make_policy(weights), t, seed),
+    """The steps of empirical_acl(src, code, make_policy(weights), t, seed),
     replayed with one randbelow call per symbol draw and per codeword choice."""
     symbols, choices = SplitMix64(seed), SplitMix64(derived_seed(seed, codes._CHOICE_SALT))
     bounds = list(itertools.accumulate(src.masses))
@@ -509,10 +516,12 @@ def test_empirical_acl_equals_a_scalar_replay_at_the_chunk_edges(kind):
     policy = make_policy(weights) if weights else None
     replay = _scalar_trace(src, code, weights, 3 * _CHUNK + 7, 1848)
     for t in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
-        trace = empirical_acl(src, code, policy, t, 1848)
+        trace = encoded_trace(src, code, policy, t, 1848)
         assert list(zip(trace.symbol_indices, trace.codeword_indices, trace.lengths)) == replay[:t]
-        sizes = [len(symbol_indices) for symbol_indices, _ in codes._encode_chunks(src, code, policy, t, 1848)]
+        chunks = codes._encode_chunks(src, codes._covering(src, code), policy, t, 1848)
+        sizes = [len(symbol_indices) for symbol_indices, _ in chunks]
         assert sizes == [_CHUNK] * (t // _CHUNK) + [t % _CHUNK] * (t % _CHUNK > 0)
+        assert empirical_acl(src, code, policy, t, 1848).digits == sum(length for _, _, length in replay[:t])
     assert set(trace.codeword_indices) == ({0, 1, 2} if weights else {0})
 
 
@@ -528,7 +537,8 @@ def test_empirical_acl_refuses_a_policy_gap_before_any_draw():
 
 def test_empirical_acl_seed_reproducibility():
     src = dyadic_abc()
-    a = empirical_acl(src, code_abc(), None, 300, 42)
-    b = empirical_acl(src, code_abc(), None, 300, 42)
+    assert empirical_acl(src, code_abc(), None, 300, 42) == empirical_acl(src, code_abc(), None, 300, 42)
+    a = encoded_trace(src, code_abc(), None, 300, 42)
+    b = encoded_trace(src, code_abc(), None, 300, 42)
     assert a.acl_values == b.acl_values
     assert a.codeword_indices == b.codeword_indices

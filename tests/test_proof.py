@@ -500,8 +500,10 @@ def test_each_closing_check_equals_its_core_on_the_converted_masses():
         assert _group_masses(freqs, r) == (tuple(freqs), 1)
         assert check_group_inequality(probs, r) == _group_inequality(masses, d, r)
         assert check_pp_inequalities(probs, r) == _pp_inequalities(masses, d, r)
-        assert check_rational_ghm(probs, r) == _rational_ghm(masses, r)
-        assert check_rational_ghm(freqs, r) == _rational_ghm(freqs, r)
+        # the integer verdict is the definition's, lhs >= rhs >= 1 on the Fractions
+        for group, group_masses in ((probs, masses), (freqs, freqs)):
+            ghm = check_rational_ghm(group, r)
+            assert ghm.holds == _rational_ghm(group_masses, r) == (ghm.lhs >= ghm.rhs >= 1)
 
 
 # --- rational density ---
