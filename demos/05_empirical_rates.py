@@ -39,4 +39,4 @@ full = empirical_acl(src, padded, policy, 2000, 7)
 floor = empirical_acl(src, reduced, None, 2000, 7)
 print(f"a -> 0 or 100 at 1/2 each: rate {full.acl_t:.4f} after 2000 symbols (exact {acl_exact(src, padded, policy)})")
 print(f"its minimal reduction:     rate {floor.acl_t:.4f} after 2000 symbols (exact {acl_exact(src, reduced)})")
-print("steps where the running rate fell below the reduction's:", full.floor_violations)
+print("digits the wasteful word costs over its reduction on the same stream:", full.digits - floor.digits)

@@ -14,8 +14,8 @@ three flavors:
   * empirical_acl(...)        - ACL_t after t sampled symbols
 
 empirical_acl is the one stream reduction, the one simulate prints: it
-sums the digits of each chunk of _encode_chunks and counts the steps below
-the pathwise floor before it encodes the next chunk, so it keeps no step.
+sums the digits of each chunk of _encode_chunks before it encodes the next
+chunk, so it keeps no step.
 _encode_chunks encodes the stream 2^14 steps at a time and gives each step
 a codeword id, one number per codeword of the code. A symbol
 with one codeword reads no choice bits, so its steps take their id in one
@@ -330,12 +330,10 @@ def minimal_reduction(code: Code) -> Code:
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """One encoding run of t steps reduced: the digits it emitted, and the
-    steps where the running digit count fell below the floor."""
+    """One encoding run of t steps reduced to the digits it emitted."""
 
     t: int
     digits: int
-    floor_violations: int
 
     @property
     def acl_t(self) -> float:
@@ -363,29 +361,13 @@ def empirical_acl(
     consume a separate derived stream -- so runs of different codes or
     policies on the same seed see the identical symbol sequence, and the run
     of t steps is the first t steps of any longer run.
-
-    The floor is minimal_reduction(code) on the same stream: a step where
-    fewer digits were emitted up to it than the floor's codewords take is a
-    violation, counted on integers.
     """
-    # per codeword id: its digits, and their excess over its symbol's shortest
-    # codeword, the floor on the same stream; read after the code is found to
-    # cover the source, so that a MissingSymbol names every symbol it lacks
     words_of = _covering(src, code)
-    shortest = [len(words[0]) for words in map(minimal_reduction(code).codewords, src.symbols)]
-    length_of = [len(w) for words in words_of for w in words]
-    excess_of = [len(w) - floor for words, floor in zip(words_of, shortest) for w in words]
-    # a running sum of excesses that are all >= 0 never falls below 0, so
-    # the steps are counted only when some codeword is shorter than its floor
-    breachable = min(excess_of) < 0
-    digits = violations = excess = 0
+    length_of = [len(w) for words in words_of for w in words]  # per codeword id
+    digits = 0
     for _, ids in _encode_chunks(src, words_of, policy, t, seed):
         digits += sum(map(length_of.__getitem__, ids))
-        if breachable:
-            running = list(itertools.accumulate(map(excess_of.__getitem__, ids), initial=excess))
-            violations += sum(map((0).__gt__, itertools.islice(running, 1, None)))
-            excess = running[-1]
-    return SimulationSummary(t, digits, violations)
+    return SimulationSummary(t, digits)
 
 
 def _encode_chunks(

@@ -25,7 +25,6 @@ from codecert.codes import format_codeword, make_code, make_policy, parse_codewo
 from codecert.errors import CodecertError, ParseError
 from codecert.rng import _CHUNK
 from codecert.source import _check_probability, _quote, make_source, parse_rational
-from traces import encoded_trace
 
 DYADIC_SRC = "a 1/2\nb 1/4\nc 1/4\n"
 DYADIC_CODE = "radix 2\na 0\nb 10\nc 11\n"
@@ -484,31 +483,6 @@ def test_simulate_builds_one_table_per_symbol_with_several_codewords(tmp_path, c
     code = write(tmp_path, "c.txt", "radix 2\na 0,100 @ 2/3,1/3\nb 10,11 @ 1/2,1/2\nc 110,1110 @ 1/12,11/12\n")
     assert run(capsys, "simulate", src, code, "--t", str(3 * _CHUNK + 7), "--machine")[0] == 0
     assert firsts == [0, 2, 4]  # 'b' too, which the stream never draws
-
-
-def test_simulate_floor_breach_matches_two_run_count(tmp_path, capsys, monkeypatch):
-    # A stand-in floor that is longer than the code for 'a' and shorter for
-    # 'b' is breached on some steps; the one-pass count must equal the count
-    # from encoding the stream a second time with it. Past one chunk of the
-    # stream, the running excess is negative where the chunks meet.
-    src = write(tmp_path, "s.txt", POLICY_SRC)
-    code = write(tmp_path, "c.txt", POLICY_CODE)
-    floor = codecert.make_code(2, {"a": "000", "b": "1"})
-    monkeypatch.setattr(codes, "minimal_reduction", lambda _: floor)
-    source, (full, policy) = cli.parse_source_file(src), parse_code_file(code)
-    for t in (200, _CHUNK + 200):
-        trace = encoded_trace(source, full, policy, t, 3)
-        floor_trace = encoded_trace(source, floor, None, t, 3)
-        breached = [a < b for a, b in zip(trace.acl_values, floor_trace.acl_values)]
-        expected = sum(breached)
-        assert 0 < expected < t
-        assert t < _CHUNK or breached[_CHUNK - 1] and breached[_CHUNK]
-
-        status, out, err = run(capsys, "simulate", src, code, "--t", str(t), "--seed", "3", "--machine")
-        assert (status, err) == (1, "")
-        assert f"bound_violations={expected}" in out.splitlines()
-        status, out, _ = run(capsys, "simulate", src, code, "--t", str(t), "--seed", "3")
-        assert status == 1 and out.endswith(f"pathwise floor violations: {expected}")
 
 
 #: Runs main on its arguments, then prints the process's peak resident set in bytes.

@@ -414,7 +414,6 @@ def test_empirical_pathwise_floor():
     assert trace.symbol_indices == floor.symbol_indices
     assert all(a >= b for a, b in zip(trace.acl_values, floor.acl_values))
     assert any(a > b for a, b in zip(trace.acl_values, floor.acl_values))
-    assert empirical_acl(src, code, policy, 2000, 17).floor_violations == 0
 
 
 def test_empirical_acl_policy_stream_pinned():
@@ -437,7 +436,7 @@ def test_empirical_acl_policy_trace_pinned_over_many_blocks():
     text = repr((trace.symbol_indices, trace.codeword_indices, trace.lengths, trace.acl_values))
     assert hashlib.sha256(text.encode()).hexdigest() == "1a7c9e443f7ac8e341cc2ba7d4350c6cbae7ff6722534bc410864827ddd5e3c5"
     run = empirical_acl(src, code, policy, 50_000, 2026)
-    assert (run.digits, run.acl_t, run.floor_violations) == (sum(trace.lengths), trace.acl_values[-1], 0)
+    assert (run.digits, run.acl_t) == (sum(trace.lengths), trace.acl_values[-1])
 
 
 def test_empirical_acl_choices_equal_a_scalar_replay():
