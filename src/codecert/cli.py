@@ -45,11 +45,11 @@ Code files start with `radix <r>`, then per line
 `@ q1,q2,...` choice weights; `-` denotes the empty codeword. A codeword
 is written one digit per character (`0110`) when every digit is at most
 9, and otherwise as dot-separated digits (`3.11`, and `10.` for the
-one-digit word 10). The parsers check this syntax a column at a time; when
-a column is refused, the same reader runs on each line alone to name the
-first faulty one. What the entries mean is checked by the Source, Code and
-EncodingPolicy types, each error located at the file and, for an error
-within one line, the line.
+one-digit word 10), and each is read by codes.parse_codeword. The parsers
+check this syntax a column at a time; when a column is refused, the same
+reader runs on each line alone to name the first faulty one. What the
+entries mean is checked by the Source, Code and EncodingPolicy types, each
+error located at the file and, for an error within one line, the line.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ from typing import Sequence
 from .codes import (
     Code,
     EncodingPolicy,
-    _parse_codewords,
     acl_exact,
     empirical_acl,
     format_codeword,
     kraft_sum,
     minimal_reduction,
+    parse_codeword,
 )
 from .decipher import (
     DEFAULT_UD_BUDGET,
@@ -188,10 +188,10 @@ def _code_columns(texts: list[str]) -> tuple[list[str], list, dict[int, tuple[Fr
     symbols, words_texts = _rows(bodies, "'<symbol> <codewords> [@ weights]'", texts)
     if "," in "".join(words_texts):
         word_texts = list(map(str.split, words_texts, repeat(",")))
-        words = iter(_parse_codewords(list(chain.from_iterable(word_texts))))
+        words = map(parse_codeword, chain.from_iterable(word_texts))
         word_sets = list(map(tuple, map(islice, repeat(words), map(len, word_texts))))
     else:
-        word_sets = list(zip(_parse_codewords(words_texts)))
+        word_sets = list(zip(map(parse_codeword, words_texts)))
     weights = {}
     for k, weight_text in enumerate(weight_texts):
         if weight_text.strip():

@@ -27,12 +27,11 @@ stream's SplitMix64 would give, with no method call per step.
 Exact ACL is computed on the source's integer masses m_i over its
 denominator D and returned as a Fraction, the API view.
 
-A Code checks its whole table in one pass, as a Source does, unless a
-package builder made it valid (`Code._built`): the digits are ints below
-the radix, the symbols distinct, and each codeword set nonempty with no
-repeat. Only when that pass fails does the entry validator that Source
-uses walk the entries, to name the first at fault. An EncodingPolicy runs
-that walk over each symbol's weights.
+A Code walks its entries with the entry validator that Source uses, unless
+a package builder made it valid (`Code._built`): the symbols are distinct,
+and each codeword set is a nonempty tuple of distinct digit tuples, the
+digits ints below the radix. The walk names the first entry at fault. An
+EncodingPolicy runs the same walk over each symbol's weights.
 
 The empty codeword (written '-') is representable; it is only ever
 useful as the sole codeword of a one-symbol code, and the
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from numbers import Rational
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import DigitOutOfRange, MissingPolicy, MissingSymbol
 from .rng import _check_seed, derived_seed, word_stream
@@ -81,15 +80,6 @@ def parse_codeword(text: str) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
-def _parse_codewords(texts: Sequence[str]) -> list[tuple[int, ...]]:
-    """parse_codeword of each text. When every one is nonempty ASCII digits,
-    the column is read by one bytes.translate map; otherwise text by text."""
-    digits = "".join(texts)
-    if all(texts) and digits.isascii() and digits.isdigit():
-        return list(map(tuple, map(bytes.translate, map(str.encode, texts), itertools.repeat(_DIGIT_VALUES))))
-    return list(map(parse_codeword, texts))
-
-
 def format_codeword(digits: tuple[int, ...]) -> str:
     """The text parse_codeword reads back as these digits."""
     if not digits:
@@ -100,17 +90,9 @@ def format_codeword(digits: tuple[int, ...]) -> str:
     return ".".join(map(str, digits)) + ("." if len(digits) == 1 else "")
 
 
-def _check_codewords(symbol, words: tuple[tuple[int, ...], ...]) -> None:
-    """The invariants of one symbol's codeword set: nonempty, with no repeat."""
-    if not words:
-        raise ValueError(f"symbol {_quote(symbol)} has an empty codeword set")
-    if len(words) > 1 and len(set(words)) != len(words):
-        raise ValueError(f"symbol {_quote(symbol)} repeats a codeword")
-
-
-def _check_codewords_and_digits(radix: int, symbol, words) -> None:
-    """_check_codewords, after the codeword set is checked to be a tuple of
-    tuples of int digits in 0..radix-1."""
+def _check_codewords(radix: int, symbol, words) -> None:
+    """The invariants of one symbol's codeword set: a nonempty tuple of
+    tuples of int digits in 0..radix-1, with no repeat."""
     if type(words) is not tuple:
         raise DigitOutOfRange(f"codewords {_quote(words)} of {_quote(symbol)} are not a tuple of codewords")
     for w in words:
@@ -121,31 +103,10 @@ def _check_codewords_and_digits(radix: int, symbol, words) -> None:
                 raise DigitOutOfRange(f"digit {_quote(d)} is not an int")
             if not 0 <= d < radix:
                 raise DigitOutOfRange(f"digit {d} >= radix {radix}" if d >= 0 else f"negative digit {d}")
-    _check_codewords(symbol, words)
-
-
-def _is_code_table(radix: int, mapping) -> bool:
-    """Whether the table passes every check of _check_codewords_and_digits:
-    (symbol, codeword set) pairs, the symbols distinct, each set a nonempty
-    tuple of distinct tuples of int digits in 0..radix-1. One pass over each
-    column, cheaper than a check of each entry; it never raises."""
-    try:
-        symbols, word_sets = zip(*mapping, strict=True)
-        if len(set(symbols)) != len(symbols) or set(map(type, word_sets)) != {tuple} or not all(word_sets):
-            return False
-    except (TypeError, ValueError):  # not (symbol, codeword set) pairs, or an unhashable symbol
-        return False
-    words = list(itertools.chain.from_iterable(word_sets))
-    if set(map(type, words)) != {tuple}:
-        return False
-    digits = list(itertools.chain.from_iterable(words))
-    if not set(map(type, digits)) <= {int}:
-        return False
-    values = set(digits)  # as few as the radix when they pass
-    if values and not (min(values) >= 0 and max(values) < radix):
-        return False
-    # the codewords are hashable now; a set with no repeat keeps its size
-    return len(words) == len(word_sets) or list(map(len, map(set, word_sets))) == list(map(len, word_sets))
+    if not words:
+        raise ValueError(f"symbol {_quote(symbol)} has an empty codeword set")
+    if len(words) > 1 and len(set(words)) != len(words):
+        raise ValueError(f"symbol {_quote(symbol)} repeats a codeword")
 
 
 @dataclass(frozen=True)
@@ -157,8 +118,7 @@ class Code:
 
     def __post_init__(self):
         _check_radix(self.radix, 1)
-        if not _is_code_table(self.radix, self.mapping):  # find the first entry at fault
-            _check_entries(self.mapping, partial(_check_codewords_and_digits, self.radix))
+        _check_entries(self.mapping, partial(_check_codewords, self.radix))
 
     @classmethod
     def _built(cls, radix: int, mapping: tuple) -> Code:

@@ -57,35 +57,25 @@ def _check_budget(max_len) -> None:
     _check_count(max_len, 0, "the witness search needs max_len >= 0")
 
 
-def _trie(code: Code) -> tuple[list[dict[int, int]], list[tuple[int, ...]], list[bool]]:
+def _trie(code: Code) -> tuple[list[dict[int, int]], list[tuple[int, ...]]]:
     """The codeword trie: node 0 is the root, children[u] maps each digit to
     the next node in ascending digit order (words are inserted sorted), and
     ends[u] lists 1 + the index of every symbol with a codeword ending at u.
-    apart[u] holds when u is a proper prefix of a word that is a prefix of
-    another word or shared by two symbols: only below such a node can two
-    parses that agree so far come apart.
-
-    In sorted order a word that prefixes another word prefixes the next one,
-    so each word is compared with its successor only.
     """
     children: list[dict[int, int]] = [{}]
     ends: list[tuple[int, ...]] = [()]
-    apart = [False]
     entries = sorted((w, symbol_id) for symbol_id, (_, words) in enumerate(code.mapping, start=1) for w in words)
-    for i, (digits, symbol_id) in enumerate(entries):
-        fork = i + 1 < len(entries) and entries[i + 1][0][: len(digits)] == digits
+    for digits, symbol_id in entries:
         u = 0
         for digit in digits:
-            apart[u] = apart[u] or fork
             nxt = children[u].get(digit)
             if nxt is None:
                 nxt = children[u][digit] = len(children)
                 children.append({})
                 ends.append(())
-                apart.append(False)
             u = nxt
         ends[u] += (symbol_id,)
-    return children, ends, apart
+    return children, ends
 
 
 def _emit(delay: tuple[int, ...] | None, x: int) -> tuple[int, ...] | None:
@@ -108,9 +98,7 @@ def _shortest_ambiguity(code: Code) -> tuple[int, ...] | None:
     swapping the parses negates the delay and changes nothing else, and the
     delay as an index into the delays met so far. A state accepts when both
     parses end a codeword on the same digit with a nonempty or diverged
-    delay. Parses at one node have come down the trie together from the
-    root, with the empty delay, so such a pair is followed only above a node
-    where they can come apart.
+    delay.
 
     The search runs level by level, each state kept once with a parent link
     for the witness. A level is a list of groups of states first reached by
@@ -132,7 +120,7 @@ def _shortest_ambiguity(code: Code) -> tuple[int, ...] | None:
         # The empty string already decodes as "" and as the empty-word symbol.
         return None if len(pooled) == 1 else ()
 
-    children, ends, apart = _trie(code)
+    children, ends = _trie(code)
     size = len(children)
     pairs = size * size
     stay = (0,)  # the symbol ids a parse that goes on inside a codeword emits
@@ -149,7 +137,7 @@ def _shortest_ambiguity(code: Code) -> tuple[int, ...] | None:
                 continue
             go1, end1, go2, end2 = children[c1], ends[c1], children[c2], ends[c2]
             succ = []
-            if go1 and go2 and (c1 != c2 or apart[c1]):
+            if go1 and go2:
                 succ.append((c1 * size + c2, False, stay, stay) if c1 <= c2 else (c2 * size + c1, True, stay, stay))
             if end1 and go2:
                 succ.append((c2, False, end1, stay))

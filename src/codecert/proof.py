@@ -168,11 +168,8 @@ def _delta(masses: tuple[int, ...], d: int, r: int) -> float:
     # m / d rounds as float(Fraction(m, d)) does: the bits of the rationals
     log_r, m_red = math.log(r), sum(masses)
     red = m_red / d
-    try:
-        terms = [m / d * math.log(m / d) / log_r for m in masses]
-    except ValueError:  # some m / d is below the float range: _log's exact fallback
-        terms = [m / d * _log(m, d) / log_r for m in masses]
-    return red * _log(m_red, d) / log_r - math.fsum(terms) - red
+    terms = math.fsum(m / d * _log(m, d) / log_r for m in masses)
+    return red * _log(m_red, d) / log_r - terms - red
 
 
 def reduction_step(group: SiblingGroup, masses: tuple[int, ...], denominator: int, r: int) -> ReductionStep:
@@ -338,10 +335,8 @@ def _equality_witness(src: Source, lengths: list[int], r: int) -> EqualityWitnes
     d = src.denominator
     if any(m * r**length != d for m, length in zip(src.masses, lengths)):
         return None
-    n = len(src)
-    if (n - 1) % (r - 1) != 0:
-        raise ExactnessCheckFailed("power-of-r probabilities must force a full tree")
-    return EqualityWitness((n - 1) // (r - 1), tuple(lengths))
+    # sum r**(-l_i) = 1 and r = 1 mod (r - 1) give n = 1 mod (r - 1)
+    return EqualityWitness((len(src) - 1) // (r - 1), tuple(lengths))
 
 
 def _group_masses(probs, r: int, *, within_radix: bool = True) -> tuple[tuple[int, ...], int]:

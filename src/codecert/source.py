@@ -14,12 +14,12 @@ are floating-point surfaces, and they read m/D, which rounds exactly as
 float(Fraction) does. Exactness lets the proof engine decide the equality
 case p_i = r^(-l_i) with no tolerance at all.
 
-A Source and a Code check their whole table in one pass (`_is_mass_table`,
-`codes._is_code_table`), unless a package builder made it valid (`_built`):
-the symbols are distinct and each entry keeps its invariant, tested a column
-at a time. The pass never raises; only when it says no does `_check_entries`
-walk the entries in order, to raise the error of the first one at fault, or
-of a symbol listed twice. An EncodingPolicy runs that walk on every table.
+A Source checks its whole table in one pass (`_is_mass_table`), unless a
+package builder made it valid (`_built`): the symbols are distinct and each
+mass is a positive int, tested a column at a time. The pass never raises;
+only when it says no does `_check_entries` walk the entries in order, to
+raise the error of the first one at fault, or of a symbol listed twice. A
+Code and an EncodingPolicy run that walk on every table they check.
 
 Sampling is deterministic: a seed in [0, 2^64) keys a splitmix64 stream
 (see codecert.rng) of draws below the least D, so a stream is

@@ -940,7 +940,8 @@ def test_entries_are_checked_in_table_order(tmp_path, capsys):
 
 def test_parsing_checks_each_entry_once(tmp_path):
     # counted by code object, so a call through any name the check is bound to counts;
-    # a valid Source or Code is checked a column at a time, so its entry checks never run
+    # a valid Source is checked a column at a time, so its entry checks never run,
+    # while a Code and an EncodingPolicy walk their entries once each
     checks = {f.__code__: f.__name__ for f in (_check_probability, codes._check_codewords, codes._check_weights)}
     calls = Counter()
 
@@ -958,7 +959,7 @@ def test_parsing_checks_each_entry_once(tmp_path):
     finally:
         sys.setprofile(None)
     assert len(code.mapping) == len(policy.weights) == n
-    assert (calls["_check_probability"], calls["_check_codewords"], calls["_check_weights"]) == (0, 0, n)
+    assert (calls["_check_probability"], calls["_check_codewords"], calls["_check_weights"]) == (0, n, n)
 
 
 def count_fractions_built(read, *args):
@@ -1226,6 +1227,13 @@ def test_long_numerals_are_rejected_by_their_length(command, text, digits, tmp_p
     assert (status, out) == (2, "")
     assert f"numeral of {digits} digits exceeds the limit of 4,300" in err
     assert len(err) < 200
+
+
+def test_an_exponent_of_ten_digits_is_rejected_before_it_is_read(tmp_path, capsys):
+    path = write(tmp_path, "s.txt", "a 1e1234567890\n")
+    status, out, err = run(capsys, "entropy", path)
+    assert (status, out) == (2, "")
+    assert err == f"error: {path}:1: numeral with a 10-digit exponent exceeds the limit of 4,300 digits"
 
 
 def test_long_integer_options_are_rejected_by_their_length(capsys):

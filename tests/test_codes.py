@@ -137,8 +137,8 @@ def test_a_code_reports_its_first_entry_at_fault():
     ],
     ids=["empty-set", "repeat", "twice", "unhashable", "triple"],
 )
-def test_a_code_table_that_fails_its_one_pass_check_is_walked_entry_by_entry(mapping, error, message, entry):
-    # the one-pass check only answers no; the walk over the entries raises, and names the entry at fault
+def test_a_faulty_code_table_is_refused_at_the_entry_at_fault(mapping, error, message, entry):
+    # the walk over the entries raises, and names the entry at fault
     with pytest.raises(error, match=re.escape(message)) as info:
         Code(2, mapping)
     assert getattr(info.value, "entry", None) == entry

@@ -10,6 +10,7 @@ from codecert import (
     EqualityWitness,
     GroupLargerThanRadix,
     InvalidGroup,
+    InvalidRadix,
     MergedSymbol,
     MissingSymbol,
     NotUniquelyDecipherable,
@@ -139,6 +140,15 @@ def test_reduction_step_record_and_errors():
         reduction_step(SiblingGroup((), ((0,),)), (1,), 1, 2)  # group of one
     with pytest.raises(InvalidGroup):
         reduction_step(SiblingGroup((), ((0,), (1,), (2,))), (1,) * 3, 3, 2)  # larger than r
+
+
+def test_each_step_and_closing_check_refuses_the_unit_radix():
+    # each checks the radix itself: at r = 1 a group of two would fail as too large, and one of one would evaluate
+    with pytest.raises(InvalidRadix, match="got 1$"):
+        reduction_step(SiblingGroup((), ((0,), (1,))), (1, 1), 2, 1)
+    for check in (check_group_inequality, check_rational_ghm, check_pp_inequalities):
+        with pytest.raises(InvalidRadix, match="got 1$"):
+            check([F(1)], 1)
 
 
 # --- certify: worked instances ---
@@ -373,6 +383,10 @@ def test_group_inequality_errors():
         check_group_inequality([F(1, 2), F(0)], 2)
     with pytest.raises(ValueError):
         check_group_inequality([], 2)
+    # the probabilities' total is capped at 2**512, which is admitted
+    assert check_group_inequality([F(2**512 - 1), F(1)], 2).holds
+    with pytest.raises(ValueError, match=r"sum to more than 2\*\*512"):
+        check_group_inequality([F(2**512), F(1)], 2)
     # a float is read as exactly as make_source reads one: not at all
     for check in (check_group_inequality, check_pp_inequalities):
         with pytest.raises(ZeroOrNegativeProbability, match="float probability 0.1 rejected"):
@@ -435,6 +449,10 @@ def test_ghm_refuses_a_group_past_its_size_bound_before_any_power():
     assert check_rational_ghm((1, 1082), 2).holds
     with pytest.raises(ValueError, match=r"about 13,008 bits, past 13,000$"):
         check_rational_ghm((1, 1083), 2)
+    # at r = 5, 1000 * 13 is exactly 13,000 bits, admitted, and 1001 * 13 = 13,013 is not
+    assert check_rational_ghm([F(1, 1000), F(999, 1000)], 5).holds
+    with pytest.raises(ValueError, match=r"about 13,013 bits, past 13,000$"):
+        check_rational_ghm([F(1, 1001), F(1000, 1001)], 5)
     # M = 10**9 + 7: the powers would have about 3 * 10**10 bits
     with pytest.raises(ValueError, match="past 13,000"):
         check_rational_ghm(["1/1000000007", "1000000006/1000000007"], 2)
