@@ -16,17 +16,18 @@ outputs: randbelow(n) reads bit_length(n-1) bits and rejection-samples
 until the value is below n, which is exact for arbitrary-precision n.
 
 Many draws below one bound from a fresh seed go through a block path that
-makes the same stream faster. `_outputs` computes 256 consecutive outputs
+makes the same stream faster. `_output_bytes` computes 256 consecutive outputs
 at once: lane j of one big integer, 128 bits wide, holds state + (j+1)*gamma,
-and the mix runs as a dozen whole-integer operations, each masked back to
-the low 64 bits of every lane (a lane's product fits its 128 bits, so lanes
-never carry into each other). `_draw_chunks(seed, n, count)` reads that
-stream from the seed's state as consecutive k-bit windows, k = bit_length(n-1),
-because each rejection attempt of randbelow(n) reads exactly the next k
-bits, and keeps the first count windows below n: bit for bit the values of
-count randbelow(n) calls on a new SplitMix64(seed). It yields them 2^14 at
-a time, so that a simulation holds one chunk of its symbol stream, not all
-of it.
+and the mix runs as a dozen whole-integer operations masked back to each
+lane's low 64 bits (a lane's product fits its 128 bits, so lanes never carry
+into each other). `_draw_chunks(seed, n, count)` reads those bytes as
+consecutive k-bit windows, k = bit_length(n-1), one per attempt of
+randbelow(n), and yields the first count below n 2^14 at a time, so a
+simulation holds one chunk of its stream. Eight windows fill k bytes, a row;
+window c of a row starts at byte kc // 8, bit kc % 8. Where each c fits 8
+bytes from there (k <= 64 but 59 and 61-63), strided byte copies move window c
+of every row into 64-bit lanes, shifted and masked as one integer; wider
+windows are cut from the stream as an integer.
 
 `word_stream(seed)` yields the same outputs one 64-bit word at a time, for
 a reader whose bound changes from draw to draw: a simulation's codeword
@@ -36,7 +37,7 @@ more than all of them.
 """
 
 import struct
-from typing import Iterator
+from typing import Callable, Iterator
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -84,8 +85,8 @@ def derived_seed(seed: int, salt: int) -> int:
     return mix64((seed & _MASK64) ^ mix64(salt & _MASK64))
 
 
-def _outputs(state: int) -> int:
-    """The 256 outputs that follow `state`, as one integer: output j at bits [64j, 64j+64).
+def _output_bytes(state: int) -> bytes:
+    """The 256 outputs that follow `state`: output j little-endian at bytes [8j, 8j+8).
 
     A right shift moves the low bits of lane j+1 into the top half of lane
     j; the mask after each XOR clears them before they reach a product.
@@ -95,57 +96,90 @@ def _outputs(state: int) -> int:
     z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
     z ^= z >> 31
     # the low 8 of each lane's 16 little-endian bytes, concatenated
-    lanes = memoryview(z.to_bytes(16 * _LANES, "little")).cast("Q")
-    return int.from_bytes(lanes[::2].tobytes(), "little")
+    return memoryview(z.to_bytes(16 * _LANES, "little")).cast("Q")[::2].tobytes()
+
+
+def _outputs(state: int) -> int:
+    """The 256 outputs that follow `state`, as one integer: output j at bits [64j, 64j+64)."""
+    return int.from_bytes(_output_bytes(state), "little")
 
 
 def _draw_chunks(seed: int, n: int, count: int) -> Iterator[list[int]]:
     """The values of count randbelow(n) calls on a new SplitMix64(seed), made
-    through the block path, in lists of _CHUNK values, the last one shorter.
-
-    Whole blocks of outputs form one bit stream, read in pieces of up to 64
-    k-bit windows (k words) and at most one block, or one window where a
-    window is wider. Each piece is cut into parts of up to 8 windows, so that
-    each window is shifted out of at most 8k bits, not out of the piece.
-    """
+    through the block path, in lists of _CHUNK values, the last one shorter."""
     if n <= 0:
         raise ValueError("randbelow requires n >= 1")
-    if n == 1:  # every draw is 0, read from no bits
-        for start in range(0, count, _CHUNK):
-            yield [0] * min(_CHUNK, count - start)
-        return
     k = (n - 1).bit_length()
+    # window c of each k-byte row of 8 windows: its first byte, bit offset and byte count
+    classes = [(k * c >> 3, k * c & 7, (k * c % 8 + k + 7) >> 3) for c in range(8)]
+    fits = max(m for _, _, m in classes) <= 8
+    cut = _row_cutter(seed & _MASK64, n, k, classes) if fits else _piece_cutter(seed & _MASK64, n, k)
+    out: list[int] = []
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        while len(out) < size:
+            out += cut(size - len(out))
+        chunk, out = out[:size], out[size:]  # out keeps the windows a cut read past this chunk
+        yield chunk
+
+
+def _row_cutter(state: int, n: int, k: int, classes: list[tuple[int, int, int]]) -> Callable[[int], list[int]]:
+    """cut(want): the windows below n in the stream's next rows, enough rows for about want of them."""
+    data = bytearray()
+
+    def cut(want: int) -> list[int]:
+        nonlocal state, data
+        if k == 0:  # n = 1: every draw is 0, read from no bits
+            return [0] * want
+        rows = (want << k) // n // 8 + 8  # enough at acceptance rate n/2^k, and a few
+        while len(data) < (used := rows * k):
+            data += _output_bytes(state)
+            state = (state + _BLOCK_STEP) & _MASK64
+        lanes, windows = bytearray(8 * rows), [0] * (8 * rows)
+        mask = int.from_bytes(((1 << k) - 1).to_bytes(8, "little") * rows, "little")
+        for c, (b, o, m) in enumerate(classes):
+            for t in range(m):  # byte b + t of every row to byte t of its lane
+                lanes[t::8] = data[b + t : used : k]
+            z = int.from_bytes(lanes, "little") >> o & mask
+            windows[c::8] = struct.unpack(f"<{rows}Q", z.to_bytes(8 * rows, "little"))
+        del data[:used]
+        return [x for x in windows if x < n]
+
+    return cut
+
+
+def _piece_cutter(state: int, n: int, k: int) -> Callable[[int], list[int]]:
+    """cut(want): the windows below n of the stream's next piece, whatever want is: up to
+    64 windows (k words) and at most one block, or one window where it is wider, cut
+    in parts of up to 8 windows, so that no window is shifted out of more than 8k bits."""
     windows = max(1, min(64, _BLOCK_BITS // k))
     per_part = min(8, windows)
     windows -= windows % per_part  # whole parts only
     span, part_bits = k * windows, k * per_part  # bits per piece and per part
     parts, offsets = range(0, span, part_bits), range(0, part_bits, k)
     window, piece_mask, part_mask = (1 << k) - 1, (1 << span) - 1, (1 << part_bits) - 1
-    stream, have, state = 0, 0, seed & _MASK64
-    out: list[int] = []
-    for start in range(0, count, _CHUNK):
-        size = min(_CHUNK, count - start)
-        while len(out) < size:
-            while have < span:
-                stream |= _outputs(state) << have
-                state = (state + _BLOCK_STEP) & _MASK64
-                have += _BLOCK_BITS
-            piece = stream & piece_mask
-            cut = [piece >> s & part_mask for s in parts]
-            out += [x for part in cut for shift in offsets if (x := part >> shift & window) < n]
-            stream >>= span
-            have -= span
-        rest = out[size:]  # the windows a piece read past this chunk
-        del out[size:]
-        yield out
-        out = rest
+    stream, have = 0, 0
+
+    def cut(want: int) -> list[int]:
+        nonlocal state, stream, have
+        while have < span:
+            stream |= _outputs(state) << have
+            state = (state + _BLOCK_STEP) & _MASK64
+            have += _BLOCK_BITS
+        piece = stream & piece_mask
+        stream >>= span
+        have -= span
+        split = [piece >> s & part_mask for s in parts]
+        return [x for part in split for shift in offsets if (x := part >> shift & window) < n]
+
+    return cut
 
 
 def word_stream(seed: int):
     """The endless next_u64() stream of a new SplitMix64(seed), made a block at a time."""
     state = seed & _MASK64
     while True:
-        yield from _BLOCK_WORDS.unpack(_outputs(state).to_bytes(_BLOCK_BITS // 8, "little"))
+        yield from _BLOCK_WORDS.unpack(_output_bytes(state))
         state = (state + _BLOCK_STEP) & _MASK64
 
 

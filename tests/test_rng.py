@@ -6,7 +6,16 @@ import itertools
 import pytest
 
 from codecert.randgen import trial_rng
-from codecert.rng import SplitMix64, _draw_chunks, _outputs, derived_seed, mix64, word_stream
+from codecert.rng import (
+    _CHUNK,
+    SplitMix64,
+    _draw_chunks,
+    _output_bytes,
+    _outputs,
+    derived_seed,
+    mix64,
+    word_stream,
+)
 
 # first outputs of the reference implementation for seed 0
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -121,6 +130,11 @@ def test_block_outputs_are_the_next_256_outputs(seed):
     assert _outputs(seed) == sum(w << 64 * j for j, w in enumerate(words))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_block_output_bytes_are_the_outputs_little_endian(seed):
+    assert _outputs(seed) == int.from_bytes(_output_bytes(seed), "little")
+
+
 @pytest.mark.parametrize("seed", [0, 2026, 2**64 - 1])
 def test_word_stream_is_the_next_u64_stream(seed):
     # 600 words run into a third block
@@ -158,3 +172,17 @@ def test_draws_below_one_read_nothing():
     assert draws(5, 10, 0) == []
     with pytest.raises(ValueError, match="randbelow requires n >= 1"):
         draws(5, 0, 3)
+
+
+# the row kernel cuts the k-bit windows that fit 8 bytes at every bit offset
+# they take in a row (every k <= 64 but 59 and 61-63); the piece loop cuts the
+# rest. Each k runs at its lowest and its highest acceptance rate.
+@pytest.mark.parametrize("k", range(1, 67))
+def test_draws_at_every_window_width(k):
+    for n in sorted({2 ** (k - 1) + 1, 2**k}):
+        _check_draws(n, 200, 1000 + k)
+
+
+def test_kernel_carries_windows_past_a_chunk():
+    # at k = 58 the cut for chunk one reads past it; chunk two is what it carried
+    _check_draws(2**57 + 1, _CHUNK + 5, 58)
