@@ -24,10 +24,11 @@ into each other). `_draw_chunks(seed, n, count)` reads those bytes as
 consecutive k-bit windows, k = bit_length(n-1), one per attempt of
 randbelow(n), and yields the first count below n 2^14 at a time, so a
 simulation holds one chunk of its stream. Eight windows fill k bytes, a row;
-window c of a row starts at byte kc // 8, bit kc % 8. Where each c fits 8
+`_cut_rows` cuts a batch of rows at once, at most 2^18 bytes but one row.
+Window c of a row starts at byte kc // 8, bit kc % 8. Where each c fits 8
 bytes from there (k <= 64 but 59 and 61-63), strided byte copies move window c
-of every row into 64-bit lanes, shifted and masked as one integer; wider
-windows are cut from the stream as an integer.
+of every row into 64-bit lanes, shifted and masked as one integer; otherwise
+each row is read as one integer and its 8 windows are shifted out of it.
 
 `word_stream(seed)` yields the same outputs one 64-bit word at a time, for
 a reader whose bound changes from draw to draw: a simulation's codeword
@@ -37,7 +38,7 @@ more than all of them.
 """
 
 import struct
-from typing import Callable, Iterator
+from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -46,7 +47,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 #: offset (j+1)*gamma, each at bit 128*j (built from bytes, which imports in a
 #: seventh of the time of summing shifted ints); the state step per block.
 _LANES = 256
-_BLOCK_BITS = 64 * _LANES
 _LANE_ONES = int.from_bytes(bytes([1] + [0] * 15) * _LANES, "little")
 _LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
 _LANE_STEPS = int.from_bytes(
@@ -58,6 +58,9 @@ _BLOCK_WORDS = struct.Struct(f"<{_LANES}Q")
 #: Most draws in one list from _draw_chunks: a simulation encodes its stream
 #: a chunk of this many steps at a time, so its memory does not grow with t.
 _CHUNK = 1 << 14
+#: Most bytes of rows it cuts in one batch, so that a window as wide as a source
+#: admits (MAX_DENOMINATOR_BITS) holds a few hundred KB of stream, not a chunk's.
+_BATCH_BYTES = 1 << 18
 
 
 def _check_seed(seed) -> int:
@@ -99,42 +102,34 @@ def _output_bytes(state: int) -> bytes:
     return memoryview(z.to_bytes(16 * _LANES, "little")).cast("Q")[::2].tobytes()
 
 
-def _outputs(state: int) -> int:
-    """The 256 outputs that follow `state`, as one integer: output j at bits [64j, 64j+64)."""
-    return int.from_bytes(_output_bytes(state), "little")
-
-
 def _draw_chunks(seed: int, n: int, count: int) -> Iterator[list[int]]:
     """The values of count randbelow(n) calls on a new SplitMix64(seed), made
     through the block path, in lists of _CHUNK values, the last one shorter."""
     if n <= 0:
         raise ValueError("randbelow requires n >= 1")
     k = (n - 1).bit_length()
-    # window c of each k-byte row of 8 windows: its first byte, bit offset and byte count
-    classes = [(k * c >> 3, k * c & 7, (k * c % 8 + k + 7) >> 3) for c in range(8)]
-    fits = max(m for _, _, m in classes) <= 8
-    cut = _row_cutter(seed & _MASK64, n, k, classes) if fits else _piece_cutter(seed & _MASK64, n, k)
-    out: list[int] = []
+    state, data, out = seed & _MASK64, bytearray(), []
     for start in range(0, count, _CHUNK):
         size = min(_CHUNK, count - start)
         while len(out) < size:
-            out += cut(size - len(out))
-        chunk, out = out[:size], out[size:]  # out keeps the windows a cut read past this chunk
+            # enough rows at acceptance rate n/2^k, and a few, in at most _BATCH_BYTES
+            # bytes but one row at least (n = 1, k = 0, reads no bytes)
+            rows = max(1, min(((size - len(out)) << k) // n // 8 + 8, _BATCH_BYTES // max(k, 1)))
+            while len(data) < rows * k:
+                data += _output_bytes(state)
+                state = (state + _BLOCK_STEP) & _MASK64
+            out += _cut_rows(data, rows, k, n)
+            del data[: rows * k]
+        chunk, out = out[:size], out[size:]  # out keeps the windows a batch read past this chunk
         yield chunk
 
 
-def _row_cutter(state: int, n: int, k: int, classes: list[tuple[int, int, int]]) -> Callable[[int], list[int]]:
-    """cut(want): the windows below n in the stream's next rows, enough rows for about want of them."""
-    data = bytearray()
-
-    def cut(want: int) -> list[int]:
-        nonlocal state, data
-        if k == 0:  # n = 1: every draw is 0, read from no bits
-            return [0] * want
-        rows = (want << k) // n // 8 + 8  # enough at acceptance rate n/2^k, and a few
-        while len(data) < (used := rows * k):
-            data += _output_bytes(state)
-            state = (state + _BLOCK_STEP) & _MASK64
+def _cut_rows(data: bytearray, rows: int, k: int, n: int) -> list[int]:
+    """The windows below n in the first rows k-byte rows of data, in stream order."""
+    used = rows * k
+    # window c of each row of 8 windows: its first byte, bit offset and byte count
+    classes = [(k * c >> 3, k * c & 7, (k * c % 8 + k + 7) >> 3) for c in range(8)]
+    if max(m for _, _, m in classes) <= 8:
         lanes, windows = bytearray(8 * rows), [0] * (8 * rows)
         mask = int.from_bytes(((1 << k) - 1).to_bytes(8, "little") * rows, "little")
         for c, (b, o, m) in enumerate(classes):
@@ -142,37 +137,10 @@ def _row_cutter(state: int, n: int, k: int, classes: list[tuple[int, int, int]])
                 lanes[t::8] = data[b + t : used : k]
             z = int.from_bytes(lanes, "little") >> o & mask
             windows[c::8] = struct.unpack(f"<{rows}Q", z.to_bytes(8 * rows, "little"))
-        del data[:used]
         return [x for x in windows if x < n]
-
-    return cut
-
-
-def _piece_cutter(state: int, n: int, k: int) -> Callable[[int], list[int]]:
-    """cut(want): the windows below n of the stream's next piece, whatever want is: up to
-    64 windows (k words) and at most one block, or one window where it is wider, cut
-    in parts of up to 8 windows, so that no window is shifted out of more than 8k bits."""
-    windows = max(1, min(64, _BLOCK_BITS // k))
-    per_part = min(8, windows)
-    windows -= windows % per_part  # whole parts only
-    span, part_bits = k * windows, k * per_part  # bits per piece and per part
-    parts, offsets = range(0, span, part_bits), range(0, part_bits, k)
-    window, piece_mask, part_mask = (1 << k) - 1, (1 << span) - 1, (1 << part_bits) - 1
-    stream, have = 0, 0
-
-    def cut(want: int) -> list[int]:
-        nonlocal state, stream, have
-        while have < span:
-            stream |= _outputs(state) << have
-            state = (state + _BLOCK_STEP) & _MASK64
-            have += _BLOCK_BITS
-        piece = stream & piece_mask
-        stream >>= span
-        have -= span
-        split = [piece >> s & part_mask for s in parts]
-        return [x for part in split for shift in offsets if (x := part >> shift & window) < n]
-
-    return cut
+    window, shifts = (1 << k) - 1, range(0, 8 * k, k)
+    whole_rows = [int.from_bytes(data[i : i + k], "little") for i in range(0, used, k)]
+    return [x for row in whole_rows for s in shifts if (x := row >> s & window) < n]
 
 
 def word_stream(seed: int):

@@ -7,11 +7,11 @@ import pytest
 
 from codecert.randgen import trial_rng
 from codecert.rng import (
+    _BATCH_BYTES,
     _CHUNK,
     SplitMix64,
     _draw_chunks,
     _output_bytes,
-    _outputs,
     derived_seed,
     mix64,
     word_stream,
@@ -127,12 +127,7 @@ def test_mix64_is_a_bijection_sample():
 def test_block_outputs_are_the_next_256_outputs(seed):
     g = SplitMix64(seed)
     words = [g.next_u64() for _ in range(256)]
-    assert _outputs(seed) == sum(w << 64 * j for j, w in enumerate(words))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
-def test_block_output_bytes_are_the_outputs_little_endian(seed):
-    assert _outputs(seed) == int.from_bytes(_output_bytes(seed), "little")
+    assert int.from_bytes(_output_bytes(seed), "little") == sum(w << 64 * j for j, w in enumerate(words))
 
 
 @pytest.mark.parametrize("seed", [0, 2026, 2**64 - 1])
@@ -142,8 +137,8 @@ def test_word_stream_is_the_next_u64_stream(seed):
     assert list(itertools.islice(word_stream(seed), 600)) == [g.next_u64() for _ in range(600)]
 
 
-# draws reads k = bit_length(n - 1) bits per attempt: k from 1 to past one
-# 16,384-bit block, on both sides of powers of two and of 2^64
+# draws reads k = bit_length(n - 1) bits per attempt, in rows of 8 windows: k
+# from 1 to past one 16,384-bit block, on both sides of powers of two and of 2^64
 DRAW_BOUNDS = [2, 3, 2**8 - 1, 2**8, 2**8 + 1, 2**40 - 87, 3 * 2**38 + 7, 2**64, 2**64 + 1, 2**129 + 5]
 WIDE_BOUNDS = [2**16384 + 3, 2**20000 + 1]
 
@@ -174,9 +169,9 @@ def test_draws_below_one_read_nothing():
         draws(5, 0, 3)
 
 
-# the row kernel cuts the k-bit windows that fit 8 bytes at every bit offset
-# they take in a row (every k <= 64 but 59 and 61-63); the piece loop cuts the
-# rest. Each k runs at its lowest and its highest acceptance rate.
+# the lanes cut the k-bit windows that fit 8 bytes at every bit offset they
+# take in a row (every k <= 64 but 59 and 61-63); the other widths are shifted
+# out of whole rows. Each k runs at its lowest and its highest acceptance rate.
 @pytest.mark.parametrize("k", range(1, 67))
 def test_draws_at_every_window_width(k):
     for n in sorted({2 ** (k - 1) + 1, 2**k}):
@@ -186,3 +181,22 @@ def test_draws_at_every_window_width(k):
 def test_kernel_carries_windows_past_a_chunk():
     # at k = 58 the cut for chunk one reads past it; chunk two is what it carried
     _check_draws(2**57 + 1, _CHUNK + 5, 58)
+
+
+def test_wide_draws_span_several_batches():
+    # a batch holds 13 rows of 20,001 bytes, about 52 draws
+    _check_draws(2**20000 + 1, 200, 2014)
+
+
+def test_draws_at_the_widest_window_a_source_admits():
+    # a source's denominator has at most MAX_DENOMINATOR_BITS = 300,000 bits; at
+    # k = 299,999 a row, 299,999 bytes, is more than _BATCH_BYTES, so each batch
+    # is the one row the row count's floor allows
+    assert 299_999 > _BATCH_BYTES
+    _check_draws(2**299998 + 1, 2, 7)
+
+
+def test_lanes_carry_windows_past_a_byte_bound_batch():
+    # at k = 64 a chunk asks for 4,103 rows of 64 bytes, more than _BATCH_BYTES holds
+    assert 4103 * 64 > _BATCH_BYTES
+    _check_draws(2**63 + 1, _CHUNK + 5, 64)
