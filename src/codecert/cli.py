@@ -34,8 +34,10 @@ one `error: ...` line, all others to stdout.
 across runs for fixed inputs and seed.
 
 Source files hold one `<symbol> <probability>` pair per line, where the
-probability is a rational like 3/10 or a finite decimal; `#` starts a
-comment line, and a byte order mark at the start of a file is skipped.
+probability is a rational like 3/10 or a finite decimal and the symbol
+has no `@`, which a code file reads as the start of its weights; `#`
+starts a comment line, and a byte order mark at the start of a file is
+skipped.
 Numerals in files, --lengths, --probs, --tol and the integer options
 (--radix, --max-len, --seed, --t, --trials) are ASCII, no `_`, and each
 has at most 4,300 digits, an exponent counting as that many zeros; --tol
@@ -158,8 +160,12 @@ def _rows(bodies: Sequence[str], expected: str, lines: Sequence[str] | None = No
 
 
 def _source_columns(texts: list[str]) -> tuple[list[str], tuple[list[int], list[int]]]:
-    """The lines of a source file as a column of symbols and the columns of _ratios of their probabilities."""
+    """The lines of a source file as a column of symbols and the columns of _ratios of their probabilities.
+    A symbol with an '@' is refused, since a code file written for it would not read back in."""
     symbols, numerals = _rows(texts, "'<symbol> <probability>'")
+    if "@" in "".join(symbols):
+        symbol = next(symbol for symbol in symbols if "@" in symbol)
+        raise ValueError(f"symbol {_quote(symbol)} contains '@', which a code file reads as the start of its weights")
     return symbols, _ratios(numerals)
 
 

@@ -14,12 +14,10 @@ are floating-point surfaces, and they read m/D, which rounds exactly as
 float(Fraction) does. Exactness lets the proof engine decide the equality
 case p_i = r^(-l_i) with no tolerance at all.
 
-A Source checks its whole table in one pass (`_is_mass_table`), unless a
-package builder made it valid (`_built`): the symbols are distinct and each
-mass is a positive int, tested a column at a time. The pass never raises;
-only when it says no does `_check_entries` walk the entries in order, to
-raise the error of the first one at fault, or of a symbol listed twice. A
-Code and an EncodingPolicy run that walk on every table they check.
+A Source, a Code and an EncodingPolicy check their tables by one walk
+over the entries in order (`_check_entries`), which raises the error of
+the first entry at fault, or of a symbol listed twice. Only a table that a
+package builder made valid skips it (`Source._built`, `Code._built`).
 
 Sampling is deterministic: a seed in [0, 2^64) keys a splitmix64 stream
 (see codecert.rng) of draws below the least D, so a stream is
@@ -222,17 +220,6 @@ def _check_probability(d: int, symbol, m) -> None:
         raise ZeroOrNegativeProbability(f"p({_quote(symbol)}) = {_cut(Fraction(m, d))} is not strictly positive")
 
 
-def _is_mass_table(symbols: Sequence, masses: Sequence) -> bool:
-    """Whether the symbols are distinct and every mass is an int above 0: one
-    pass over each column, which never raises, even on an unhashable symbol."""
-    try:
-        if len(set(symbols)) != len(symbols):
-            return False
-    except TypeError:
-        return False
-    return set(map(type, masses)) == {int} and min(masses) > 0
-
-
 #: Most bits of the lcm of a source's denominators; the Kraft sum's common
 #: denominator r^max(length) is capped at 2^MAX_DENOMINATOR_BITS. The work
 #: on such a number grows with its size, and printing it with the square.
@@ -281,8 +268,7 @@ class Source:
             raise ValueError("symbols and masses must have equal length")
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise ValueError(f"denominator {_quote(d)} is not a positive integer")
-        if not _is_mass_table(self.symbols, self.masses):  # find the first entry at fault
-            _check_entries(zip(self.symbols, self.masses), partial(_check_probability, d))
+        _check_entries(zip(self.symbols, self.masses), partial(_check_probability, d))
         total = sum(self.masses)
         if total != d:
             bits = d.bit_length()

@@ -11,9 +11,11 @@ import pytest
 from codecert import (
     Code,
     DigitOutOfRange,
+    DuplicateSymbol,
     ProbabilitySumNotOne,
     Source,
     SplitMix64,
+    ZeroOrNegativeProbability,
     certify,
     construct_instantaneous,
     extend_source,
@@ -25,14 +27,12 @@ from codecert import (
     random_source,
     reversed_code,
 )
-from codecert.source import _is_mass_table
 
 RADICES = (2, 3, 10, 36)
 SIZES = (1, 2, 7, 300, 4096)
 
 
 def check_source(src: Source) -> None:
-    assert _is_mass_table(src.symbols, src.masses)
     assert type(src.symbols) is tuple and type(src.masses) is tuple and type(src.denominator) is int
     assert sum(src.masses) == src.denominator
     assert math.gcd(src.denominator, *src.masses) == 1
@@ -146,8 +146,10 @@ def test_certificate_codes(r):
 
 def test_the_checks_refuse_what_a_builder_never_makes():
     # the oracles of this file are no tautology: each bad table fails them
-    assert not _is_mass_table(("a", "a"), (1, 1))
-    assert not _is_mass_table(("a", "b"), (0, 2))
+    with pytest.raises(DuplicateSymbol):
+        Source(("a", "a"), (1, 1), 2)
+    with pytest.raises(ZeroOrNegativeProbability):
+        Source(("a", "b"), (0, 2), 2)
     for mapping, error in (
         ((("a", ((0,), (0,))),), ValueError),
         ((("a", ((2,),)),), DigitOutOfRange),

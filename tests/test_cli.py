@@ -854,6 +854,9 @@ def test_file_errors_are_located(tmp_path, capsys):
     assert run(capsys, "entropy", dup) == (2, "", f"error: {dup}: symbol 'a' listed twice")
     zero = write(tmp_path, "zero.txt", "a 1\nb 0\n")
     assert run(capsys, "entropy", zero) == (2, "", f"error: {zero}:2: p('b') = 0 is not strictly positive")
+    at = write(tmp_path, "at.txt", "c 1/2\na@b 1/2\n")  # huffman would write 'a@b 0', which no code file reads
+    message = f"error: {at}:2: symbol 'a@b' contains '@', which a code file reads as the start of its weights"
+    assert run(capsys, "huffman", at) == (2, "", message)
     code = write(tmp_path, "c.txt", "radix 2\na 0\nb 10\na 11\n")
     assert run(capsys, "check-prefix", code) == (2, "", f"error: {code}: symbol 'a' listed twice")
     radix = write(tmp_path, "r.txt", "# radix zero\nradix 0\na -\n")
@@ -940,8 +943,7 @@ def test_entries_are_checked_in_table_order(tmp_path, capsys):
 
 def test_parsing_checks_each_entry_once(tmp_path):
     # counted by code object, so a call through any name the check is bound to counts;
-    # a valid Source is checked a column at a time, so its entry checks never run,
-    # while a Code and an EncodingPolicy walk their entries once each
+    # a Source, a Code and an EncodingPolicy each walk their entries once
     checks = {f.__code__: f.__name__ for f in (_check_probability, codes._check_codewords, codes._check_weights)}
     calls = Counter()
 
@@ -959,7 +961,7 @@ def test_parsing_checks_each_entry_once(tmp_path):
     finally:
         sys.setprofile(None)
     assert len(code.mapping) == len(policy.weights) == n
-    assert (calls["_check_probability"], calls["_check_codewords"], calls["_check_weights"]) == (0, n, n)
+    assert (calls["_check_probability"], calls["_check_codewords"], calls["_check_weights"]) == (n, n, n)
 
 
 def count_fractions_built(read, *args):
@@ -1434,6 +1436,29 @@ def test_huffman_above_radix_10_rereads(tmp_path, capsys):
     assert run(capsys, "kraft", emitted) == run(capsys, "kraft", *as_lengths)
     status, acl, _ = run(capsys, "acl", src, emitted)
     assert status == 0 and f"\n# {acl}\n" in out
+
+
+#: Printable ASCII but the space, with the characters a code file reads
+#: specially drawn more often
+ascii_symbols = st.text(st.one_of(st.sampled_from("@,#-.0"), st.characters(min_codepoint=33, max_codepoint=126)), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(ascii_symbols.filter(lambda symbol: symbol[0] != "#"), min_size=1, max_size=8), st.sampled_from([2, 3, 12]), st.data())
+def test_a_huffman_code_file_reads_back_for_every_source_file_read(tmp_path, capsys, symbols, r, data):
+    d = data.draw(st.integers(len(symbols) + 1, 3 * len(symbols) + 1))
+    cuts = sorted(data.draw(st.sets(st.integers(1, d - 1), min_size=len(symbols) - 1, max_size=len(symbols) - 1)))
+    masses = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, d])]
+    src_path = write(tmp_path, "s.txt", "".join(f"{s} {m}/{d}\n" for s, m in zip(symbols, masses)))
+    try:
+        src = cli.parse_source_file(src_path)
+    except ParseError as e:  # the masses are valid, so only the symbols are refused
+        assert "contains '@'" in str(e) or "listed twice" in str(e)
+        assert any("@" in s for s in symbols) or len(set(symbols)) < len(symbols)
+        return
+    status, out, _ = run(capsys, "huffman", src_path, "--radix", str(r))
+    assert status == 0
+    assert parse_code_file(write(tmp_path, "h.txt", out)) == (codecert.huffman(src, r), None)
 
 
 # --- module entry point ---

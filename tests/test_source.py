@@ -239,10 +239,28 @@ def test_duplicate_symbol_is_named():
 
 
 def test_an_unhashable_symbol_is_met_by_the_entry_walk():
-    # the one-pass table check answers no rather than raise; the walk over
-    # the entries then meets the unhashable symbol
+    # the walk over the entries raises the set's TypeError at the symbol
     with pytest.raises(TypeError, match="unhashable type: 'list'"):
         Source(("a", ["b"]), (1, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "symbols, masses, denominator, error, message, entry",
+    [
+        ("ab", (1, 0), 1, ZeroOrNegativeProbability, "p('b') = 0 is not strictly positive", 1),
+        ("ab", (1, True), 2, ZeroOrNegativeProbability, "p('b') has mass True, not an integer", 1),
+        ("ab", (1.0, 1), 2, ZeroOrNegativeProbability, "p('a') has mass 1.0, not an integer", 0),
+        ("aba", (1, 1, 1), 3, DuplicateSymbol, "symbol 'a' listed twice", None),
+        ("abc", (1, -1, 0.5), 2, ZeroOrNegativeProbability, "p('b') = -1/2 is not strictly positive", 1),
+        ("aba", (1, 0, 1), 2, ZeroOrNegativeProbability, "p('b') = 0 is not strictly positive", 1),
+    ],
+    ids=["zero", "bool", "float", "twice", "two-faults", "fault-before-twice"],
+)
+def test_a_faulty_source_table_is_refused_at_the_entry_at_fault(symbols, masses, denominator, error, message, entry):
+    # the walk over the entries raises the error of the earliest fault, and names its entry
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        Source(tuple(symbols), masses, denominator)
+    assert getattr(info.value, "entry", None) == entry
 
 
 def test_source_lookup():
